@@ -16,6 +16,7 @@ from .errors import (
     BoxTooLarge,
     NotASymmetry,
     ObjectiveNotOnes,
+    ResultCheckFailed,
     SearchBudgetExceeded,
     SymilpError,
     TransitivityNotEstablished,
@@ -179,7 +180,7 @@ def cmd_solve(args) -> int:
         out = model.brute_force_ilp(inst, box=box)
     elapsed = time.perf_counter() - t0
     if out.status == model.OPTIMAL and not inst.is_feasible(out.point):
-        raise AssertionError("solver returned an infeasible point")
+        raise ResultCheckFailed("solver returned an infeasible point")
     report = RunReport(
         inst.name, args.method, out.status, value=out.value,
         point=out.point, m=inst.m, n=inst.n, ip_s=elapsed,
@@ -227,8 +228,8 @@ def bench_rows(family, sizes, assume_transitivity=False):
         else:
             raise UnboundedRelaxation(inst.name)
         ip_s = time.perf_counter() - t0
-        if out.status == model.OPTIMAL:
-            assert inst.is_feasible(out.point)
+        if out.status == model.OPTIMAL and not inst.is_feasible(out.point):
+            raise ResultCheckFailed(f"{inst.name}: solver returned an infeasible point")
         reports.append(
             RunReport(
                 inst.name, "corepoint", out.status, value=out.value,

@@ -51,3 +51,7 @@ class BadParams(SymilpError):
 
 class DegenerateFacet(SymilpError):
     """A facet vertex set failed to determine a unique valid hyperplane."""
+
+
+class ResultCheckFailed(SymilpError):
+    """A solver result failed the exact check that guards it."""

@@ -14,6 +14,7 @@ from .errors import (
     BoxTooLarge,
     InfeasibleRegion,
     ObjectiveNotOnes,
+    ResultCheckFailed,
     TransitivityNotEstablished,
     UnboundedRelaxation,
     ZeroObjective,
@@ -27,6 +28,7 @@ from .model import (
     UNBOUNDED,
     explicit_box,
     normalize,
+    satisfies_rows,
 )
 from .ratlin import scale_coprime
 from .symmetry import NONE as LEVEL_NONE
@@ -142,14 +144,8 @@ def enumeration_oracle(inst: ILPInstance, k: int, max_points: int = 10**7):
     def dfs(j: int, remaining: int):
         nonlocal visited
         if j == n:
-            if remaining != 0:
+            if remaining != 0 or not satisfies_rows(rows, x):
                 return None
-            for row in rows:
-                s = 0
-                for t in range(n):
-                    s += row[t] * x[t]
-                if s > row[-1]:
-                    return None
             return tuple(x)
         lo = max(box[j][0], remaining - suffix_hi[j + 1])
         hi = min(box[j][1], remaining - suffix_lo[j + 1])
@@ -200,7 +196,8 @@ def solve_by_layers(
         scanned += 1
         point = oracle(inst, k)
         if point is not None:
-            assert sum(point) == k and inst.is_feasible(point)
+            if sum(point) != k or not inst.is_feasible(point):
+                raise ResultCheckFailed(f"layer oracle returned a bad point for layer {k}")
             if stats is not None:
                 stats["layers_scanned"] = scanned
             return ILPOutcome(OPTIMAL, point=tuple(point), value=Fraction(k))

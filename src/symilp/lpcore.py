@@ -1,25 +1,34 @@
 """Exact rational linear programming over Ax <= b with free variables.
 
-Two-phase dictionary simplex: free variables are split into differences of
-nonnegatives, infeasibility is handled with a single auxiliary variable, and
-Bland's smallest-index rule is used in both phases so termination is
-guaranteed on the heavily degenerate symmetric instances this toolkit
-produces.  Everything is a Fraction; there are no tolerances.
+Two-phase simplex on an integer tableau: free variables are split into
+differences of nonnegatives, infeasibility is handled with a single
+auxiliary variable, and Bland's smallest-index rule is used in both phases
+so termination is guaranteed on the heavily degenerate symmetric instances
+this toolkit produces.
+
+The tableau is fraction-free (integer pivoting, as in Edmonds 1967 and in
+Avis's lrs).  Every row holds Python ints over one shared denominator D,
+the absolute determinant of the current basis, so each entry is a
+subdeterminant of the input and every pivot division is exact (Bareiss).
+The objective row is kept over D times the lcm of the objective's
+denominators.  Ratios are compared by cross-multiplication; Fractions are
+built only for the returned point and value.  There are no tolerances.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import InfeasibleRegion, ObjectiveNotOnes
+from .errors import InfeasibleRegion, ObjectiveNotOnes, ResultCheckFailed
 from .model import ILPInstance, INFEASIBLE, LPOutcome, OPTIMAL, UNBOUNDED
 
-_ZERO = Fraction(0)
 
-
-class _Dictionary:
-    """Simplex dictionary for max sum(c~_v y_v), A~y <= b, y >= 0.
+class _Tableau:
+    """Integer simplex dictionary for max sum(c~_v y_v), A~y <= b, y >= 0.
 
     Variable ids: 0..2n-1 split structurals (x_j = y_2j - y_2j+1),
-    2n..2n+m-1 slacks, 2n+m the phase-1 auxiliary.
+    2n..2n+m-1 slacks, 2n+m the phase-1 auxiliary.  Row i reads
+    D * y_basis[i] = rows[i][-1] + sum_k rows[i][k] * y_nonbasic[k], and
+    the objective row obj reads D * scale * z the same way.
     """
 
     def __init__(self, inst: ILPInstance):
@@ -28,71 +37,61 @@ class _Dictionary:
         self.aux = 2 * n + m
         self.nonbasic = list(range(2 * n))
         self.basis = [2 * n + i for i in range(m)]
-        self.const = [Fraction(row[-1]) for row in inst.rows]
-        self.coef = []
+        self.rows = []
         for row in inst.rows:
             r = []
             for j in range(n):
-                a = Fraction(row[j])
+                a = row[j]
                 r.append(-a)
                 r.append(a)
-            self.coef.append(r)
-        self.obj_coef = [_ZERO] * len(self.nonbasic)
-        self.obj_const = _ZERO
+            r.append(row[-1])
+            self.rows.append(r)
+        self.D = 1
+        self.scale = 1
+        self.obj = [0] * (2 * n + 1)
 
     def pivot(self, e: int, l: int) -> None:
         """Enter nonbasic position e, leave basic row l."""
-        coef, const = self.coef, self.const
-        a = coef[l][e]
-        inv = Fraction(-1) / a
-        row = coef[l]
-        for k in range(len(row)):
-            row[k] *= inv
-        row[e] = -inv  # coefficient of the leaving variable
-        const[l] *= inv
-        for i in range(self.m):
-            if i == l:
-                continue
-            f = coef[i][e]
-            if f:
-                ri = coef[i]
-                ri[e] = _ZERO
-                for k, v in enumerate(row):
-                    if v:
-                        ri[k] += f * v
-                const[i] += f * const[l]
-        f = self.obj_coef[e]
-        if f:
-            self.obj_coef[e] = _ZERO
-            for k, v in enumerate(row):
-                if v:
-                    self.obj_coef[k] += f * v
-            self.obj_const += f * const[l]
+        rows, D = self.rows, self.D
+        pr = rows[l]
+        p = pr[e]
+        ap = abs(p)
+        sp = 1 if p > 0 else -1
+        nz = [(k, w) for k, w in enumerate(pr) if w and k != e]
+        for i, r in enumerate(rows):
+            if i != l:
+                rows[i] = _eliminate(r, nz, e, ap, sp, D)
+        self.obj = _eliminate(self.obj, nz, e, ap, sp, D)
+        new = [-w for w in pr] if p > 0 else pr[:]
+        new[e] = sp * D
+        rows[l] = new
+        self.D = ap
         self.nonbasic[e], self.basis[l] = self.basis[l], self.nonbasic[e]
 
     def bland_entering(self):
         best = None
         best_var = None
-        for k, w in enumerate(self.obj_coef):
-            if w > 0:
+        obj = self.obj
+        for k in range(len(obj) - 1):
+            if obj[k] > 0:
                 v = self.nonbasic[k]
                 if best_var is None or v < best_var:
                     best, best_var = k, v
         return best
 
     def bland_leaving(self, e: int):
-        best_limit = None
+        # the limit of row i is b_i / t_i with t_i = -a_ie > 0; compare
+        # b_i / t_i < b_best / t_best as b_i * t_best < b_best * t_i, and
+        # break ties toward the smaller basic variable
+        basis = self.basis
         best_row = None
-        for i in range(self.m):
-            a = self.coef[i][e]
-            if a < 0:
-                limit = -self.const[i] / a
-                if (
-                    best_limit is None
-                    or limit < best_limit
-                    or (limit == best_limit and self.basis[i] < self.basis[best_row])
-                ):
-                    best_limit, best_row = limit, i
+        for i, r in enumerate(self.rows):
+            t = -r[e]
+            if t > 0 and (
+                best_row is None
+                or (r[-1] * best_t, basis[i]) < (best_b * t, basis[best_row])
+            ):
+                best_row, best_b, best_t = i, r[-1], t
         return best_row
 
     def run(self) -> str:
@@ -105,87 +104,111 @@ class _Dictionary:
                 return UNBOUNDED
             self.pivot(e, l)
 
-    def var_value(self, v: int) -> Fraction:
-        for i, bv in enumerate(self.basis):
-            if bv == v:
-                return self.const[i]
-        return _ZERO
+
+def _eliminate(r, nz, e, ap, sp, D):
+    """Row r after the pivot on p = sp * ap over denominator D.
+
+    r'_k = sign(p) * (r_k * p - r_e * pr_k) / D, exact by Bareiss, where nz
+    lists the pivot row's nonzero (k, pr_k) off column e; column e becomes
+    the leaving variable's, sign(p) * r_e.
+    """
+    f = r[e]
+    if ap != D:
+        new = [v * ap // D for v in r]
+    elif f:
+        new = r[:]
+    else:
+        return r
+    if f:
+        g = sp * f
+        for k, w in nz:
+            new[k] = (r[k] * ap - g * w) // D
+        new[e] = g
+    return new
 
 
-def _phase1(d: _Dictionary) -> bool:
-    """Drive the dictionary to feasibility; False means infeasible."""
-    worst = min(range(d.m), key=lambda i: (d.const[i], d.basis[i]))
-    if d.const[worst] >= 0:
+def _phase1(t: _Tableau) -> bool:
+    """Drive the tableau to feasibility; False means infeasible."""
+    rows = t.rows
+    worst = min(range(t.m), key=lambda i: (rows[i][-1], t.basis[i]))
+    if rows[worst][-1] >= 0:
         return True
-    pos = len(d.nonbasic)
-    d.nonbasic.append(d.aux)
-    for r in d.coef:
-        r.append(Fraction(1))
-    d.obj_coef = [_ZERO] * len(d.nonbasic)
-    d.obj_coef[pos] = Fraction(-1)
-    d.obj_const = _ZERO
-    d.pivot(pos, worst)
-    status = d.run()
-    assert status == OPTIMAL  # w = -aux <= 0 is bounded
-    if d.obj_const < 0:
+    pos = len(t.nonbasic)
+    t.nonbasic.append(t.aux)
+    for r in rows:
+        r.insert(pos, 1)
+    t.obj = [0] * (pos + 2)
+    t.obj[pos] = -1
+    t.pivot(pos, worst)
+    if t.run() != OPTIMAL:
+        raise ResultCheckFailed("phase 1: w = -aux <= 0 came out unbounded")
+    if t.obj[-1] < 0:
         return False
-    if d.aux in d.basis:
-        l = d.basis.index(d.aux)  # degenerate at zero
-        e = next((k for k, v in enumerate(d.coef[l]) if v), None)
-        if e is None:
-            del d.basis[l], d.const[l], d.coef[l]
-            d.m -= 1
-        else:
-            d.pivot(e, l)
-    p = d.nonbasic.index(d.aux)
-    del d.nonbasic[p]
-    for r in d.coef:
+    if t.aux in t.basis:
+        # Degenerate at zero: pivot the auxiliary out.  Its row is never all
+        # zero: it is r^T [A~ | I | 1] over the nonbasic columns, where r is
+        # the auxiliary's row of the inverse basis.  r vanishes on the basic
+        # slacks' identity columns and r.1 = 1, so r_i != 0 for some
+        # nonbasic slack i, whose column then holds -r_i * D.
+        l = t.basis.index(t.aux)
+        e = next(k for k, v in enumerate(t.rows[l][:-1]) if v)
+        t.pivot(e, l)
+    p = t.nonbasic.index(t.aux)
+    del t.nonbasic[p]
+    for r in t.rows:
         del r[p]
     return True
 
 
-def _install_objective(d: _Dictionary, c) -> None:
-    """Express max c^t x over the current dictionary's nonbasic variables."""
-    d.obj_coef = [_ZERO] * len(d.nonbasic)
-    d.obj_const = _ZERO
-    pos = {v: k for k, v in enumerate(d.nonbasic)}
-    row_of = {v: i for i, v in enumerate(d.basis)}
+def _install_objective(t: _Tableau, c) -> None:
+    """Express max c^t x over the tableau's nonbasic variables.
+
+    c is scaled to integers by the lcm of its denominators, and the row is
+    kept over D times that scale like every other row.
+    """
+    scale = lcm(*(Fraction(cj).denominator for cj in c))
+    D = t.D
+    obj = [0] * (len(t.nonbasic) + 1)
+    pos = {v: k for k, v in enumerate(t.nonbasic)}
+    row_of = {v: i for i, v in enumerate(t.basis)}
     for j, cj in enumerate(c):
         if not cj:
             continue
-        for v, w in ((2 * j, Fraction(cj)), (2 * j + 1, -Fraction(cj))):
+        w = int(cj * scale)
+        for v, wv in ((2 * j, w), (2 * j + 1, -w)):
             if v in pos:
-                d.obj_coef[pos[v]] += w
+                obj[pos[v]] += wv * D
             else:
-                i = row_of[v]
-                d.obj_const += w * d.const[i]
-                ri = d.coef[i]
-                for k in range(len(d.nonbasic)):
-                    if ri[k]:
-                        d.obj_coef[k] += w * ri[k]
+                for k, a in enumerate(t.rows[row_of[v]]):
+                    if a:
+                        obj[k] += wv * a
+    t.obj = obj
+    t.scale = scale
 
 
 def _simplex(inst: ILPInstance, c) -> LPOutcome:
-    d = _Dictionary(inst)
-    if not _phase1(d):
+    t = _Tableau(inst)
+    if not _phase1(t):
         return LPOutcome(INFEASIBLE)
-    _install_objective(d, c)
-    status = d.run()
-    if status == UNBOUNDED:
+    _install_objective(t, c)
+    if t.run() == UNBOUNDED:
         return LPOutcome(UNBOUNDED)
-    vals = {v: d.const[i] for i, v in enumerate(d.basis)}
+    vals = {v: r[-1] for v, r in zip(t.basis, t.rows)}
+    D = t.D
     point = tuple(
-        vals.get(2 * j, _ZERO) - vals.get(2 * j + 1, _ZERO) for j in range(inst.n)
+        Fraction(vals.get(2 * j, 0) - vals.get(2 * j + 1, 0), D) for j in range(inst.n)
     )
-    return LPOutcome(OPTIMAL, point=point, value=d.obj_const)
+    return LPOutcome(OPTIMAL, point=point, value=Fraction(t.obj[-1], D * t.scale))
 
 
 def solve_lp(inst: ILPInstance) -> LPOutcome:
     """Exact optimum of the relaxation max c^t x, Ax <= b."""
     out = _simplex(inst, inst.c)
     if out.status == OPTIMAL:
-        assert inst.is_feasible(out.point)
-        assert sum(cj * xj for cj, xj in zip(inst.c, out.point)) == out.value
+        if not inst.is_feasible(out.point):
+            raise ResultCheckFailed(f"solve_lp: infeasible point for {inst.name or 'instance'}")
+        if sum(cj * xj for cj, xj in zip(inst.c, out.point)) != out.value:
+            raise ResultCheckFailed(f"solve_lp: value mismatch for {inst.name or 'instance'}")
     return out
 
 
@@ -228,12 +251,12 @@ def coordinate_bounds(inst: ILPInstance):
     n = inst.n
     out = []
     for j in range(n):
-        e = [_ZERO] * n
-        e[j] = Fraction(1)
+        e = [0] * n
+        e[j] = 1
         up = _simplex(inst, e)
         if up.status == INFEASIBLE:
             raise InfeasibleRegion(inst.name or "empty feasible region")
-        e[j] = Fraction(-1)
+        e[j] = -1
         down = _simplex(inst, e)
         hi = up.value if up.status == OPTIMAL else None
         lo = -down.value if down.status == OPTIMAL else None

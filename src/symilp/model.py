@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, gcd, lcm
+from operator import mul
 
-from .errors import BoxTooLarge, EmptySystem, InfeasibleZeroRow
+from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion, InfeasibleZeroRow
 from .ratlin import parse_rational
 
 OPTIMAL = "optimal"
@@ -77,17 +78,21 @@ class ILPInstance:
         return tuple(r[-1] for r in self.rows)
 
     def is_feasible(self, x) -> bool:
-        """Exact check of Ax <= b; O(mn)."""
+        """Exact check of Ax <= b for a rational point; O(mn) integer work.
+
+        The point is scaled by the lcm of its denominators, so every row is
+        tested in ints.  Other numbers (floats) are taken at their exact
+        rational value.
+        """
         if len(x) != self.n:
             raise ValueError("point length mismatch")
-        n = self.n
-        for row in self.rows:
-            s = 0
-            for j in range(n):
-                s += row[j] * x[j]
-            if s > row[-1]:
-                return False
-        return True
+        try:
+            den = lcm(*(v.denominator for v in x))
+        except AttributeError:
+            x = [Fraction(v) for v in x]
+            den = lcm(*(v.denominator for v in x))
+        xs = [v.numerator * (den // v.denominator) for v in x]
+        return satisfies_rows(self.rows, xs, den)
 
     def __eq__(self, other):
         return (
@@ -101,6 +106,17 @@ class ILPInstance:
 
     def __repr__(self):
         return f"ILPInstance({self.name or '?'}: m={self.m}, n={self.n})"
+
+
+def satisfies_rows(rows, xs, den=1) -> bool:
+    """Whether the integer point xs / den satisfies every (a | b) row.
+
+    The one feasibility kernel: a row holds when a.xs <= b * den.
+    """
+    for row in rows:
+        if sum(map(mul, row, xs)) > row[-1] * den:
+            return False
+    return True
 
 
 def canonical_row(row) -> tuple:
@@ -209,7 +225,10 @@ def brute_force_ilp(inst: ILPInstance, box=None, max_points: int = DEFAULT_POINT
     per-coordinate LP bounds.
     """
     if box is None:
-        box = _default_box(inst)
+        try:
+            box = _default_box(inst)
+        except InfeasibleRegion:
+            return ILPOutcome(INFEASIBLE)  # the relaxation is empty
     if len(box) != inst.n:
         raise ValueError("box length mismatch")
     volume = 1
@@ -221,17 +240,8 @@ def brute_force_ilp(inst: ILPInstance, box=None, max_points: int = DEFAULT_POINT
     best_val = None
     rows = inst.rows
     c = inst.c
-    n = inst.n
     for x in product(*(range(lo, hi + 1) for lo, hi in box)):
-        ok = True
-        for row in rows:
-            s = 0
-            for j in range(n):
-                s += row[j] * x[j]
-            if s > row[-1]:
-                ok = False
-                break
-        if not ok:
+        if not satisfies_rows(rows, x):
             continue
         val = sum(cj * xj for cj, xj in zip(c, x))
         if best_val is None or val > best_val:

@@ -7,7 +7,7 @@ the same objective value.
 
 from dataclasses import dataclass
 
-from .errors import InfeasibleZeroRow, NotASymmetry
+from .errors import InfeasibleZeroRow, NotASymmetry, ResultCheckFailed
 from .lpcore import solve_lp
 from .model import ILPInstance, INFEASIBLE, LPOutcome, OPTIMAL, normalize
 from .symmetry import GroupSpec, fixing_equations, is_symmetry
@@ -84,7 +84,11 @@ def solve_symmetric_lp(inst: ILPInstance, G: GroupSpec) -> LPOutcome:
         return LPOutcome(INFEASIBLE)
     out = solve_lp(red)
     if out.status == OPTIMAL:
-        assert inst.is_feasible(out.point)
+        if not inst.is_feasible(out.point):
+            raise ResultCheckFailed(
+                f"solve_symmetric_lp: infeasible point for {inst.name or 'instance'}"
+            )
         for e in rp.fixing:
-            assert sum(ev * xv for ev, xv in zip(e, out.point)) == 0
+            if sum(ev * xv for ev, xv in zip(e, out.point)) != 0:
+                raise ResultCheckFailed("solve_symmetric_lp: point leaves the fixed space")
     return out

@@ -3,8 +3,9 @@ import io
 
 import pytest
 
+from symilp import model
 from symilp.cli import bench_rows, main
-from symilp.model import read_instance, write_instance
+from symilp.model import ILPOutcome, read_instance, write_instance
 from symilp.symmetry import read_generators
 
 
@@ -68,6 +69,15 @@ def test_exit_codes(tmp_path, capsys):
     lone.write_text("ILP v1\nvars 2\nobj 1 1\n1 2 <= 3\n")
     assert main(["solve", str(lone), "--method", "corepoint"]) == 4
     capsys.readouterr()
+
+
+def test_solve_rejects_a_wrong_point(ex61_file, monkeypatch, capsys):
+    monkeypatch.setattr(
+        model, "brute_force_ilp",
+        lambda inst, box=None: ILPOutcome("optimal", point=(2, 2, 2), value=6),
+    )
+    assert main(["solve", ex61_file, "--method", "brute", "--box", "0:3"]) == 1
+    assert "infeasible point" in capsys.readouterr().err
 
 
 def test_detect_command(ex61_file, tmp_path, capsys):

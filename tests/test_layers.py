@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from symilp.errors import (
     ObjectiveNotOnes,
+    ResultCheckFailed,
     TransitivityNotEstablished,
     UnboundedRelaxation,
     ZeroObjective,
@@ -136,6 +137,14 @@ def test_solve_by_layers_lp_infeasible():
     inst = normalize([(1, 1, -3), (-1, -1, 0), (2, 0, 1), (0, 2, 1)], [1, 1])
     out = solve_by_layers(inst, assume_transitive=True)
     assert out.status == "infeasible"
+
+
+def test_solve_by_layers_rejects_a_wrong_point(ex61):
+    # the scan starts at layer 3: (3, 0, 0) is on it but violates
+    # 2x1 + x3 <= 3, and (1, 1, 0) lies on layer 2
+    for bad in ((3, 0, 0), (1, 1, 0)):
+        with pytest.raises(ResultCheckFailed):
+            solve_by_layers(ex61, oracle=lambda inst, k, bad=bad: bad)
 
 
 def test_solve_by_layers_refusals(ex61):

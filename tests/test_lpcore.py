@@ -2,10 +2,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from symilp.errors import InfeasibleRegion, ObjectiveNotOnes
+from symilp import lpcore
+from symilp.errors import (
+    InfeasibleRegion,
+    InfeasibleZeroRow,
+    ObjectiveNotOnes,
+    ResultCheckFailed,
+)
 from symilp.lpcore import coordinate_bounds, solve_lp, solve_lp_on_line
-from symilp.model import normalize
+from symilp.model import LPOutcome, normalize
 from symilp.ratlin import dot, rank, solve_linear
 
 
@@ -187,3 +195,122 @@ def test_coordinate_bounds_infeasible():
     inst = normalize([(1, -1), (-1, 0)], [1])
     with pytest.raises(InfeasibleRegion):
         coordinate_bounds(inst)
+
+
+# --- bounded rational instances against the vertex oracle
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def bounded_lps(draw):
+    """A rational box, shifted off the origin at times, plus rational cuts."""
+    n = draw(st.integers(1, 3))
+    rows = []
+    for j in range(n):
+        lo = draw(rationals)
+        hi = lo + draw(st.builds(Fraction, st.integers(0, 4), st.integers(1, 3)))
+        e = [0] * n
+        e[j] = 1
+        rows.append(tuple(e) + (hi,))
+        e[j] = -1
+        rows.append(tuple(e) + (-lo,))
+    for _ in range(draw(st.integers(0, 3))):
+        a = tuple(draw(rationals) for _ in range(n))
+        if any(a):
+            rows.append(a + (draw(rationals),))
+    c = [draw(rationals) for _ in range(n)]
+    return normalize(rows, c, name="hyp")
+
+
+def _unit(n, j, sign):
+    e = [0] * n
+    e[j] = sign
+    return e
+
+
+# x in [1, 2], y in [1/2, 3/2] with x + y <= 5/2: the origin is infeasible
+@example(normalize([(1, 0, 2), (-1, 0, -1), (0, 2, 3), (0, -2, -1), (2, 2, 5)], [1, 1]))
+# x pinned to 1 by two rows: phase 1 ends with the auxiliary basic at zero
+@example(normalize([(1, 1), (-1, -1)], [Fraction(-3, 2)]))
+@settings(max_examples=120, deadline=None)
+@given(bounded_lps())
+def test_lp_and_bounds_match_vertex_oracle(inst):
+    expect = vertex_oracle_max(inst)
+    out = solve_lp(inst)
+    if expect is None:
+        assert out.status == "infeasible"
+        with pytest.raises(InfeasibleRegion):
+            coordinate_bounds(inst)
+        return
+    assert out.status == "optimal" and out.value == expect
+    assert inst.is_feasible(out.point)
+    n = inst.n
+    bounds = []
+    for j in range(n):
+        hi = vertex_oracle_max(normalize(inst.rows, _unit(n, j, 1)))
+        lo = -vertex_oracle_max(normalize(inst.rows, _unit(n, j, -1)))
+        bounds.append((lo, hi))
+    assert coordinate_bounds(inst) == bounds
+
+
+def test_phase1_pivots_out_a_degenerate_auxiliary(monkeypatch):
+    """Phase 1 can end with the auxiliary basic at zero; its row never vanishes.
+
+    The auxiliary's row is r^T [A~ | I | 1] over the nonbasic columns, with
+    r its row of the inverse basis: r is zero on the basic slacks and
+    r.1 = 1, so some nonbasic slack column is nonzero and a pivot-out
+    always exists.  No row ever has to be deleted.
+    """
+    hits = []
+    run = lpcore._Tableau.run
+
+    def spy(t):
+        status = run(t)
+        if t.aux in t.basis:
+            row = t.rows[t.basis.index(t.aux)]
+            slacks = range(2 * t.n, 2 * t.n + t.m)
+            hits.append(any(row[k] for k, v in enumerate(t.nonbasic) if v in slacks))
+        return status
+
+    monkeypatch.setattr(lpcore._Tableau, "run", spy)
+    # x = 1 from x <= 1 and -x <= -1: the ratio test ties the auxiliary
+    # with the slack of x <= 1, and Bland's rule keeps the auxiliary
+    inst = normalize([(1, 1), (-1, -1)], [1])
+    out = solve_lp(inst)
+    assert out.status == "optimal" and out.value == 1 and out.point == (1,)
+    assert hits == [True]
+
+    import random
+
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        rows = []
+        for j in range(n):
+            v = rng.randint(-1, 2)
+            rows.append(tuple(_unit(n, j, 1)) + (v + rng.randint(0, 1),))
+            rows.append(tuple(_unit(n, j, -1)) + (-v,))
+        rows.append(tuple(rng.randint(-2, 2) for _ in range(n)) + (rng.randint(-1, 3),))
+        try:
+            inst = normalize(rows, [rng.randint(-2, 2) for _ in range(n)])
+        except InfeasibleZeroRow:
+            continue
+        out = solve_lp(inst)
+        expect = vertex_oracle_max(inst)
+        assert out.value == expect or (expect is None and out.status == "infeasible")
+    assert len(hits) > 1 and all(hits)
+
+
+def test_solve_lp_rejects_a_wrong_point(monkeypatch):
+    inst = normalize([(1, 0, 1), (0, 1, 1), (-1, 0, 0), (0, -1, 0)], [1, 1])
+    monkeypatch.setattr(
+        lpcore, "_simplex", lambda inst, c: LPOutcome("optimal", point=(2, 2), value=4)
+    )
+    with pytest.raises(ResultCheckFailed):
+        solve_lp(inst)
+    monkeypatch.setattr(
+        lpcore, "_simplex", lambda inst, c: LPOutcome("optimal", point=(1, 1), value=3)
+    )
+    with pytest.raises(ResultCheckFailed):
+        solve_lp(inst)

@@ -12,6 +12,7 @@ from symilp.model import (
     explicit_box,
     normalize,
     read_instance,
+    satisfies_rows,
     write_instance,
 )
 
@@ -48,6 +49,26 @@ def test_is_feasible_ex61(ex61):
     assert not ex61.is_feasible((2, 2, 2))
 
 
+def test_is_feasible_rational_point():
+    # 2x + y <= 2, x + 2y <= 2, x, y >= 0; (2/3, 2/3) is the tight vertex
+    inst = normalize([(2, 1, 2), (1, 2, 2), (-1, 0, 0), (0, -1, 0)], [1, 1])
+    assert inst.is_feasible((Fraction(2, 3), Fraction(2, 3)))
+    assert inst.is_feasible((Fraction(1, 2), Fraction(3, 4)))
+    assert inst.is_feasible((0, 1)) and inst.is_feasible((Fraction(1, 2), 0))
+    assert not inst.is_feasible((Fraction(2, 3), Fraction(3, 4)))
+    assert not inst.is_feasible((Fraction(-1, 7), 0))
+    assert inst.is_feasible((0.5, 0.75)) and not inst.is_feasible((0.5, 0.8))
+    with pytest.raises(ValueError):
+        inst.is_feasible((0,))
+
+
+def test_satisfies_rows_over_a_denominator():
+    rows = ((2, 1, 2), (1, 2, 2))
+    assert satisfies_rows(rows, (2, 2), 3)  # (2/3, 2/3)
+    assert not satisfies_rows(rows, (3, 2), 3)  # (1, 2/3)
+    assert satisfies_rows(rows, (1, 0))
+
+
 def test_brute_force_ex61(ex61):
     out = brute_force_ilp(ex61, box=[(0, 3)] * 3)
     assert out.status == "optimal"
@@ -70,6 +91,14 @@ def test_brute_force_uses_explicit_box(htc6):
 def test_brute_force_infeasible():
     inst = normalize([(1, -1), (-1, 0)], [1])
     assert brute_force_ilp(inst, box=[(-5, 5)]).status == "infeasible"
+
+
+def test_brute_force_empty_relaxation_is_infeasible():
+    # no single-variable rows, so the box comes from LP bounds, and the
+    # relaxation x + y <= -1, x + y >= 0 is empty
+    inst = normalize([(1, 1, -1), (-1, -1, 0)], [1, 1])
+    assert explicit_box(inst) is None
+    assert brute_force_ilp(inst).status == "infeasible"
 
 
 def test_brute_force_cap():

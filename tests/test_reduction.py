@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from symilp.errors import NotASymmetry
+from symilp import reduction
+from symilp.errors import NotASymmetry, ResultCheckFailed
 from symilp.lpcore import solve_lp
-from symilp.model import normalize
+from symilp.model import LPOutcome, normalize
 from symilp.reduction import (
     build_reduced,
     orbit_sum_rows,
@@ -75,6 +76,21 @@ def test_solve_symmetric_ex61(ex61):
     out = solve_symmetric_lp(ex61, CYC3)
     assert out.status == "optimal"
     assert out.value == 3 and out.point == (1, 1, 1)
+
+
+def test_solve_symmetric_rejects_a_wrong_point(ex61, monkeypatch):
+    # infeasible for ex61
+    monkeypatch.setattr(
+        reduction, "solve_lp", lambda red: LPOutcome("optimal", point=(2, 2, 2), value=6)
+    )
+    with pytest.raises(ResultCheckFailed):
+        solve_symmetric_lp(ex61, CYC3)
+    # feasible, but off the fixed line x1 = x2 = x3
+    monkeypatch.setattr(
+        reduction, "solve_lp", lambda red: LPOutcome("optimal", point=(1, 0, 0), value=1)
+    )
+    with pytest.raises(ResultCheckFailed):
+        solve_symmetric_lp(ex61, CYC3)
 
 
 def test_solve_symmetric_htc6(htc6):
