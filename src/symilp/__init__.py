@@ -6,8 +6,7 @@ from .layers import coprime_direction, solve_by_layers
 from .lpcore import coordinate_bounds, solve_lp, solve_lp_on_line
 from .model import (
     ILPInstance,
-    ILPOutcome,
-    LPOutcome,
+    Outcome,
     brute_force_ilp,
     normalize,
     read_instance,
@@ -29,8 +28,7 @@ from .symmetry import (
 
 __all__ = [
     "ILPInstance",
-    "ILPOutcome",
-    "LPOutcome",
+    "Outcome",
     "GroupSpec",
     "SignedPermutation",
     "HtcParams",

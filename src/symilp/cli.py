@@ -224,7 +224,7 @@ def bench_rows(family, sizes, assume_transitivity=False):
                 inst, assume_transitive=assume_transitivity, stats=stats, _zeta=zeta
             )
         elif status == model.INFEASIBLE:
-            out = model.ILPOutcome(model.INFEASIBLE)
+            out = model.Outcome(model.INFEASIBLE)
         else:
             raise UnboundedRelaxation(inst.name)
         ip_s = time.perf_counter() - t0
@@ -251,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     # the global flags are accepted both before and after the subcommand;
     # SUPPRESS keeps a late subparser from clobbering an early value
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized corpora")
     common.add_argument("--output", choices=("text", "csv"),
                         default=argparse.SUPPRESS)
     common.add_argument("--assume-transitivity", action="store_true",
@@ -318,7 +316,6 @@ def main(argv=None) -> int:
     # parser-level default through the shared parent action and let the
     # subparser pass clobber values given before the subcommand
     for dest, default in (
-        ("seed", 0),
         ("output", "text"),
         ("assume_transitivity", False),
     ):

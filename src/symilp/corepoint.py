@@ -12,14 +12,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import floor
 
-from .errors import (
-    ObjectiveNotOnes,
-    TransitivityNotEstablished,
-    UnboundedRelaxation,
-)
+from .errors import UnboundedRelaxation
+from .layers import check_scan_gate
 from .lpcore import solve_lp_on_line
-from .model import ILPInstance, ILPOutcome, INFEASIBLE, OPTIMAL, UNBOUNDED
-from .symmetry import ALTERNATING, FULL_SYMMETRIC, verify_symmetric_group_invariance
+from .model import ILPInstance, Outcome, INFEASIBLE, OPTIMAL, UNBOUNDED
+from .symmetry import ALTERNATING, FULL_SYMMETRIC
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,7 @@ def solve_core_point(
     assume_transitive: bool = False,
     stats: dict | None = None,
     _zeta=None,
-) -> ILPOutcome:
+) -> Outcome:
     """Core point scan for ILP(A, b, 1): at most n feasibility checks.
 
     Maintains the m dot products incrementally while single coordinates of
@@ -94,23 +91,16 @@ def solve_core_point(
     n = inst.n
     if n < 2:
         raise ValueError("core point scan needs n >= 2")
-    if any(cj != 1 for cj in inst.c):
-        raise ObjectiveNotOnes("core point scan is defined for c = 1")
-    if not assume_transitive:
-        level = verify_symmetric_group_invariance(inst)
-        # Alt(n) supplies the layer all-or-nothing property only from n = 4
-        # up; Alt(3) is the cyclic group and merely transitive.
-        if not (level == FULL_SYMMETRIC or (level == ALTERNATING and n >= 4)):
-            raise TransitivityNotEstablished(
-                f"certificate level {level!r}; core point scan needs "
-                "Sym(n)/Alt(n) invariance or an explicit override"
-            )
+    # Alt(n) supplies the layer all-or-nothing property only from n = 4 up;
+    # Alt(3) is the cyclic group and merely transitive.
+    accepted = (FULL_SYMMETRIC, ALTERNATING) if n >= 4 else (FULL_SYMMETRIC,)
+    check_scan_gate(inst, accepted, assume_transitive, "core point scan")
     if _zeta is None:
         status, zeta = solve_lp_on_line(inst)
         if status == UNBOUNDED:
             raise UnboundedRelaxation(inst.name or "relaxation unbounded along 1")
         if status == INFEASIBLE:
-            return ILPOutcome(INFEASIBLE)
+            return Outcome(INFEASIBLE)
     else:
         zeta = _zeta
     q = floor(zeta)
@@ -126,11 +116,11 @@ def solve_core_point(
             if stats is not None:
                 stats["feasibility_checks"] = checks
             point = (q + 1,) * d + (q,) * (n - d)
-            return ILPOutcome(OPTIMAL, point=point, value=Fraction(n * q + d))
+            return Outcome(OPTIMAL, point=point, value=Fraction(n * q + d))
         d -= 1
         if d >= 0:
             col = d
             dots = [s - row[col] for s, row in zip(dots, rows)]
     if stats is not None:
         stats["feasibility_checks"] = checks
-    return ILPOutcome(INFEASIBLE)
+    return Outcome(INFEASIBLE)

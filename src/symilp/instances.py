@@ -47,11 +47,6 @@ class HtcParams:
             raise BadParams(f"need r/n < lambda < 1, got lambda={lam}")
 
 
-@dataclass(frozen=True)
-class VRep:
-    vertices: tuple
-
-
 def gen_hypertruncated_cube(p: HtcParams) -> ILPInstance:
     """The 4n facet rows, oriented so every vertex satisfies them.
 
@@ -130,7 +125,8 @@ def round3_sqrt3(a: Fraction) -> Fraction:
     # is 1000*a*sqrt(3) >= u + 1/2, i.e. 3*(2*num)^2 >= ((2u+1)*den)^2?
     lhs = 3 * (2 * num) ** 2
     rhs = ((2 * u + 1) * den) ** 2
-    assert lhs != rhs
+    if lhs == rhs:
+        raise DegenerateFacet(f"rounding tie at {a}*sqrt(3)")
     return Fraction(u + 1 if lhs > rhs else u, 1000)
 
 
@@ -138,7 +134,7 @@ _HEX_COS = (ONE, Fraction(1, 2), Fraction(-1, 2), -ONE, Fraction(-1, 2), Fractio
 _HEX_SIN_SIGN = (0, 1, 1, 0, -1, -1)  # sign of sin(k*pi/3); magnitude sqrt(3)/2
 
 
-def hexagon_vrep() -> VRep:
+def hexagon_vrep() -> tuple:
     """Regular hexagon with circumradius 56/6, coordinates pre-rounded."""
     radius = Fraction(56, 6)
     verts = []
@@ -147,10 +143,10 @@ def hexagon_vrep() -> VRep:
         s = _HEX_SIN_SIGN[k]
         y = round3_sqrt3(s * radius / 2) if s else Fraction(0)
         verts.append((x, y))
-    return VRep(tuple(verts))
+    return tuple(verts)
 
 
-def cross_polytope_vrep(d: int) -> VRep:
+def cross_polytope_vrep(d: int) -> tuple:
     scale = round3(Fraction(73, 10))
     verts = []
     for i in range(d):
@@ -158,23 +154,23 @@ def cross_polytope_vrep(d: int) -> VRep:
             v = [Fraction(0)] * d
             v[i] = s * scale
             verts.append(tuple(v))
-    return VRep(tuple(verts))
+    return tuple(verts)
 
 
-def distorted_join_vrep(d: int) -> VRep:
+def distorted_join_vrep(d: int) -> tuple:
     """J(d) embedded in R^(d+3) with rounded coordinates.
 
     Hexagon vertices sit at lifted height 1, cross polytope vertices at
     -11/12 which rounds to -0.917.
     """
-    hexv = hexagon_vrep().vertices
-    crossv = cross_polytope_vrep(d).vertices
+    hexv = hexagon_vrep()
+    crossv = cross_polytope_vrep(d)
     top = round3(ONE)
     bottom = round3(Fraction(-11, 12))
     zeros_d = (Fraction(0),) * d
     verts = [hv + zeros_d + (top,) for hv in hexv]
     verts += [(Fraction(0), Fraction(0)) + cv + (bottom,) for cv in crossv]
-    return VRep(tuple(verts))
+    return tuple(verts)
 
 
 def _join_facet_vertex_sets(d: int):
@@ -264,7 +260,7 @@ def gen_wild(d: int) -> ILPInstance:
     if d < 3:
         raise BadParams(f"wild construction needs d >= 3, got d={d}")
     n = d + 3
-    verts = distorted_join_vrep(d).vertices
+    verts = distorted_join_vrep(d)
     k = len(verts)
     barycenter = tuple(sum(v[t] for v in verts) / k for t in range(n))
     facet_rows = []

@@ -22,7 +22,7 @@ from .errors import (
 from .lpcore import coordinate_bounds, solve_lp_on_line
 from .model import (
     ILPInstance,
-    ILPOutcome,
+    Outcome,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
@@ -31,8 +31,7 @@ from .model import (
     satisfies_rows,
 )
 from .ratlin import scale_coprime
-from .symmetry import NONE as LEVEL_NONE
-from .symmetry import verify_symmetric_group_invariance
+from .symmetry import ALTERNATING, FULL_SYMMETRIC, TRANSITIVE_ONLY, verify_symmetric_group_invariance
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,8 @@ def layer_witness(d: CoprimeDirection, k: int) -> tuple:
         g, u, w = _xgcd(g, v)
         coeffs = [u * c for c in coeffs]
         coeffs.append(w)
-    assert g == 1, "direction entries must be coprime"
+    if g != 1:
+        raise ValueError(f"direction entries {d.direction} are not coprime")
     return tuple(k * c for c in coeffs)
 
 
@@ -139,27 +139,48 @@ def enumeration_oracle(inst: ILPInstance, k: int, max_points: int = 10**7):
         suffix_hi[j] = suffix_hi[j + 1] + box[j][1]
     rows = inst.rows
     x = [0] * n
+    rem = [k] * (n + 1)  # rem[j] = k - sum(x[:j])
     visited = 0
 
-    def dfs(j: int, remaining: int):
-        nonlocal visited
-        if j == n:
-            if remaining != 0 or not satisfies_rows(rows, x):
-                return None
-            return tuple(x)
-        lo = max(box[j][0], remaining - suffix_hi[j + 1])
-        hi = min(box[j][1], remaining - suffix_lo[j + 1])
-        for v in range(lo, hi + 1):
-            visited += 1
-            if visited > max_points:
-                raise BoxTooLarge(f"layer enumeration exceeded {max_points} nodes")
-            x[j] = v
-            hit = dfs(j + 1, remaining - v)
-            if hit is not None:
-                return hit
-        return None
+    def values(j: int):
+        return iter(range(max(box[j][0], rem[j] - suffix_hi[j + 1]),
+                          min(box[j][1], rem[j] - suffix_lo[j + 1]) + 1))
 
-    return dfs(0, k)
+    # one value iterator per coordinate fixed so far, instead of recursion
+    stack = [values(0)]
+    while stack:
+        j = len(stack) - 1
+        v = next(stack[j], None)
+        if v is None:
+            stack.pop()
+            continue
+        visited += 1
+        if visited > max_points:
+            raise BoxTooLarge(f"layer enumeration exceeded {max_points} nodes")
+        x[j] = v
+        rem[j + 1] = rem[j] - v
+        if j + 1 < n:
+            stack.append(values(j + 1))
+        elif rem[n] == 0 and satisfies_rows(rows, x):
+            return tuple(x)
+    return None
+
+
+def check_scan_gate(inst: ILPInstance, accepted, assume_transitive: bool, scan: str) -> None:
+    """The all-ones scans' precondition: c = 1, then a certificate level.
+
+    ObjectiveNotOnes comes first; the certificate runs only without
+    ``assume_transitive`` and must reach one of the ``accepted`` levels.
+    """
+    if any(cj != 1 for cj in inst.c):
+        raise ObjectiveNotOnes(f"{scan} is defined for c = 1")
+    if not assume_transitive:
+        level = verify_symmetric_group_invariance(inst)
+        if level not in accepted:
+            raise TransitivityNotEstablished(
+                f"certificate level {level!r}; {scan} needs one of "
+                f"{sorted(accepted)}; pass assume_transitive to override"
+            )
 
 
 def solve_by_layers(
@@ -167,7 +188,7 @@ def solve_by_layers(
     oracle=None,
     assume_transitive: bool = False,
     stats: dict | None = None,
-) -> ILPOutcome:
+) -> Outcome:
     """Layer-scan solver for ILP(A, b, 1) under a transitive symmetry group.
 
     Scans k from floor(n*zeta) down to n*floor(zeta): the first layer with
@@ -175,18 +196,13 @@ def solve_by_layers(
     infeasibility.
     """
     n = inst.n
-    if any(cj != 1 for cj in inst.c):
-        raise ObjectiveNotOnes("layer scan is defined for c = 1")
-    if not assume_transitive:
-        if verify_symmetric_group_invariance(inst) == LEVEL_NONE:
-            raise TransitivityNotEstablished(
-                "no transitivity certificate; pass assume_transitive to override"
-            )
+    transitive = (FULL_SYMMETRIC, ALTERNATING, TRANSITIVE_ONLY)  # any level but NONE
+    check_scan_gate(inst, transitive, assume_transitive, "layer scan")
     status, zeta = solve_lp_on_line(inst)
     if status == UNBOUNDED:
         raise UnboundedRelaxation(inst.name or "relaxation unbounded along 1")
     if status == INFEASIBLE:
-        return ILPOutcome(INFEASIBLE)
+        return Outcome(INFEASIBLE)
     if oracle is None:
         oracle = enumeration_oracle
     hi = floor(n * zeta)
@@ -200,7 +216,7 @@ def solve_by_layers(
                 raise ResultCheckFailed(f"layer oracle returned a bad point for layer {k}")
             if stats is not None:
                 stats["layers_scanned"] = scanned
-            return ILPOutcome(OPTIMAL, point=tuple(point), value=Fraction(k))
+            return Outcome(OPTIMAL, point=tuple(point), value=Fraction(k))
     if stats is not None:
         stats["layers_scanned"] = scanned
-    return ILPOutcome(INFEASIBLE)
+    return Outcome(INFEASIBLE)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InfeasibleRegion, ObjectiveNotOnes, ResultCheckFailed
-from .model import ILPInstance, INFEASIBLE, LPOutcome, OPTIMAL, UNBOUNDED
+from .model import ILPInstance, INFEASIBLE, Outcome, OPTIMAL, UNBOUNDED
 
 
 class _Tableau:
@@ -186,22 +186,22 @@ def _install_objective(t: _Tableau, c) -> None:
     t.scale = scale
 
 
-def _simplex(inst: ILPInstance, c) -> LPOutcome:
+def _simplex(inst: ILPInstance, c) -> Outcome:
     t = _Tableau(inst)
     if not _phase1(t):
-        return LPOutcome(INFEASIBLE)
+        return Outcome(INFEASIBLE)
     _install_objective(t, c)
     if t.run() == UNBOUNDED:
-        return LPOutcome(UNBOUNDED)
+        return Outcome(UNBOUNDED)
     vals = {v: r[-1] for v, r in zip(t.basis, t.rows)}
     D = t.D
     point = tuple(
         Fraction(vals.get(2 * j, 0) - vals.get(2 * j + 1, 0), D) for j in range(inst.n)
     )
-    return LPOutcome(OPTIMAL, point=point, value=Fraction(t.obj[-1], D * t.scale))
+    return Outcome(OPTIMAL, point=point, value=Fraction(t.obj[-1], D * t.scale))
 
 
-def solve_lp(inst: ILPInstance) -> LPOutcome:
+def solve_lp(inst: ILPInstance) -> Outcome:
     """Exact optimum of the relaxation max c^t x, Ax <= b."""
     out = _simplex(inst, inst.c)
     if out.status == OPTIMAL:

@@ -10,11 +10,11 @@ rationals.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, lcm
 from operator import mul
 
 from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion, InfeasibleZeroRow
-from .ratlin import parse_rational
+from .ratlin import parse_rational, scale_coprime
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -24,14 +24,9 @@ DEFAULT_POINT_CAP = 10**8
 
 
 @dataclass(frozen=True)
-class LPOutcome:
-    status: str
-    point: tuple | None = None
-    value: Fraction | None = None
+class Outcome:
+    """A solver's answer, LP or ILP: a status, and for OPTIMAL the point and value."""
 
-
-@dataclass(frozen=True)
-class ILPOutcome:
     status: str
     point: tuple | None = None
     value: Fraction | None = None
@@ -119,31 +114,6 @@ def satisfies_rows(rows, xs, den=1) -> bool:
     return True
 
 
-def canonical_row(row) -> tuple:
-    """Scale one raw (a | b) row onto coprime integers.
-
-    Uses the (small) set of distinct entries for the gcd/lcm bookkeeping so
-    rows with few distinct values, the common case for the generators, are
-    canonicalized in O(n) integer work.
-    """
-    values = set(row)
-    den = 1
-    for v in values:
-        if isinstance(v, Fraction):
-            den = lcm(den, v.denominator)
-    if den != 1:
-        row = tuple(int(v * den) for v in row)
-        values = set(row)
-    else:
-        if any(isinstance(v, Fraction) for v in values):
-            row = tuple(int(v) for v in row)
-            values = set(row)
-    g = gcd(*values)
-    if g > 1:
-        row = tuple(v // g for v in row)
-    return row
-
-
 def normalize(raw_rows, c, name="") -> ILPInstance:
     """Build an ILPInstance from raw rational (a | b) rows.
 
@@ -153,7 +123,7 @@ def normalize(raw_rows, c, name="") -> ILPInstance:
     """
     seen = set()
     for raw in raw_rows:
-        row = canonical_row(tuple(raw))
+        row = scale_coprime(raw)
         if not any(row[:-1]):
             if row[-1] < 0:
                 raise InfeasibleZeroRow(f"0 <= {row[-1]} in {name or 'system'}")
@@ -217,7 +187,7 @@ def _default_box(inst: ILPInstance):
     return box
 
 
-def brute_force_ilp(inst: ILPInstance, box=None, max_points: int = DEFAULT_POINT_CAP) -> ILPOutcome:
+def brute_force_ilp(inst: ILPInstance, box=None, max_points: int = DEFAULT_POINT_CAP) -> Outcome:
     """Exhaustive integral optimum over a finite box; the global test oracle.
 
     Ties are broken toward the lexicographically smallest point.  The box
@@ -228,7 +198,7 @@ def brute_force_ilp(inst: ILPInstance, box=None, max_points: int = DEFAULT_POINT
         try:
             box = _default_box(inst)
         except InfeasibleRegion:
-            return ILPOutcome(INFEASIBLE)  # the relaxation is empty
+            return Outcome(INFEASIBLE)  # the relaxation is empty
     if len(box) != inst.n:
         raise ValueError("box length mismatch")
     volume = 1
@@ -248,8 +218,8 @@ def brute_force_ilp(inst: ILPInstance, box=None, max_points: int = DEFAULT_POINT
             best_val = val
             best = x
     if best is None:
-        return ILPOutcome(INFEASIBLE)
-    return ILPOutcome(OPTIMAL, point=best, value=Fraction(best_val))
+        return Outcome(INFEASIBLE)
+    return Outcome(OPTIMAL, point=best, value=Fraction(best_val))
 
 
 def write_instance(inst: ILPInstance, path) -> None:
@@ -264,27 +234,35 @@ def write_instance(inst: ILPInstance, path) -> None:
 
 
 def read_instance(path, name=None) -> ILPInstance:
-    """Parse the `ILP v1` text format; numbers are exact rationals."""
+    """Parse the `ILP v1` text format; numbers are exact rationals.
+
+    A malformed file raises ValueError naming the path.
+    """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != "ILP v1":
         raise ValueError(f"{path}: missing 'ILP v1' header")
-    if not lines[1].startswith("vars "):
-        raise ValueError(f"{path}: expected 'vars n'")
-    n = int(lines[1].split()[1])
-    if not lines[2].startswith("obj "):
-        raise ValueError(f"{path}: expected 'obj c1 ... cn'")
-    c = [parse_rational(t) for t in lines[2].split()[1:]]
-    if len(c) != n:
-        raise ValueError(f"{path}: objective length != {n}")
-    rows = []
-    for ln in lines[3:]:
-        left, _, right = ln.partition("<=")
-        if not _:
-            raise ValueError(f"{path}: row without '<=': {ln!r}")
-        coeffs = [parse_rational(t) for t in left.split()]
-        if len(coeffs) != n:
-            raise ValueError(f"{path}: row length != {n}: {ln!r}")
-        rows.append(tuple(coeffs) + (parse_rational(right),))
+    if len(lines) < 3 or not lines[1].startswith("vars ") or not lines[2].startswith("obj "):
+        raise ValueError(f"{path}: expected 'vars n' and 'obj c1 ... cn' after the header")
+    ln = lines[1]
+    try:
+        n = int(ln.split()[1])
+        ln = lines[2]
+        c = [parse_rational(t) for t in ln.split()[1:]]
+        if len(c) != n:
+            raise ValueError(f"objective length != {n}")
+        rows = []
+        for ln in lines[3:]:
+            left, sep, right = ln.partition("<=")
+            if not sep:
+                raise ValueError("row without '<='")
+            coeffs = [parse_rational(t) for t in left.split()]
+            if len(coeffs) != n:
+                raise ValueError(f"row length != {n}")
+            rows.append(tuple(coeffs) + (parse_rational(right),))
+    except ZeroDivisionError:
+        raise ValueError(f"{path}: zero denominator in {ln!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc} in {ln!r}") from None
     return normalize(rows, c, name=name if name is not None else str(path))

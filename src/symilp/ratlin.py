@@ -10,18 +10,10 @@ thousand.
 from fractions import Fraction
 from math import gcd, lcm
 
-Rational = Fraction
-QVector = tuple  # tuple of Fraction | int
-QMatrix = tuple  # tuple of QVector, uniform length
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer, or a finite decimal string, exactly."""
     return Fraction(text.strip())
-
-
-def format_rational(x) -> str:
-    return str(x)
 
 
 def dot(u, v):
@@ -34,35 +26,25 @@ def scale_coprime(vec, positive_leading: bool = False) -> tuple:
     The scalar is positive, so signs are preserved, unless
     ``positive_leading`` asks for the leading nonzero entry to be made
     positive (used to canonicalize kernel basis vectors).  The zero vector
-    is returned unchanged.
+    comes back as ints.  An all-int coprime tuple comes back as the same
+    object; Fractions are cleared in int arithmetic, by numerator and
+    denominator, so no Fraction is hashed, multiplied or built.
     """
-    den = 1
-    for e in vec:
-        if isinstance(e, Fraction):
-            den = lcm(den, e.denominator)
-    ints = [int(e * den) for e in vec] if den != 1 else [int(e) for e in vec]
-    g = gcd(*ints) if ints else 0
-    if g == 0:
-        return tuple(ints)
+    vec = tuple(vec)
+    try:
+        g = gcd(*vec)
+    except TypeError:  # not all ints: clear the denominators
+        den = lcm(*{v.denominator for v in vec})
+        if den == 1:
+            vec = tuple(v.numerator for v in vec)
+        else:
+            vec = tuple(v.numerator * (den // v.denominator) for v in vec)
+        g = gcd(*vec)
     if g > 1:
-        ints = [e // g for e in ints]
-    if positive_leading:
-        lead = next(e for e in ints if e)
-        if lead < 0:
-            ints = [-e for e in ints]
-    return tuple(ints)
-
-
-def _integer_rows(M) -> list:
-    """Row-wise integer scaling; preserves kernel, rank and row space."""
-    out = []
-    for row in M:
-        den = 1
-        for e in row:
-            if isinstance(e, Fraction):
-                den = lcm(den, e.denominator)
-        out.append([int(e * den) for e in row] if den != 1 else [int(e) for e in row])
-    return out
+        vec = tuple(v // g for v in vec)
+    if positive_leading and g and next(v for v in vec if v) < 0:
+        vec = tuple(-v for v in vec)
+    return vec
 
 
 def _echelon(rows: list, ncols: int):
@@ -98,7 +80,7 @@ def _echelon(rows: list, ncols: int):
 
 
 def rank(M) -> int:
-    rows = _integer_rows(M)
+    rows = [list(scale_coprime(row)) for row in M]
     if not rows:
         return 0
     return len(_echelon(rows, len(rows[0])))
@@ -111,7 +93,7 @@ def kernel_basis(M, ncols: int | None = None) -> list:
     ncols - rank(M).  A matrix with no rows (or only zero rows) yields the
     standard basis.
     """
-    rows = _integer_rows(M)
+    rows = [list(scale_coprime(row)) for row in M]
     if ncols is None:
         if not rows:
             raise ValueError("column count required for a matrix with no rows")
@@ -135,13 +117,7 @@ def solve_linear(M, rhs):
 
     Free variables are set to zero.
     """
-    rows = []
-    for row, b in zip(M, rhs):
-        den = 1
-        for e in list(row) + [b]:
-            if isinstance(e, Fraction):
-                den = lcm(den, e.denominator)
-        rows.append([int(e * den) for e in row] + [int(b * den)])
+    rows = [list(scale_coprime(tuple(row) + (b,))) for row, b in zip(M, rhs)]
     if not rows:
         raise ValueError("empty system")
     ncols = len(rows[0]) - 1

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleZeroRow, NotASymmetry, ResultCheckFailed
 from .lpcore import solve_lp
-from .model import ILPInstance, INFEASIBLE, LPOutcome, OPTIMAL, normalize
-from .symmetry import GroupSpec, fixing_equations, is_symmetry
+from .model import ILPInstance, INFEASIBLE, Outcome, OPTIMAL, normalize
+from .symmetry import GroupSpec, fixing_equations, is_symmetry, orbit
 
 
 @dataclass(frozen=True)
@@ -30,29 +30,14 @@ def _check_group(inst: ILPInstance, G: GroupSpec) -> None:
 def orbit_sum_rows(inst: ILPInstance, G: GroupSpec) -> tuple:
     """One summed (a | b) row per orbit of rows under a -> a*gamma."""
     _check_group(inst, G)
-    n = inst.n
     done = set()
     summed = []
     for row in inst.rows:
         if row in done:
             continue
-        orbit = {row}
-        frontier = [row]
-        while frontier:
-            new = []
-            for r in frontier:
-                for g in G.generators:
-                    s = g.apply_to_row(r[:-1]) + (r[-1],)
-                    if s not in orbit:
-                        orbit.add(s)
-                        new.append(s)
-            frontier = new
-        done |= orbit
-        total = [0] * (n + 1)
-        for r in sorted(orbit):
-            for j in range(n + 1):
-                total[j] += r[j]
-        summed.append(tuple(total))
+        members = orbit([row], G.generators, lambda g, r: g.apply_to_row(r[:-1]) + (r[-1],))
+        done |= members
+        summed.append(tuple(map(sum, zip(*members))))
     return tuple(summed)
 
 
@@ -74,14 +59,14 @@ def reduced_instance(rp: ReducedProgram, name=None) -> ILPInstance:
     return normalize(rows, rp.objective, name=name or f"{rp.origin.name}#reduced")
 
 
-def solve_symmetric_lp(inst: ILPInstance, G: GroupSpec) -> LPOutcome:
+def solve_symmetric_lp(inst: ILPInstance, G: GroupSpec) -> Outcome:
     """Solve the reduced LP; the answer is optimal for the original LP."""
     rp = build_reduced(inst, G)
     try:
         red = reduced_instance(rp)
     except InfeasibleZeroRow:
         # A zero orbit sum with negative right hand side certifies emptiness.
-        return LPOutcome(INFEASIBLE)
+        return Outcome(INFEASIBLE)
     out = solve_lp(red)
     if out.status == OPTIMAL:
         if not inst.is_feasible(out.point):

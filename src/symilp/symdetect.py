@@ -14,10 +14,11 @@ that counts the group order level by level with orbit-stabilizer products.
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from operator import getitem
 
-from .errors import SearchBudgetExceeded
+from .errors import ResultCheckFailed, SearchBudgetExceeded
 from .model import ILPInstance
-from .symmetry import GroupSpec, SignedPermutation, is_symmetry
+from .symmetry import GroupSpec, SignedPermutation, is_symmetry, orbit
 
 
 class LabeledGraph:
@@ -39,20 +40,6 @@ class LabeledGraph:
     @property
     def n_labels(self) -> int:
         return len(set(self.labels))
-
-    def label_classes(self) -> dict:
-        out = {}
-        for v, l in enumerate(self.labels):
-            out.setdefault(l, []).append(v)
-        return out
-
-
-@dataclass(frozen=True)
-class GraphAutomorphism:
-    mapping: tuple
-
-    def __call__(self, v: int) -> int:
-        return self.mapping[v]
 
 
 class _Builder:
@@ -167,7 +154,8 @@ def _cells(colors):
 
 
 def automorphism_group(g: LabeledGraph, budget: int = 100000):
-    """Generators and exact order of the labeled automorphism group.
+    """Generators (node mapping tuples) and exact order of the labeled
+    automorphism group.
 
     Refinement-and-individualization backtracking; at each level the first
     nontrivial cell contributes |orbit| * |stabilizer| to the order.  The
@@ -262,20 +250,6 @@ def automorphism_group(g: LabeledGraph, budget: int = 100000):
                 return m
         return None
 
-    def close_orbit(seed, gens):
-        orbit = set(seed)
-        frontier = list(orbit)
-        while frontier:
-            new = []
-            for v in frontier:
-                for m in gens:
-                    w = m[v]
-                    if w not in orbit:
-                        orbit.add(w)
-                        new.append(w)
-            frontier = new
-        return orbit
-
     def level(colors):
         colors = refine_one(colors)
         c, cell = first_nontrivial(colors)
@@ -284,18 +258,17 @@ def automorphism_group(g: LabeledGraph, budget: int = 100000):
         v = cell[0]
         gens, stab_order = level(individualized(colors, v))
         gens = list(gens)
-        orbit = {v}
+        reached = {v}
         for w in cell[1:]:
-            if w in orbit:
+            if w in reached:
                 continue
             m = find_first(individualized(colors, v), individualized(colors, w))
             if m is not None:
                 gens.append(m)
-                orbit = close_orbit(orbit, gens)
-        return gens, len(orbit) * stab_order
+                reached = orbit(reached, gens, getitem)
+        return gens, len(reached) * stab_order
 
-    gens, order = level(list(g.labels))
-    return [GraphAutomorphism(tuple(m)) for m in gens], order
+    return level(list(g.labels))
 
 
 @dataclass(frozen=True)
@@ -307,7 +280,7 @@ class Detection:
     by_fallback: bool = False
 
 
-def _translate(inst: ILPInstance, g: LabeledGraph, auto: GraphAutomorphism):
+def _translate(inst: ILPInstance, g: LabeledGraph, mapping: tuple):
     n = inst.n
     tags = g.tags
     col_at = {}
@@ -316,7 +289,7 @@ def _translate(inst: ILPInstance, g: LabeledGraph, auto: GraphAutomorphism):
             col_at[tag] = v
     image = [0] * n
     for j in range(n):
-        w = auto.mapping[col_at[("col", j)]]
+        w = mapping[col_at[("col", j)]]
         tag = tags[w]
         if tag[0] == "col":
             image[j] = tag[1] + 1
@@ -325,8 +298,8 @@ def _translate(inst: ILPInstance, g: LabeledGraph, auto: GraphAutomorphism):
             image[j] = -(tag[1] + 1)
             partner = ("col", tag[1])
         if ("colhat", j) in col_at:
-            got = tags[auto.mapping[col_at[("colhat", j)]]]
-            assert got == partner, "twin coherence violated"
+            if tags[mapping[col_at[("colhat", j)]]] != partner:
+                raise ResultCheckFailed("graph automorphism violates twin coherence")
     return SignedPermutation(image)
 
 
@@ -354,7 +327,7 @@ def detect(
         raise ValueError("mode must be 'reduced' or 'full'")
     graph = build_reduced_graph(inst) if mode == "reduced" else build_full_graph(inst)
     try:
-        autos, order = automorphism_group(graph, budget=budget)
+        mappings, order = automorphism_group(graph, budget=budget)
     except SearchBudgetExceeded:
         if inst.n > fallback_n:
             raise
@@ -366,9 +339,10 @@ def detect(
             GroupSpec(inst.n, gens), len(elements), mode, graph, by_fallback=True
         )
     gens = []
-    for auto in autos:
-        sp = _translate(inst, graph, auto)
-        assert is_symmetry(inst, sp), "graph automorphism is not an ILP symmetry"
+    for mapping in mappings:
+        sp = _translate(inst, graph, mapping)
+        if not is_symmetry(inst, sp):
+            raise ResultCheckFailed(f"graph automorphism {sp.image} is not an ILP symmetry")
         if sp != SignedPermutation.identity(inst.n):
             gens.append(sp)
     if not gens:

@@ -9,7 +9,7 @@ notation, (1+2-4+3-) corresponds to image (2, -4, -1, 3).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SearchBudgetExceeded
+from .errors import ResultCheckFailed, SearchBudgetExceeded
 from .model import ILPInstance
 from .ratlin import kernel_basis
 
@@ -142,22 +142,32 @@ class BasisOrbit:
     polarity: str  # "unipolar" | "bipolar"
 
 
+def orbit(seeds, gens, act, limit: int | None = None) -> set:
+    """Closure of ``seeds`` under x -> act(g, x) for every g in ``gens``.
+
+    Breadth-first; raises SearchBudgetExceeded once the closure holds more
+    than ``limit`` elements.
+    """
+    found = set(seeds)
+    frontier = list(found)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = act(g, x)
+                if y not in found:
+                    found.add(y)
+                    new.append(y)
+                    if limit is not None and len(found) > limit:
+                        raise SearchBudgetExceeded(f"orbit exceeds {limit} elements")
+        frontier = new
+    return found
+
+
 def group_elements(G: GroupSpec, limit: int | None = None) -> set:
     """Closure of the generators under composition (mulclose)."""
-    els = set(G.generators) | {SignedPermutation.identity(G.degree)}
-    bdy = list(els)
-    while bdy:
-        new = []
-        for g in G.generators:
-            for h in bdy:
-                p = g * h
-                if p not in els:
-                    els.add(p)
-                    new.append(p)
-                    if limit is not None and len(els) > limit:
-                        raise SearchBudgetExceeded(f"group order exceeds {limit}")
-        bdy = new
-    return els
+    seeds = set(G.generators) | {SignedPermutation.identity(G.degree)}
+    return orbit(seeds, G.generators, SignedPermutation.__mul__, limit)
 
 
 def group_order(G: GroupSpec, limit: int | None = None) -> int:
@@ -221,25 +231,8 @@ def fixing_equations(G: GroupSpec) -> tuple:
 
 def project_barycenter(G: GroupSpec, x) -> tuple:
     """Average of the orbit of x; the projection onto the fixed space."""
-    start = tuple(Fraction(v) for v in x)
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in G.generators:
-                q = g.apply(p)
-                if q not in orbit:
-                    orbit.add(q)
-                    new.append(q)
-        frontier = new
-    k = len(orbit)
-    n = G.degree
-    totals = [Fraction(0)] * n
-    for p in orbit:
-        for i in range(n):
-            totals[i] += p[i]
-    return tuple(t / k for t in totals)
+    points = orbit([tuple(Fraction(v) for v in x)], G.generators, SignedPermutation.apply)
+    return tuple(Fraction(sum(col), len(points)) for col in zip(*points))
 
 
 def _signed_key(v: int):
@@ -254,20 +247,10 @@ def basis_orbits(G: GroupSpec) -> list:
     for start in universe:
         if start in seen:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for v in frontier:
-                for g in G.generators:
-                    w = g.apply_signed_index(v)
-                    if w not in orbit:
-                        orbit.add(w)
-                        new.append(w)
-            frontier = new
-        seen |= orbit
-        polarity = "bipolar" if any(-v in orbit for v in orbit) else "unipolar"
-        orbits.append(BasisOrbit(tuple(sorted(orbit, key=_signed_key)), polarity))
+        members = orbit([start], G.generators, SignedPermutation.apply_signed_index)
+        seen |= members
+        polarity = "bipolar" if any(-v in members for v in members) else "unipolar"
+        orbits.append(BasisOrbit(tuple(sorted(members, key=_signed_key)), polarity))
     return orbits
 
 
@@ -303,7 +286,8 @@ def conjugate_to_permutations(G: GroupSpec):
     conj = []
     for g in G.generators:
         h = eps * g * eps.inverse()
-        assert h.is_plain, "conjugation failed to clear signs"
+        if not h.is_plain:
+            raise ResultCheckFailed("conjugation failed to clear signs")
         conj.append(h)
     return eps, GroupSpec(n, tuple(conj))
 
@@ -331,18 +315,8 @@ def verify_symmetric_group_invariance(inst: ILPInstance) -> str:
     from .symdetect import detect_symmetries  # deferred: symdetect imports us
 
     G = detect_symmetries(inst, "reduced")
-    orbit = {1}
-    frontier = [1]
-    while frontier:
-        new = []
-        for i in frontier:
-            for g in G.generators:
-                j = abs(g.image[i - 1])
-                if j not in orbit:
-                    orbit.add(j)
-                    new.append(j)
-        frontier = new
-    return TRANSITIVE_ONLY if len(orbit) == n else NONE
+    reached = orbit([1], G.generators, lambda g, i: abs(g.image[i - 1]))
+    return TRANSITIVE_ONLY if len(reached) == n else NONE
 
 
 def write_generators(G: GroupSpec, path) -> None:

@@ -5,7 +5,7 @@ import pytest
 
 from symilp import model
 from symilp.cli import bench_rows, main
-from symilp.model import ILPOutcome, read_instance, write_instance
+from symilp.model import Outcome, read_instance, write_instance
 from symilp.symmetry import read_generators
 
 
@@ -71,10 +71,28 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "ILP v1\n",
+        "ILP v1\nvars 2\n",
+        "ILP v1\nvars 2\nobj 1 1\n1 1/0 <= 3\n",
+    ],
+    ids=["header_only", "stops_after_vars", "zero_denominator"],
+)
+def test_malformed_file_is_a_one_line_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.ilp"
+    bad.write_text(text)
+    assert main(["solve", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_solve_rejects_a_wrong_point(ex61_file, monkeypatch, capsys):
     monkeypatch.setattr(
         model, "brute_force_ilp",
-        lambda inst, box=None: ILPOutcome("optimal", point=(2, 2, 2), value=6),
+        lambda inst, box=None: Outcome("optimal", point=(2, 2, 2), value=6),
     )
     assert main(["solve", ex61_file, "--method", "brute", "--box", "0:3"]) == 1
     assert "infeasible point" in capsys.readouterr().err

@@ -113,7 +113,7 @@ def test_round3_near_half():
 
 
 def test_hexagon_vertices_rounded():
-    vs = hexagon_vrep().vertices
+    vs = hexagon_vrep()
     assert vs[0] == (Fraction(9333, 1000), 0)
     assert vs[1] == (Fraction(4667, 1000), Fraction(8083, 1000))
     assert vs[3] == (Fraction(-9333, 1000), 0)
@@ -121,7 +121,7 @@ def test_hexagon_vertices_rounded():
 
 
 def test_join_vertex_embedding():
-    verts = distorted_join_vrep(3).vertices
+    verts = distorted_join_vrep(3)
     assert len(verts) == 6 + 6
     for v in verts[:6]:
         assert v[-1] == 1 and all(x == 0 for x in v[2:-1])
@@ -178,7 +178,7 @@ def test_wild_d3_counts():
 def test_wild_rows_valid_on_vertices():
     d = 3
     inst = gen_wild(d)
-    verts = distorted_join_vrep(d).vertices
+    verts = distorted_join_vrep(d)
     # spot-check validity of all rows on all vertices (symmetrized rows
     # are only guaranteed valid for the symmetrized polytope, so check
     # the facet classes through representatives instead)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symilp.errors import (
+    BoxTooLarge,
     ObjectiveNotOnes,
     ResultCheckFailed,
     TransitivityNotEstablished,
@@ -15,6 +16,7 @@ from symilp.errors import (
 from symilp.layers import (
     CoprimeDirection,
     Layer,
+    _layer_box,
     coprime_direction,
     enumeration_oracle,
     layer_center,
@@ -22,7 +24,7 @@ from symilp.layers import (
     layer_witness,
     solve_by_layers,
 )
-from symilp.model import brute_force_ilp, normalize
+from symilp.model import brute_force_ilp, normalize, satisfies_rows
 from symilp.ratlin import dot
 
 ONES3 = coprime_direction((1, 1, 1))
@@ -67,6 +69,13 @@ def test_layer_witness_contract():
     d = coprime_direction((6, 10, 15))
     w = layer_witness(d, 1)
     assert dot(d.direction, w) == 1
+
+
+def test_layer_witness_rejects_a_non_coprime_direction():
+    # CoprimeDirection does not check its entries; layer_witness must, since
+    # (2, 4) has no integral point on layer 1
+    with pytest.raises(ValueError):
+        layer_witness(CoprimeDirection((2, 4)), 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,3 +196,75 @@ def test_layers_agree_with_brute(corpus):
         if taken >= 12:
             break
     assert taken >= 6
+
+
+def _recursive_search(inst, k, box):
+    """Reference: one recursion level per coordinate; (first point, nodes)."""
+    n = inst.n
+    suffix_lo = [0] * (n + 1)
+    suffix_hi = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix_lo[j] = suffix_lo[j + 1] + box[j][0]
+        suffix_hi[j] = suffix_hi[j + 1] + box[j][1]
+    x = [0] * n
+    visited = 0
+
+    def dfs(j, remaining):
+        nonlocal visited
+        if j == n:
+            return tuple(x) if remaining == 0 and satisfies_rows(inst.rows, x) else None
+        lo = max(box[j][0], remaining - suffix_hi[j + 1])
+        hi = min(box[j][1], remaining - suffix_lo[j + 1])
+        for v in range(lo, hi + 1):
+            visited += 1
+            x[j] = v
+            hit = dfs(j + 1, remaining - v)
+            if hit is not None:
+                return hit
+        return None
+
+    return dfs(0, k), visited
+
+
+def test_enumeration_oracle_matches_the_recursive_search():
+    # same first point in lexicographic order and the same node count, so
+    # max_points trips at the same place
+    rng = random.Random(7)
+    for _ in range(12):
+        n = rng.randint(2, 5)
+        rows = []
+        for i in range(n):
+            e = [0] * (n + 1)
+            e[i], e[n] = 1, 3
+            rows.append(tuple(e))
+            e = [0] * (n + 1)
+            e[i] = -1
+            rows.append(tuple(e))
+        for _ in range(3):
+            rows.append(tuple(rng.randint(-3, 3) for _ in range(n)) + (rng.randint(0, 6),))
+        inst = normalize(rows, [1] * n)
+        for k in range(3 * n + 1):
+            point, nodes = _recursive_search(inst, k, _layer_box(inst, k))
+            assert enumeration_oracle(inst, k, max_points=nodes) == point
+            if nodes:
+                with pytest.raises(BoxTooLarge):
+                    enumeration_oracle(inst, k, max_points=nodes - 1)
+
+
+def test_solve_by_layers_in_high_dimension():
+    # n = 1100 coordinates used to mean 1100 nested calls and a RecursionError
+    n = 1100
+    rows = []
+    for i in range(n):
+        e = [0] * (n + 1)
+        e[i], e[n] = 1, 1
+        rows.append(tuple(e))
+        e = [0] * (n + 1)
+        e[i] = -1
+        rows.append(tuple(e))
+    rows.append((1,) * n + (3,))
+    inst = normalize(rows, [1] * n)
+    for assume in (False, True):
+        out = solve_by_layers(inst, assume_transitive=assume)
+        assert out.status == "optimal" and out.value == 3
+        assert out.point == (0,) * (n - 3) + (1, 1, 1)

@@ -13,7 +13,7 @@ from symilp.errors import (
     ResultCheckFailed,
 )
 from symilp.lpcore import coordinate_bounds, solve_lp, solve_lp_on_line
-from symilp.model import LPOutcome, normalize
+from symilp.model import Outcome, normalize
 from symilp.ratlin import dot, rank, solve_linear
 
 
@@ -305,12 +305,12 @@ def test_phase1_pivots_out_a_degenerate_auxiliary(monkeypatch):
 def test_solve_lp_rejects_a_wrong_point(monkeypatch):
     inst = normalize([(1, 0, 1), (0, 1, 1), (-1, 0, 0), (0, -1, 0)], [1, 1])
     monkeypatch.setattr(
-        lpcore, "_simplex", lambda inst, c: LPOutcome("optimal", point=(2, 2), value=4)
+        lpcore, "_simplex", lambda inst, c: Outcome("optimal", point=(2, 2), value=4)
     )
     with pytest.raises(ResultCheckFailed):
         solve_lp(inst)
     monkeypatch.setattr(
-        lpcore, "_simplex", lambda inst, c: LPOutcome("optimal", point=(1, 1), value=3)
+        lpcore, "_simplex", lambda inst, c: Outcome("optimal", point=(1, 1), value=3)
     )
     with pytest.raises(ResultCheckFailed):
         solve_lp(inst)

@@ -1,20 +1,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from symilp.errors import BoxTooLarge, EmptySystem, InfeasibleZeroRow
+from symilp.errors import BoxTooLarge, EmptySystem, InfeasibleZeroRow, SymilpError
 from symilp.model import (
     ILPInstance,
     brute_force_ilp,
-    canonical_row,
     explicit_box,
     normalize,
     read_instance,
     satisfies_rows,
     write_instance,
 )
+from symilp.ratlin import scale_coprime
 
 
 def test_normalize_scales_to_coprime():
@@ -178,9 +178,61 @@ def test_normalize_scaling_invariant(rows, p, q):
     assert a.rows == b.rows
 
 
-def test_canonical_row_keeps_sign():
-    assert canonical_row((-2, -4, -6)) == (-1, -2, -3)
-    assert canonical_row((Fraction(9, 3), 0, 6)) == (1, 0, 2)
+def test_scale_coprime_keeps_sign():
+    assert scale_coprime((-2, -4, -6)) == (-1, -2, -3)
+    assert scale_coprime((Fraction(9, 3), 0, 6)) == (1, 0, 2)
     # integral Fractions come out as plain ints
-    out = canonical_row((Fraction(2), Fraction(4), Fraction(6)))
+    out = scale_coprime((Fraction(2), Fraction(4), Fraction(6)))
     assert out == (1, 2, 3) and all(type(v) is int for v in out)
+
+
+# Reader fuzz: line-level mutations of a valid file.  The noise alphabet has
+# no "e", so no mutation writes a decimal exponent such as 1e999999999,
+# which Fraction would expand into a huge integer.
+VALID_FILE = ["ILP v1", "# fuzz", "vars 3", "obj 1 1 1", "1 2 0 <= 3", "0 1/2 2 <= 3",
+              "-2 0 1.5 <= 3"]
+noise = st.text(alphabet="0123456789 /-.<=#ILPvarsobj", max_size=12)
+noise_token = st.sampled_from(["1/0", "x", "-", ".", "3/4", "<=", "0", "9.25"]) | noise
+
+
+@st.composite
+def mutated_files(draw):
+    lines = list(VALID_FILE)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(
+            ["delete", "duplicate", "swap", "replace", "insert", "truncate", "token"]
+        ))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "insert":
+            lines.insert(i, draw(noise))
+        elif not lines:
+            continue
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "replace":
+            lines[i] = draw(noise)
+        elif op == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(noise_token)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_files())
+def test_read_instance_fuzz(tmp_path, text):
+    path = tmp_path / "fuzz.ilp"
+    path.write_text(text)
+    try:
+        inst = read_instance(path)
+    except (ValueError, SymilpError):
+        return
+    assert isinstance(inst, ILPInstance)

@@ -71,6 +71,22 @@ def test_scale_coprime():
     assert scale_coprime((0, 0)) == (0, 0)
 
 
+def test_scale_coprime_fast_paths():
+    # an all-int coprime row is returned as the same tuple
+    row = (3, -1, 0, 7)
+    assert scale_coprime(row) is row
+    # a list argument still comes back as a tuple
+    assert scale_coprime([3, -1, 0, 7]) == row
+    # integral Fractions become ints without scaling
+    out = scale_coprime((Fraction(3), Fraction(-1), Fraction(0), Fraction(7)))
+    assert out == row and all(type(v) is int for v in out)
+    zero = scale_coprime((Fraction(0), Fraction(0)))
+    assert zero == (0, 0) and all(type(v) is int for v in zero)
+    # a row mixing ints and integral Fractions comes back as ints only
+    mixed = scale_coprime((1, Fraction(1), 2))
+    assert mixed == (1, 1, 2) and all(type(v) is int for v in mixed)
+
+
 small_matrices = st.integers(1, 4).flatmap(
     lambda cols: st.lists(
         st.tuples(*[st.integers(-6, 6) for _ in range(cols)]), min_size=1, max_size=4

@@ -5,7 +5,7 @@ import pytest
 from symilp import reduction
 from symilp.errors import NotASymmetry, ResultCheckFailed
 from symilp.lpcore import solve_lp
-from symilp.model import LPOutcome, normalize
+from symilp.model import Outcome, normalize
 from symilp.reduction import (
     build_reduced,
     orbit_sum_rows,
@@ -81,13 +81,13 @@ def test_solve_symmetric_ex61(ex61):
 def test_solve_symmetric_rejects_a_wrong_point(ex61, monkeypatch):
     # infeasible for ex61
     monkeypatch.setattr(
-        reduction, "solve_lp", lambda red: LPOutcome("optimal", point=(2, 2, 2), value=6)
+        reduction, "solve_lp", lambda red: Outcome("optimal", point=(2, 2, 2), value=6)
     )
     with pytest.raises(ResultCheckFailed):
         solve_symmetric_lp(ex61, CYC3)
     # feasible, but off the fixed line x1 = x2 = x3
     monkeypatch.setattr(
-        reduction, "solve_lp", lambda red: LPOutcome("optimal", point=(1, 0, 0), value=1)
+        reduction, "solve_lp", lambda red: Outcome("optimal", point=(1, 0, 0), value=1)
     )
     with pytest.raises(ResultCheckFailed):
         solve_symmetric_lp(ex61, CYC3)

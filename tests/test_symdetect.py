@@ -4,6 +4,8 @@ from itertools import permutations, product
 
 import pytest
 
+from symilp import symdetect
+from symilp.errors import ResultCheckFailed
 from symilp.instances import HtcParams, gen_hypertruncated_cube
 from symilp.model import normalize
 from symilp.symdetect import (
@@ -213,8 +215,7 @@ def test_automorphism_engine_vs_brute_on_random_graphs():
         g = LabeledGraph(labels, adj, [("v", i) for i in range(n)])
         gens, order = automorphism_group(g)
         assert order == brute_graph_automorphisms(g), (trial, labels, adj)
-        for a in gens:
-            m = a.mapping
+        for m in gens:
             assert all(g.labels[m[v]] == g.labels[v] for v in range(n))
             assert all({m[u] for u in g.adj[v]} == g.adj[m[v]] for v in range(n))
 
@@ -254,3 +255,26 @@ def test_detect_emits_generating_set(htc6):
     det = detect(htc6, "full")
     assert det.order == 720
     assert group_order(det.group) == 720
+
+
+def _swap_nodes(graph, a, b):
+    mapping = list(range(graph.n_nodes))
+    i, j = graph.tags.index(a), graph.tags.index(b)
+    mapping[i], mapping[j] = j, i
+    return tuple(mapping)
+
+
+def test_detect_rejects_a_mapping_that_is_no_symmetry(ex61, monkeypatch):
+    # the transposition (1 2) does not fix the cyclic instance
+    bad = _swap_nodes(build_reduced_graph(ex61), ("col", 0), ("col", 1))
+    monkeypatch.setattr(symdetect, "automorphism_group", lambda g, budget: ([bad], 2))
+    with pytest.raises(ResultCheckFailed):
+        detect(ex61, "reduced")
+
+
+def test_detect_rejects_incoherent_twins(ex61, monkeypatch):
+    # column 1 stays put while its twin moves to column 2's twin
+    bad = _swap_nodes(build_full_graph(ex61), ("colhat", 0), ("colhat", 1))
+    monkeypatch.setattr(symdetect, "automorphism_group", lambda g, budget: ([bad], 2))
+    with pytest.raises(ResultCheckFailed):
+        detect(ex61, "full")

@@ -1,6 +1,9 @@
 from fractions import Fraction
 from itertools import permutations, product
 
+import pytest
+
+from symilp.errors import SearchBudgetExceeded
 from symilp.model import normalize
 from symilp.symmetry import (
     BasisOrbit,
@@ -15,6 +18,7 @@ from symilp.symmetry import (
     group_elements,
     group_order,
     is_symmetry,
+    orbit,
     orbit_barycenter,
     project_barycenter,
     read_generators,
@@ -317,3 +321,15 @@ def test_symmetries_of_ones_objective_are_plain(corpus):
             g = SignedPermutation(tuple(s * p for s, p in zip(signs, perm)))
             if is_symmetry(inst, g):
                 assert g.is_plain
+
+
+def test_orbit_closure_and_its_limit():
+    gens = sym_generators(5)
+    assert orbit([1], gens, lambda g, i: abs(g.image[i - 1])) == {1, 2, 3, 4, 5}
+    assert orbit([1, 2], [], lambda g, x: x) == {1, 2}
+    assert len(group_elements(GroupSpec(5, gens), limit=120)) == 120
+    with pytest.raises(SearchBudgetExceeded):
+        group_elements(GroupSpec(5, gens), limit=119)
+    # an infinite orbit stops at the limit
+    with pytest.raises(SearchBudgetExceeded):
+        orbit([0], [1], lambda g, x: x + g, limit=10)
