@@ -215,18 +215,16 @@ def bench_rows(family, sizes, assume_transitivity=False):
         else:
             inst = instances.gen_wild(size)
         t0 = time.perf_counter()
-        status, zeta = lpcore.solve_lp_on_line(inst)
+        zeta = layers.line_zeta(inst)
         lp_s = time.perf_counter() - t0
         stats = {}
         t0 = time.perf_counter()
-        if status == model.OPTIMAL:
+        if zeta is None:
+            out = model.Outcome(model.INFEASIBLE)
+        else:
             out = corepoint.solve_core_point(
                 inst, assume_transitive=assume_transitivity, stats=stats, _zeta=zeta
             )
-        elif status == model.INFEASIBLE:
-            out = model.Outcome(model.INFEASIBLE)
-        else:
-            raise UnboundedRelaxation(inst.name)
         ip_s = time.perf_counter() - t0
         if out.status == model.OPTIMAL and not inst.is_feasible(out.point):
             raise ResultCheckFailed(f"{inst.name}: solver returned an infeasible point")

@@ -12,10 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import floor
 
-from .errors import UnboundedRelaxation
-from .layers import check_scan_gate
-from .lpcore import solve_lp_on_line
-from .model import ILPInstance, Outcome, INFEASIBLE, OPTIMAL, UNBOUNDED
+from .layers import check_scan_gate, line_zeta
+from .model import ILPInstance, Outcome, INFEASIBLE, OPTIMAL
 from .symmetry import ALTERNATING, FULL_SYMMETRIC
 
 
@@ -49,33 +47,6 @@ def core_points(n: int, k: int) -> list:
     return pts
 
 
-def core_distance_sq(n: int, k: int) -> Fraction:
-    """Squared distance from any core point of layer k to the layer center."""
-    r = k - n * (k // n)
-    return Fraction(r * (n - r), n)
-
-
-def core_distance_check(n: int, k: int, x) -> bool:
-    """True iff x realizes the minimum distance to the center of its layer."""
-    if sum(x) != k:
-        raise ValueError("x is not on layer k")
-    center = Fraction(k, n)
-    d2 = sum((Fraction(v) - center) ** 2 for v in x)
-    return d2 == core_distance_sq(n, k)
-
-
-def representative_oracle(inst: ILPInstance, k: int):
-    """Per-layer oracle testing only the canonical core point.
-
-    Sound under the (floor(n/2)+1)-transitivity hypothesis; plugs into
-    solve_by_layers as the bridge between the two solvers.
-    """
-    n = inst.n
-    q, d = divmod(k, n)
-    x = CoreRepresentative(q, d, n).point()
-    return x if inst.is_feasible(x) else None
-
-
 def solve_core_point(
     inst: ILPInstance,
     assume_transitive: bool = False,
@@ -95,14 +66,9 @@ def solve_core_point(
     # Alt(3) is the cyclic group and merely transitive.
     accepted = (FULL_SYMMETRIC, ALTERNATING) if n >= 4 else (FULL_SYMMETRIC,)
     check_scan_gate(inst, accepted, assume_transitive, "core point scan")
-    if _zeta is None:
-        status, zeta = solve_lp_on_line(inst)
-        if status == UNBOUNDED:
-            raise UnboundedRelaxation(inst.name or "relaxation unbounded along 1")
-        if status == INFEASIBLE:
-            return Outcome(INFEASIBLE)
-    else:
-        zeta = _zeta
+    zeta = line_zeta(inst) if _zeta is None else _zeta
+    if zeta is None:
+        return Outcome(INFEASIBLE)
     q = floor(zeta)
     d = floor(n * zeta) - n * q
     rows = inst.rows

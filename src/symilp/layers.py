@@ -38,16 +38,6 @@ from .symmetry import ALTERNATING, FULL_SYMMETRIC, TRANSITIVE_ONLY, verify_symme
 class CoprimeDirection:
     direction: tuple
 
-    @property
-    def norm_sq(self) -> int:
-        return sum(v * v for v in self.direction)
-
-
-@dataclass(frozen=True)
-class Layer:
-    dir: CoprimeDirection
-    k: int
-
 
 def coprime_direction(c) -> CoprimeDirection:
     """The unique coprime integer vector that is a positive multiple of c."""
@@ -58,11 +48,6 @@ def coprime_direction(c) -> CoprimeDirection:
 
 def layer_number(d: CoprimeDirection, x) -> int:
     return sum(dv * xv for dv, xv in zip(d.direction, x))
-
-
-def layer_center(layer: Layer) -> tuple:
-    q = Fraction(layer.k, layer.dir.norm_sq)
-    return tuple(q * v for v in layer.dir.direction)
 
 
 def _xgcd(a: int, b: int):
@@ -183,6 +168,14 @@ def check_scan_gate(inst: ILPInstance, accepted, assume_transitive: bool, scan: 
             )
 
 
+def line_zeta(inst: ILPInstance):
+    """zeta of the LP on the line, None if it is infeasible; unbounded raises."""
+    status, zeta = solve_lp_on_line(inst)
+    if status == UNBOUNDED:
+        raise UnboundedRelaxation(inst.name or "relaxation unbounded along 1")
+    return zeta
+
+
 def solve_by_layers(
     inst: ILPInstance,
     oracle=None,
@@ -198,10 +191,8 @@ def solve_by_layers(
     n = inst.n
     transitive = (FULL_SYMMETRIC, ALTERNATING, TRANSITIVE_ONLY)  # any level but NONE
     check_scan_gate(inst, transitive, assume_transitive, "layer scan")
-    status, zeta = solve_lp_on_line(inst)
-    if status == UNBOUNDED:
-        raise UnboundedRelaxation(inst.name or "relaxation unbounded along 1")
-    if status == INFEASIBLE:
+    zeta = line_zeta(inst)
+    if zeta is None:
         return Outcome(INFEASIBLE)
     if oracle is None:
         oracle = enumeration_oracle

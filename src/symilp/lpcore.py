@@ -13,13 +13,16 @@ subdeterminant of the input and every pivot division is exact (Bareiss).
 The objective row is kept over D times the lcm of the objective's
 denominators.  Ratios are compared by cross-multiplication; Fractions are
 built only for the returned point and value.  There are no tolerances.
+solve_lp, the one LP entry point, also solves over x = F y for a basis F of
+a fixed space; the LP on the line is the case F = (1, ..., 1).
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .errors import InfeasibleRegion, ObjectiveNotOnes, ResultCheckFailed
-from .model import ILPInstance, INFEASIBLE, Outcome, OPTIMAL, UNBOUNDED
+from .errors import EmptySystem, InfeasibleRegion, InfeasibleZeroRow, ObjectiveNotOnes, ResultCheckFailed
+from .model import ILPInstance, INFEASIBLE, Outcome, OPTIMAL, UNBOUNDED, normalize
 
 
 class _Tableau:
@@ -201,45 +204,46 @@ def _simplex(inst: ILPInstance, c) -> Outcome:
     return Outcome(OPTIMAL, point=point, value=Fraction(t.obj[-1], D * t.scale))
 
 
-def solve_lp(inst: ILPInstance) -> Outcome:
-    """Exact optimum of the relaxation max c^t x, Ax <= b."""
-    out = _simplex(inst, inst.c)
+def solve_lp(inst: ILPInstance, basis=None) -> Outcome:
+    """Exact optimum of the relaxation max c^t x, Ax <= b.
+
+    With a basis (a list of integer vectors f_1..f_k) the LP is solved over
+    x = F y: its rows are the distinct (a.f_1, ..., a.f_k | b), its objective c F.
+    """
+    lp = inst
+    if basis is not None:
+        c = tuple(sum(map(mul, inst.c, f)) for f in basis)
+        rows = {tuple(sum(map(mul, row, f)) for f in basis) + (row[-1],) for row in inst.rows}
+        try:
+            lp = normalize(rows, c, name=f"{inst.name}#span")
+        except InfeasibleZeroRow:
+            return Outcome(INFEASIBLE)
+        except EmptySystem:  # every row is 0 <= b with b >= 0 on the span
+            if any(c):
+                return Outcome(UNBOUNDED)
+            return Outcome(OPTIMAL, point=(Fraction(0),) * inst.n, value=Fraction(0))
+    out = _simplex(lp, lp.c)
     if out.status == OPTIMAL:
-        if not inst.is_feasible(out.point):
-            raise ResultCheckFailed(f"solve_lp: infeasible point for {inst.name or 'instance'}")
-        if sum(cj * xj for cj, xj in zip(inst.c, out.point)) != out.value:
-            raise ResultCheckFailed(f"solve_lp: value mismatch for {inst.name or 'instance'}")
+        if not lp.is_feasible(out.point):
+            raise ResultCheckFailed(f"solve_lp: infeasible point for {lp.name or 'instance'}")
+        if sum(cj * xj for cj, xj in zip(lp.c, out.point)) != out.value:
+            raise ResultCheckFailed(f"solve_lp: value mismatch for {lp.name or 'instance'}")
+        if basis is not None:
+            point = tuple(sum(map(mul, out.point, col)) for col in zip(*basis))
+            out = Outcome(OPTIMAL, point=point, value=out.value)
     return out
 
 
 def solve_lp_on_line(inst: ILPInstance):
-    """Largest zeta with zeta*1 feasible; the LP restricted to the fixed line.
+    """Largest zeta with zeta*1 feasible: solve_lp over the line spanned by 1.
 
     Requires the all-ones objective.  Returns (status, zeta) where zeta is
-    None unless status is "optimal".  O(m) row-sum work.
+    None unless status is "optimal".
     """
     if any(cj != 1 for cj in inst.c):
         raise ObjectiveNotOnes("solve_lp_on_line needs c = 1")
-    lo = None
-    hi = None
-    for row in inst.rows:
-        b = row[-1]
-        s = sum(row[:-1])
-        if s > 0:
-            q = Fraction(b, s)
-            if hi is None or q < hi:
-                hi = q
-        elif s < 0:
-            q = Fraction(b, s)
-            if lo is None or q > lo:
-                lo = q
-        elif b < 0:
-            return (INFEASIBLE, None)
-    if lo is not None and hi is not None and lo > hi:
-        return (INFEASIBLE, None)
-    if hi is None:
-        return (UNBOUNDED, None)
-    return (OPTIMAL, hi)
+    out = solve_lp(inst, [(1,) * inst.n])
+    return (out.status, out.point[0] if out.status == OPTIMAL else None)
 
 
 def coordinate_bounds(inst: ILPInstance):

@@ -12,7 +12,9 @@ from math import gcd, lcm
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer, or a finite decimal string, exactly."""
+    """Parse "p/q", an integer, or a finite decimal string (no exponent), exactly."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation in {text!r}")
     return Fraction(text.strip())
 
 

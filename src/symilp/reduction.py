@@ -1,16 +1,15 @@
-"""Symmetric LP reduction: orbit-summed rows plus fixed-space equations.
+"""Symmetric LP reduction: the LP over Fix(G), in dim Fix variables.
 
-Solving the reduced program A'x <= b', Ex = 0 (the equations encoded as
-paired inequalities) recovers an optimal solution of the original LP with
-the same objective value.
+The orbit-summed program A'x <= b', Ex = 0 (the equations encoded as paired
+inequalities), which ``symilp reduce`` writes, has the same optimum.
 """
 
 from dataclasses import dataclass
 
-from .errors import InfeasibleZeroRow, NotASymmetry, ResultCheckFailed
+from .errors import NotASymmetry, ResultCheckFailed
 from .lpcore import solve_lp
-from .model import ILPInstance, INFEASIBLE, Outcome, OPTIMAL, normalize
-from .symmetry import GroupSpec, fixing_equations, is_symmetry, orbit
+from .model import ILPInstance, Outcome, OPTIMAL, normalize
+from .symmetry import GroupSpec, fixed_space, fixing_equations, is_symmetry, orbit
 
 
 @dataclass(frozen=True)
@@ -60,20 +59,14 @@ def reduced_instance(rp: ReducedProgram, name=None) -> ILPInstance:
 
 
 def solve_symmetric_lp(inst: ILPInstance, G: GroupSpec) -> Outcome:
-    """Solve the reduced LP; the answer is optimal for the original LP."""
-    rp = build_reduced(inst, G)
-    try:
-        red = reduced_instance(rp)
-    except InfeasibleZeroRow:
-        # A zero orbit sum with negative right hand side certifies emptiness.
-        return Outcome(INFEASIBLE)
-    out = solve_lp(red)
+    """Solve the LP over Fix(G); some optimum of a G-invariant LP lies there."""
+    _check_group(inst, G)
+    out = solve_lp(inst, fixed_space(G))
     if out.status == OPTIMAL:
         if not inst.is_feasible(out.point):
             raise ResultCheckFailed(
                 f"solve_symmetric_lp: infeasible point for {inst.name or 'instance'}"
             )
-        for e in rp.fixing:
-            if sum(ev * xv for ev, xv in zip(e, out.point)) != 0:
-                raise ResultCheckFailed("solve_symmetric_lp: point leaves the fixed space")
+        if any(g.apply(out.point) != out.point for g in G.generators):
+            raise ResultCheckFailed("solve_symmetric_lp: point leaves the fixed space")
     return out

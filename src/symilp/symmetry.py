@@ -164,16 +164,6 @@ def orbit(seeds, gens, act, limit: int | None = None) -> set:
     return found
 
 
-def group_elements(G: GroupSpec, limit: int | None = None) -> set:
-    """Closure of the generators under composition (mulclose)."""
-    seeds = set(G.generators) | {SignedPermutation.identity(G.degree)}
-    return orbit(seeds, G.generators, SignedPermutation.__mul__, limit)
-
-
-def group_order(G: GroupSpec, limit: int | None = None) -> int:
-    return len(group_elements(G, limit))
-
-
 def is_symmetry(inst: ILPInstance, g: SignedPermutation) -> bool:
     """Row-set invariance of (A|b) under a -> a*gamma, plus c*gamma = c."""
     n = inst.n
@@ -252,13 +242,6 @@ def basis_orbits(G: GroupSpec) -> list:
         polarity = "bipolar" if any(-v in members for v in members) else "unipolar"
         orbits.append(BasisOrbit(tuple(sorted(members, key=_signed_key)), polarity))
     return orbits
-
-
-def orbit_barycenter(o: BasisOrbit, n: int) -> tuple:
-    totals = [Fraction(0)] * n
-    for v in o.members:
-        totals[abs(v) - 1] += Fraction(1 if v > 0 else -1, len(o.members))
-    return tuple(totals)
 
 
 def conjugate_to_permutations(G: GroupSpec):

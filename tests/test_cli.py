@@ -1,5 +1,6 @@
 import csv
 import io
+import time
 
 import pytest
 
@@ -87,6 +88,18 @@ def test_malformed_file_is_a_one_line_error(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_exponent_is_refused_at_once(tmp_path, capsys):
+    # Fraction would expand 1e99999999 into a hundred-million-digit integer
+    bad = tmp_path / "exp.ilp"
+    bad.write_text("ILP v1\nvars 2\nobj 1 1\n1 1e99999999 <= 3\n")
+    t0 = time.perf_counter()
+    assert main(["solve", str(bad)]) == 1
+    assert time.perf_counter() - t0 < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "1e99999999" in err
+    assert err.count("\n") == 1
 
 
 def test_solve_rejects_a_wrong_point(ex61_file, monkeypatch, capsys):

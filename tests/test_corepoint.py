@@ -4,13 +4,7 @@ from math import comb
 
 import pytest
 
-from symilp.corepoint import (
-    CoreRepresentative,
-    core_distance_check,
-    core_points,
-    representative_oracle,
-    solve_core_point,
-)
+from symilp.corepoint import CoreRepresentative, core_points, solve_core_point
 from symilp.errors import (
     ObjectiveNotOnes,
     TransitivityNotEstablished,
@@ -18,6 +12,7 @@ from symilp.errors import (
 )
 from symilp.layers import solve_by_layers
 from symilp.model import brute_force_ilp, normalize
+from testkit import core_distance_check, representative_oracle
 
 
 def test_core_points_examples():
@@ -176,7 +171,6 @@ def test_wild_d10_scan():
     and the hit layer is the highest one with a feasible representative."""
     from math import floor
 
-    from symilp.corepoint import representative_oracle
     from symilp.instances import gen_wild
     from symilp.lpcore import solve_lp_on_line
 

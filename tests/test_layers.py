@@ -15,17 +15,16 @@ from symilp.errors import (
 )
 from symilp.layers import (
     CoprimeDirection,
-    Layer,
     _layer_box,
     coprime_direction,
     enumeration_oracle,
-    layer_center,
     layer_number,
     layer_witness,
     solve_by_layers,
 )
 from symilp.model import brute_force_ilp, normalize, satisfies_rows
 from symilp.ratlin import dot
+from testkit import Layer, layer_center
 
 ONES3 = coprime_direction((1, 1, 1))
 

@@ -119,6 +119,55 @@ def test_matches_vertex_oracle_random_rational():
         done += 1
 
 
+def line_ratio_scan(inst):
+    """The LP on the line as a ratio scan over the row sums s = sum(a).
+
+    zeta is the least b/s over rows with s > 0; a row with s < 0 bounds
+    zeta below, and a row with s = 0 and b < 0 leaves no feasible zeta.
+    """
+    lo = hi = None
+    for row in inst.rows:
+        b, s = row[-1], sum(row[:-1])
+        if s > 0:
+            q = Fraction(b, s)
+            hi = q if hi is None else min(hi, q)
+        elif s < 0:
+            q = Fraction(b, s)
+            lo = q if lo is None else max(lo, q)
+        elif b < 0:
+            return ("infeasible", None)
+    if lo is not None and hi is not None and lo > hi:
+        return ("infeasible", None)
+    if hi is None:
+        return ("unbounded", None)
+    return ("optimal", hi)
+
+
+@st.composite
+def ones_lps(draw):
+    n = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = tuple(draw(st.integers(-3, 3)) for _ in range(n))
+        if any(a):
+            rows.append(a + (draw(st.integers(-4, 6)),))
+    rows = rows or [(1,) * n + (0,)]
+    return normalize(rows, [1] * n, name="ones")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ones_lps())
+def test_line_matches_ratio_scan(inst):
+    status, zeta = solve_lp_on_line(inst)
+    assert (status, zeta) == line_ratio_scan(inst)
+    assert zeta is None or type(zeta) is Fraction
+
+
+def test_line_matches_ratio_scan_on_corpus(corpus):
+    for inst in corpus:
+        assert solve_lp_on_line(inst) == line_ratio_scan(inst)
+
+
 def test_line_ex61(ex61):
     assert solve_lp_on_line(ex61) == ("optimal", Fraction(1))
 

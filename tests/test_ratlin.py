@@ -20,6 +20,12 @@ def test_parse_rational_forms():
     assert parse_rational("7") == 7
 
 
+@pytest.mark.parametrize("text", ["1e3", "2.5E-1", "1e99999999"])
+def test_parse_rational_refuses_exponents(text):
+    with pytest.raises(ValueError, match="exponent"):
+        parse_rational(text)
+
+
 def test_kernel_difference_rows():
     assert kernel_basis([(1, -1, 0), (0, 1, -1)]) == [(1, 1, 1)]
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symilp import reduction
 from symilp.errors import NotASymmetry, ResultCheckFailed
@@ -17,6 +19,7 @@ from symilp.symmetry import (
     GroupSpec,
     SignedPermutation,
     full_cycle,
+    orbit,
     sym_generators,
     transposition,
 )
@@ -81,13 +84,13 @@ def test_solve_symmetric_ex61(ex61):
 def test_solve_symmetric_rejects_a_wrong_point(ex61, monkeypatch):
     # infeasible for ex61
     monkeypatch.setattr(
-        reduction, "solve_lp", lambda red: Outcome("optimal", point=(2, 2, 2), value=6)
+        reduction, "solve_lp", lambda red, basis: Outcome("optimal", point=(2, 2, 2), value=6)
     )
     with pytest.raises(ResultCheckFailed):
         solve_symmetric_lp(ex61, CYC3)
     # feasible, but off the fixed line x1 = x2 = x3
     monkeypatch.setattr(
-        reduction, "solve_lp", lambda red: Outcome("optimal", point=(1, 0, 0), value=1)
+        reduction, "solve_lp", lambda red, basis: Outcome("optimal", point=(1, 0, 0), value=1)
     )
     with pytest.raises(ResultCheckFailed):
         solve_symmetric_lp(ex61, CYC3)
@@ -138,3 +141,67 @@ def test_thm_equivalence_small(corpus):
         if taken >= 15:
             break
     assert taken >= 8
+
+
+def test_solve_symmetric_rows_vanish_on_fix():
+    # both rows restrict to 0 <= 1 on the line x1 = x2, which c = 1 climbs
+    inst = normalize([(1, -1, 1), (-1, 1, 1)], [1, 1])
+    G = GroupSpec(2, (transposition(2, 1, 2),))
+    assert solve_symmetric_lp(inst, G).status == "unbounded"
+    assert solve_lp(inst).status == "unbounded"
+
+
+# --- instances closed under a drawn group
+
+
+def _act(g, row):
+    return g.apply_to_row(row[:-1]) + (row[-1],)
+
+
+@st.composite
+def symmetric_lps(draw):
+    """Rows closed under Sym(n), the n-cycle, a signed group or the trivial
+    group, with an objective the group fixes."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["sym", "cycle", "minus_id", "flip", "trivial"]))
+    t = draw(st.integers(-2, 2))
+    c = [t] * n
+    if kind == "sym":
+        gens = sym_generators(n)
+    elif kind == "cycle":
+        gens = (full_cycle(n),)
+    elif kind == "minus_id":
+        gens = (SignedPermutation(range(-1, -n - 1, -1)),)
+        c = [0] * n
+    elif kind == "flip":
+        j = draw(st.integers(1, n))
+        gens = (SignedPermutation(-i if i == j else i for i in range(1, n + 1)),)
+        c = [draw(st.integers(-2, 2)) for _ in range(n)]
+        c[j - 1] = 0
+    else:
+        gens = (SignedPermutation.identity(n),)
+        c = [draw(st.integers(-2, 2)) for _ in range(n)]
+    seeds = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+        if any(a):
+            seeds.append(a + (draw(st.integers(-2, 4)),))
+    if not seeds:
+        seeds.append((1,) * n + (1,))
+    rows = orbit(seeds, gens, _act)
+    return normalize(rows, c, name=kind), GroupSpec(n, gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_lps())
+def test_solve_symmetric_matches_solve_lp(drawn):
+    inst, G = drawn
+    full = solve_lp(inst)
+    out = solve_symmetric_lp(inst, G)
+    assert (out.status, out.value) == (full.status, full.value)
+    if out.status == "optimal":
+        assert inst.is_feasible(out.point)
+        assert all(g.apply(out.point) == out.point for g in G.generators)
+    n = inst.n
+    standard = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert solve_lp(inst, standard) == full

@@ -15,12 +15,8 @@ from symilp.symdetect import (
     detect,
     detect_symmetries,
 )
-from symilp.symmetry import (
-    GroupSpec,
-    SignedPermutation,
-    group_order,
-    is_symmetry,
-)
+from symilp.symmetry import GroupSpec, SignedPermutation, is_symmetry
+from testkit import group_order
 
 
 def counts(inst):

@@ -15,11 +15,8 @@ from symilp.symmetry import (
     fixed_space,
     fixing_equations,
     full_cycle,
-    group_elements,
-    group_order,
     is_symmetry,
     orbit,
-    orbit_barycenter,
     project_barycenter,
     read_generators,
     sym_generators,
@@ -28,6 +25,7 @@ from symilp.symmetry import (
     write_generators,
 )
 from symilp.ratlin import dot, rank
+from testkit import group_elements, group_order, orbit_barycenter
 
 SIGNED_4CYCLE = SignedPermutation((2, -4, -1, 3))  # e1->e2, e2->-e4, e4->e3, e3->-e1
 
