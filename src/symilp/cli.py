@@ -9,8 +9,9 @@ import csv
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import corepoint, instances, layers, lpcore, model, reduction, symdetect, symmetry
+from . import corepoint, instances, layers, lpcore, model, ratlin, reduction, symdetect, symmetry
 from .errors import (
     BadParams,
     BoxTooLarge,
@@ -31,56 +32,35 @@ EXIT_REFUSED = 4
 
 POINT_ELIDE_N = 20
 
-REPORT_FIELDS = (
-    "instance",
-    "method",
-    "status",
-    "value",
-    "m",
-    "n",
-    "lp_s",
-    "ip_s",
-    "layers_scanned",
-    "feasibility_checks",
-)
+
+class RunReport(NamedTuple):
+    """One row of the solve and bench tables: every field but the last, ``point``."""
+
+    instance: str
+    method: str
+    status: str
+    value: Fraction | None
+    m: int
+    n: int
+    lp_s: float
+    ip_s: float
+    layers_scanned: int
+    feasibility_checks: int
+    point: tuple | None
 
 
-class RunReport:
-    __slots__ = ("instance", "method", "status", "value", "point", "m", "n",
-                 "lp_s", "ip_s", "layers_scanned", "feasibility_checks")
+COLUMNS = RunReport._fields[:-1]
 
-    def __init__(self, instance, method, status, value=None, point=None, m=0, n=0,
-                 lp_s=0.0, ip_s=0.0, layers_scanned=0, feasibility_checks=0):
-        self.instance = instance
-        self.method = method
-        self.status = status
-        self.value = value
-        self.point = point
-        self.m = m
-        self.n = n
-        self.lp_s = lp_s
-        self.ip_s = ip_s
-        self.layers_scanned = layers_scanned
-        self.feasibility_checks = feasibility_checks
 
-    def row(self):
-        return [
-            self.instance,
-            self.method,
-            self.status,
-            "" if self.value is None else str(self.value),
-            self.m,
-            self.n,
-            f"{self.lp_s:.3f}",
-            f"{self.ip_s:.3f}",
-            self.layers_scanned,
-            self.feasibility_checks,
-        ]
+def _cell(v):
+    if v is None:
+        return ""
+    return f"{v:.3f}" if isinstance(v, float) else v
 
 
 def _emit_reports(reports, output, stream=None):
     stream = stream or sys.stdout
-    rows = [list(REPORT_FIELDS)] + [r.row() for r in reports]
+    rows = [list(COLUMNS)] + [[_cell(v) for v in r[:-1]] for r in reports]
     if output == "csv":
         writer = csv.writer(stream)
         writer.writerows(rows)
@@ -118,7 +98,7 @@ def _status_exit(status):
 
 def cmd_generate(args) -> int:
     if args.family == "htc":
-        lam = Fraction(args.lam)
+        lam = ratlin.parse_rational(args.lam)
         r = args.r if args.r is not None else instances.htc_r(args.n)
         inst = instances.gen_hypertruncated_cube(instances.HtcParams(args.n, r, lam))
     else:
@@ -163,34 +143,37 @@ def cmd_reduce(args) -> int:
     return EXIT_OPTIMAL
 
 
-def cmd_solve(args) -> int:
-    inst = model.read_instance(args.file)
-    stats = {}
+def _run(inst, method, assume_transitive=False, box=None) -> RunReport:
+    """Solve one instance, check the point, and build its report row.
+
+    ``lp_s`` is the scans' LP on the line; ``ip_s`` is the rest of the solve.
+    """
+    trace = {}
     t0 = time.perf_counter()
-    if args.method == "corepoint":
-        out = corepoint.solve_core_point(
-            inst, assume_transitive=args.assume_transitivity, stats=stats
-        )
-    elif args.method == "layers":
-        out = layers.solve_by_layers(
-            inst, assume_transitive=args.assume_transitivity, stats=stats
-        )
+    if method == "corepoint":
+        out = corepoint.solve_core_point(inst, assume_transitive=assume_transitive, trace=trace)
+    elif method == "layers":
+        out = layers.solve_by_layers(inst, assume_transitive=assume_transitive, trace=trace)
     else:
-        box = _parse_box(args.box, inst.n) if args.box else None
         out = model.brute_force_ilp(inst, box=box)
     elapsed = time.perf_counter() - t0
     if out.status == model.OPTIMAL and not inst.is_feasible(out.point):
-        raise ResultCheckFailed("solver returned an infeasible point")
-    report = RunReport(
-        inst.name, args.method, out.status, value=out.value,
-        point=out.point, m=inst.m, n=inst.n, ip_s=elapsed,
-        layers_scanned=stats.get("layers_scanned", 0),
-        feasibility_checks=stats.get("feasibility_checks", 0),
+        raise ResultCheckFailed(f"{inst.name}: solver returned an infeasible point")
+    lp_s = trace.get("lp_s", 0.0)
+    return RunReport(
+        inst.name, method, out.status, out.value, inst.m, inst.n, lp_s, elapsed - lp_s,
+        trace.get("layers_scanned", 0), trace.get("feasibility_checks", 0), out.point,
     )
+
+
+def cmd_solve(args) -> int:
+    inst = model.read_instance(args.file)
+    box = _parse_box(args.box, inst.n) if args.box else None
+    report = _run(inst, args.method, args.assume_transitivity, box)
     _emit_reports([report], args.output)
-    if out.status == model.OPTIMAL and inst.n <= POINT_ELIDE_N:
-        _print_point(out.point)
-    return _status_exit(out.status)
+    if report.status == model.OPTIMAL and inst.n <= POINT_ELIDE_N:
+        _print_point(report.point)
+    return _status_exit(report.status)
 
 
 def _parse_range(text):
@@ -214,27 +197,7 @@ def bench_rows(family, sizes, assume_transitivity=False):
             inst = instances.gen_hypertruncated_cube(p)
         else:
             inst = instances.gen_wild(size)
-        t0 = time.perf_counter()
-        zeta = layers.line_zeta(inst)
-        lp_s = time.perf_counter() - t0
-        stats = {}
-        t0 = time.perf_counter()
-        if zeta is None:
-            out = model.Outcome(model.INFEASIBLE)
-        else:
-            out = corepoint.solve_core_point(
-                inst, assume_transitive=assume_transitivity, stats=stats, _zeta=zeta
-            )
-        ip_s = time.perf_counter() - t0
-        if out.status == model.OPTIMAL and not inst.is_feasible(out.point):
-            raise ResultCheckFailed(f"{inst.name}: solver returned an infeasible point")
-        reports.append(
-            RunReport(
-                inst.name, "corepoint", out.status, value=out.value,
-                point=out.point, m=inst.m, n=inst.n, lp_s=lp_s, ip_s=ip_s,
-                feasibility_checks=stats.get("feasibility_checks", 0),
-            )
-        )
+        reports.append(_run(inst, "corepoint", assume_transitivity))
     return reports
 
 
@@ -243,6 +206,17 @@ def cmd_bench(args) -> int:
     reports = bench_rows(args.family, sizes, args.assume_transitivity)
     _emit_reports(reports, args.output)
     return EXIT_OPTIMAL
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError.
+
+    main() then reports them as one ``error:`` line with exit 1; argparse
+    would exit 2, which is the "infeasible" code here.
+    """
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS,
                         help="skip the transitivity certificate checks")
 
-    ap = argparse.ArgumentParser(prog="symilp", parents=[common])
+    ap = _Parser(prog="symilp", parents=[common])
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a benchmark instance file")
@@ -309,17 +283,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # global flags default here, not in the parser: argparse would push a
-    # parser-level default through the shared parent action and let the
-    # subparser pass clobber values given before the subcommand
-    for dest, default in (
-        ("output", "text"),
-        ("assume_transitivity", False),
-    ):
-        if not hasattr(args, dest):
-            setattr(args, dest, default)
     try:
+        args = build_parser().parse_args(argv)
+        # global flags default here, not in the parser: argparse would push a
+        # parser-level default through the shared parent action and let the
+        # subparser pass clobber values given before the subcommand
+        for dest, default in (
+            ("output", "text"),
+            ("assume_transitivity", False),
+        ):
+            if not hasattr(args, dest):
+                setattr(args, dest, default)
         return _COMMANDS[args.command](args)
     except UnboundedRelaxation as exc:
         print(f"unbounded relaxation: {exc}", file=sys.stderr)

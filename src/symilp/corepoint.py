@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import floor
 
-from .layers import check_scan_gate, line_zeta
+from .layers import scan_prologue
 from .model import ILPInstance, Outcome, INFEASIBLE, OPTIMAL
 from .symmetry import ALTERNATING, FULL_SYMMETRIC
 
@@ -50,14 +50,14 @@ def core_points(n: int, k: int) -> list:
 def solve_core_point(
     inst: ILPInstance,
     assume_transitive: bool = False,
-    stats: dict | None = None,
-    _zeta=None,
+    trace: dict | None = None,
 ) -> Outcome:
     """Core point scan for ILP(A, b, 1): at most n feasibility checks.
 
     Maintains the m dot products incrementally while single coordinates of
     the representative drop from q+1 to q, so a whole scan costs O(mn)
     beyond the O(mn) initialization (within the O(mn^2) contract).
+    ``trace`` receives ``lp_s`` and ``feasibility_checks``.
     """
     n = inst.n
     if n < 2:
@@ -65,8 +65,7 @@ def solve_core_point(
     # Alt(n) supplies the layer all-or-nothing property only from n = 4 up;
     # Alt(3) is the cyclic group and merely transitive.
     accepted = (FULL_SYMMETRIC, ALTERNATING) if n >= 4 else (FULL_SYMMETRIC,)
-    check_scan_gate(inst, accepted, assume_transitive, "core point scan")
-    zeta = line_zeta(inst) if _zeta is None else _zeta
+    zeta = scan_prologue(inst, accepted, assume_transitive, "core point scan", trace)
     if zeta is None:
         return Outcome(INFEASIBLE)
     q = floor(zeta)
@@ -79,14 +78,14 @@ def solve_core_point(
     while d >= 0:
         checks += 1
         if all(s <= b for s, b in zip(dots, rhs)):
-            if stats is not None:
-                stats["feasibility_checks"] = checks
+            if trace is not None:
+                trace["feasibility_checks"] = checks
             point = (q + 1,) * d + (q,) * (n - d)
             return Outcome(OPTIMAL, point=point, value=Fraction(n * q + d))
         d -= 1
         if d >= 0:
             col = d
             dots = [s - row[col] for s, row in zip(dots, rows)]
-    if stats is not None:
-        stats["feasibility_checks"] = checks
+    if trace is not None:
+        trace["feasibility_checks"] = checks
     return Outcome(INFEASIBLE)

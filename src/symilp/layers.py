@@ -9,6 +9,7 @@ asking a per-layer feasibility oracle for an integral point.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
+from time import perf_counter
 
 from .errors import (
     BoxTooLarge,
@@ -151,11 +152,16 @@ def enumeration_oracle(inst: ILPInstance, k: int, max_points: int = 10**7):
     return None
 
 
-def check_scan_gate(inst: ILPInstance, accepted, assume_transitive: bool, scan: str) -> None:
-    """The all-ones scans' precondition: c = 1, then a certificate level.
+def scan_prologue(
+    inst: ILPInstance, accepted, assume_transitive: bool, scan: str, trace: dict | None = None
+):
+    """The all-ones scans' common start: the gate, then the LP on the line.
 
-    ObjectiveNotOnes comes first; the certificate runs only without
-    ``assume_transitive`` and must reach one of the ``accepted`` levels.
+    The gate raises ObjectiveNotOnes unless c = 1, then, without
+    ``assume_transitive``, runs the certificate, which must reach one of the
+    ``accepted`` levels.  Returns zeta of the LP on the line, None if that
+    LP is infeasible; an unbounded one raises.  The LP's seconds go to
+    ``trace["lp_s"]``.
     """
     if any(cj != 1 for cj in inst.c):
         raise ObjectiveNotOnes(f"{scan} is defined for c = 1")
@@ -166,11 +172,10 @@ def check_scan_gate(inst: ILPInstance, accepted, assume_transitive: bool, scan: 
                 f"certificate level {level!r}; {scan} needs one of "
                 f"{sorted(accepted)}; pass assume_transitive to override"
             )
-
-
-def line_zeta(inst: ILPInstance):
-    """zeta of the LP on the line, None if it is infeasible; unbounded raises."""
+    t0 = perf_counter()
     status, zeta = solve_lp_on_line(inst)
+    if trace is not None:
+        trace["lp_s"] = perf_counter() - t0
     if status == UNBOUNDED:
         raise UnboundedRelaxation(inst.name or "relaxation unbounded along 1")
     return zeta
@@ -180,18 +185,17 @@ def solve_by_layers(
     inst: ILPInstance,
     oracle=None,
     assume_transitive: bool = False,
-    stats: dict | None = None,
+    trace: dict | None = None,
 ) -> Outcome:
     """Layer-scan solver for ILP(A, b, 1) under a transitive symmetry group.
 
     Scans k from floor(n*zeta) down to n*floor(zeta): the first layer with
     a feasible integral point is optimal, and an exhausted scan certifies
-    infeasibility.
+    infeasibility.  ``trace`` receives ``lp_s`` and ``layers_scanned``.
     """
     n = inst.n
     transitive = (FULL_SYMMETRIC, ALTERNATING, TRANSITIVE_ONLY)  # any level but NONE
-    check_scan_gate(inst, transitive, assume_transitive, "layer scan")
-    zeta = line_zeta(inst)
+    zeta = scan_prologue(inst, transitive, assume_transitive, "layer scan", trace)
     if zeta is None:
         return Outcome(INFEASIBLE)
     if oracle is None:
@@ -205,9 +209,9 @@ def solve_by_layers(
         if point is not None:
             if sum(point) != k or not inst.is_feasible(point):
                 raise ResultCheckFailed(f"layer oracle returned a bad point for layer {k}")
-            if stats is not None:
-                stats["layers_scanned"] = scanned
+            if trace is not None:
+                trace["layers_scanned"] = scanned
             return Outcome(OPTIMAL, point=tuple(point), value=Fraction(k))
-    if stats is not None:
-        stats["layers_scanned"] = scanned
+    if trace is not None:
+        trace["layers_scanned"] = scanned
     return Outcome(INFEASIBLE)

@@ -64,14 +64,6 @@ class ILPInstance:
             self._rowset = frozenset(self.rows)
         return self._rowset
 
-    @property
-    def A(self) -> tuple:
-        return tuple(r[:-1] for r in self.rows)
-
-    @property
-    def b(self) -> tuple:
-        return tuple(r[-1] for r in self.rows)
-
     def is_feasible(self, x) -> bool:
         """Exact check of Ax <= b for a rational point; O(mn) integer work.
 
@@ -261,8 +253,6 @@ def read_instance(path, name=None) -> ILPInstance:
             if len(coeffs) != n:
                 raise ValueError(f"row length != {n}")
             rows.append(tuple(coeffs) + (parse_rational(right),))
-    except ZeroDivisionError:
-        raise ValueError(f"{path}: zero denominator in {ln!r}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc} in {ln!r}") from None
     return normalize(rows, c, name=name if name is not None else str(path))

@@ -12,10 +12,16 @@ from math import gcd, lcm
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer, or a finite decimal string (no exponent), exactly."""
+    """Parse "p/q", an integer, or a finite decimal string (no exponent), exactly.
+
+    Every malformed token, a zero denominator included, raises ValueError.
+    """
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation in {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def dot(u, v):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from symilp import model
+from symilp import layers, model
 from symilp.cli import bench_rows, main
 from symilp.model import Outcome, read_instance, write_instance
 from symilp.symmetry import read_generators
@@ -100,6 +100,61 @@ def test_exponent_is_refused_at_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err and "1e99999999" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lam", ["1/0", "1e99999999"])
+def test_bad_lambda_is_a_one_line_error(tmp_path, capsys, lam):
+    t0 = time.perf_counter()
+    code = main(["generate", "htc", "--n", "8", "--lambda", lam, "-o", str(tmp_path / "h.ilp")])
+    assert code == 1 and time.perf_counter() - t0 < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and lam in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "f", "--method", "bogus"], ["generate", "htc", "--n", "abc", "-o", "x"]],
+    ids=["bad_choice", "bad_int"],
+)
+def test_usage_error_exits_1_in_one_line(capsys, argv):
+    # argparse's own exit code 2 is the "infeasible" code here
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--method" in capsys.readouterr().out
+
+
+def test_lp_on_line_is_timed_apart_from_the_scan(tmp_path, monkeypatch, capsys):
+    line_lp = layers.solve_lp_on_line
+
+    def slow_line_lp(inst):
+        time.sleep(0.05)
+        return line_lp(inst)
+
+    monkeypatch.setattr(layers, "solve_lp_on_line", slow_line_lp)
+    path = tmp_path / "htc.ilp"
+    assert main(["generate", "htc", "--n", "40", "-o", str(path)]) == 0
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["--output", "csv", "solve", str(path)]) == 0
+    wall = time.perf_counter() - t0
+    header, row = list(csv.reader(io.StringIO(capsys.readouterr().out)))[:2]
+    lp_s, ip_s = (float(row[header.index(col)]) for col in ("lp_s", "ip_s"))
+    # an ip_s that still held the LP would push lp_s + ip_s past the wall
+    # time; the 1 ms covers the two printed cells' rounding
+    assert lp_s >= 0.05 and lp_s + ip_s <= wall + 0.001
+
+    t0 = time.perf_counter()
+    (report,) = bench_rows("htc", [40])
+    wall = time.perf_counter() - t0
+    assert report.lp_s >= 0.05 and report.lp_s + report.ip_s <= wall
 
 
 def test_solve_rejects_a_wrong_point(ex61_file, monkeypatch, capsys):

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symilp.corepoint import CoreRepresentative, core_points, solve_core_point
 from symilp.errors import (
@@ -12,6 +15,7 @@ from symilp.errors import (
 )
 from symilp.layers import solve_by_layers
 from symilp.model import brute_force_ilp, normalize
+from corpus import random_symmetric_instance
 from testkit import core_distance_check, representative_oracle
 
 
@@ -82,12 +86,12 @@ def test_orbit_transitivity_on_core_points():
 
 
 def test_solve_core_point_htc6(htc6):
-    stats = {}
-    out = solve_core_point(htc6, stats=stats)
+    trace = {}
+    out = solve_core_point(htc6, trace=trace)
     assert out.status == "optimal"
     assert out.value == 2
     assert out.point == (1, 1, 0, 0, 0, 0)
-    assert stats["feasibility_checks"] == 2  # d scans 3, 2
+    assert trace["feasibility_checks"] == 2  # d scans 3, 2
 
 
 def test_solve_core_point_ex61_needs_override(ex61):
@@ -111,10 +115,10 @@ def test_solve_core_point_refusals(htc6):
 def test_solve_core_point_infeasible_band():
     rows = [(2, 2, 3), (-2, -2, -3), (1, 0, 2), (0, 1, 2), (-1, 0, 2), (0, -1, 2)]
     inst = normalize(rows, [1, 1], name="halfband")
-    stats = {}
-    out = solve_core_point(inst, stats=stats)
+    trace = {}
+    out = solve_core_point(inst, trace=trace)
     assert out.status == "infeasible"
-    assert stats["feasibility_checks"] == 2
+    assert trace["feasibility_checks"] == 2
 
 
 def test_solve_core_point_lp_infeasible():
@@ -175,10 +179,10 @@ def test_wild_d10_scan():
     from symilp.lpcore import solve_lp_on_line
 
     inst = gen_wild(10)
-    stats = {}
-    out = solve_core_point(inst, stats=stats)
+    trace = {}
+    out = solve_core_point(inst, trace=trace)
     assert out.status == "optimal"
-    assert stats["feasibility_checks"] <= 13
+    assert trace["feasibility_checks"] <= 13
     assert inst.is_feasible(out.point)
     _, zeta = solve_lp_on_line(inst)
     k_star = int(out.value)
@@ -206,3 +210,19 @@ def test_all_or_nothing_per_layer(corpus):
         if checked >= 25:
             break
     assert checked >= 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ilp_solvers_agree_on_random_symmetric_instances(seed):
+    inst = random_symmetric_instance(random.Random(seed), seed)
+    core_trace, layer_trace = {}, {}
+    core = solve_core_point(inst, trace=core_trace)
+    by_layers = solve_by_layers(inst, trace=layer_trace)
+    brute = brute_force_ilp(inst)
+    assert core.status == by_layers.status == brute.status
+    assert core.value == by_layers.value == brute.value
+    for out in (core, by_layers, brute):
+        assert out.point is None or inst.is_feasible(out.point)
+    assert core_trace.get("feasibility_checks", 0) <= inst.n
+    assert layer_trace.get("layers_scanned", 0) <= inst.n

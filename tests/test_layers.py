@@ -116,28 +116,28 @@ def test_center_on_layer_identity():
 
 
 def test_solve_by_layers_ex61(ex61):
-    stats = {}
-    out = solve_by_layers(ex61, stats=stats)
+    trace = {}
+    out = solve_by_layers(ex61, trace=trace)
     assert out.status == "optimal" and out.value == 3
     assert out.point == (1, 1, 1)
-    assert stats["layers_scanned"] == 1
+    assert trace["layers_scanned"] == 1
 
 
 def test_solve_by_layers_htc6(htc6):
-    stats = {}
-    out = solve_by_layers(htc6, stats=stats)
+    trace = {}
+    out = solve_by_layers(htc6, trace=trace)
     assert out.status == "optimal" and out.value == 2
-    assert stats["layers_scanned"] == 2  # layer 3 empty, layer 2 hit
+    assert trace["layers_scanned"] == 2  # layer 3 empty, layer 2 hit
 
 
 def test_solve_by_layers_infeasible_scan():
     # sum x = 3/2 band: relaxation feasible, no integral point
     rows = [(2, 2, 3), (-2, -2, -3), (1, 0, 2), (0, 1, 2), (-1, 0, 2), (0, -1, 2)]
     inst = normalize(rows, [1, 1], name="halfband")
-    stats = {}
-    out = solve_by_layers(inst, stats=stats)
+    trace = {}
+    out = solve_by_layers(inst, trace=trace)
     assert out.status == "infeasible"
-    assert stats["layers_scanned"] == 2  # k = 1 and k = 0
+    assert trace["layers_scanned"] == 2  # k = 1 and k = 0
     assert brute_force_ilp(inst).status == "infeasible"
 
 

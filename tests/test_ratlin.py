@@ -26,6 +26,11 @@ def test_parse_rational_refuses_exponents(text):
         parse_rational(text)
 
 
+def test_parse_rational_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
+
+
 def test_kernel_difference_rows():
     assert kernel_basis([(1, -1, 0), (0, 1, -1)]) == [(1, 1, 1)]
 

@@ -17,3 +17,19 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_public_functions_take_no_private_parameters():
+    # a "_name" parameter on a public function is a back door around the
+    # solve pipeline; stages report through ``trace`` instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            found += [f"{path.name}:{node.name}({p.arg})" for p in params if p.arg.startswith("_")]
+    assert found == []
