@@ -13,7 +13,7 @@ from .model import (
     write_instance,
 )
 from .reduction import build_reduced, orbit_sum_rows, solve_symmetric_lp
-from .symdetect import build_full_graph, build_reduced_graph, detect_symmetries
+from .symdetect import build_full_graph, build_reduced_graph
 from .symmetry import (
     GroupSpec,
     SignedPermutation,
@@ -55,7 +55,6 @@ __all__ = [
     "solve_core_point",
     "build_reduced_graph",
     "build_full_graph",
-    "detect_symmetries",
     "gen_hypertruncated_cube",
     "gen_wild",
     "htc_r",

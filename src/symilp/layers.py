@@ -8,9 +8,10 @@ asking a per-layer feasibility oracle for an integral point.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import floor
 from time import perf_counter
 
+from . import symdetect
 from .errors import (
     BoxTooLarge,
     InfeasibleRegion,
@@ -20,7 +21,7 @@ from .errors import (
     UnboundedRelaxation,
     ZeroObjective,
 )
-from .lpcore import coordinate_bounds, solve_lp_on_line
+from .lpcore import integer_box, solve_lp_on_line
 from .model import (
     ILPInstance,
     Outcome,
@@ -32,7 +33,7 @@ from .model import (
     satisfies_rows,
 )
 from .ratlin import scale_coprime
-from .symmetry import ALTERNATING, FULL_SYMMETRIC, TRANSITIVE_ONLY, verify_symmetric_group_invariance
+from .symmetry import ALTERNATING, FULL_SYMMETRIC, NONE, TRANSITIVE_ONLY, orbit, verify_symmetric_group_invariance
 
 
 @dataclass(frozen=True)
@@ -96,15 +97,9 @@ def _layer_box(inst: ILPInstance, k: int):
         name=f"{inst.name}#layer{k}",
     )
     try:
-        bounds = coordinate_bounds(sliced)
+        return integer_box(sliced)
     except InfeasibleRegion:
         return None  # the slice misses P entirely
-    out = []
-    for lo, hi in bounds:
-        if lo is None or hi is None:
-            raise BoxTooLarge(f"layer {k} slice is unbounded; cannot enumerate")
-        out.append((ceil(lo), floor(hi)))
-    return out
 
 
 def enumeration_oracle(inst: ILPInstance, k: int, max_points: int = 10**7):
@@ -159,7 +154,8 @@ def scan_prologue(
 
     The gate raises ObjectiveNotOnes unless c = 1, then, without
     ``assume_transitive``, runs the certificate, which must reach one of the
-    ``accepted`` levels.  Returns zeta of the LP on the line, None if that
+    ``accepted`` levels; if it finds none and TRANSITIVE_ONLY is accepted,
+    detection decides.  Returns zeta of the LP on the line, None if that
     LP is infeasible; an unbounded one raises.  The LP's seconds go to
     ``trace["lp_s"]``.
     """
@@ -167,6 +163,10 @@ def scan_prologue(
         raise ObjectiveNotOnes(f"{scan} is defined for c = 1")
     if not assume_transitive:
         level = verify_symmetric_group_invariance(inst)
+        if level == NONE and TRANSITIVE_ONLY in accepted:
+            G = symdetect.detect(inst, "reduced").group  # transitive iff coordinate 1 reaches all n
+            if len(orbit([1], G.generators, lambda g, i: abs(g.image[i - 1]))) == inst.n:
+                level = TRANSITIVE_ONLY
         if level not in accepted:
             raise TransitivityNotEstablished(
                 f"certificate level {level!r}; {scan} needs one of "

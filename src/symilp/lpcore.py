@@ -18,10 +18,11 @@ a fixed space; the LP on the line is the case F = (1, ..., 1).
 """
 
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 from operator import mul
 
-from .errors import EmptySystem, InfeasibleRegion, InfeasibleZeroRow, ObjectiveNotOnes, ResultCheckFailed
+from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion, InfeasibleZeroRow
+from .errors import ObjectiveNotOnes, ResultCheckFailed
 from .model import ILPInstance, INFEASIBLE, Outcome, OPTIMAL, UNBOUNDED, normalize
 
 
@@ -266,3 +267,17 @@ def coordinate_bounds(inst: ILPInstance):
         lo = -down.value if down.status == OPTIMAL else None
         out.append((lo, hi))
     return out
+
+
+def integer_box(inst: ILPInstance):
+    """(ceil lo, floor hi) for each pair of coordinate_bounds.
+
+    Raises BoxTooLarge when a side is open, and InfeasibleRegion, as
+    coordinate_bounds does, when the feasible region is empty.
+    """
+    box = []
+    for lo, hi in coordinate_bounds(inst):
+        if lo is None or hi is None:
+            raise BoxTooLarge(f"{inst.name or 'feasible region'} is unbounded; no finite box")
+        box.append((ceil(lo), floor(hi)))
+    return box

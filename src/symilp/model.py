@@ -10,7 +10,7 @@ rationals.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, lcm
+from math import ceil, lcm
 from operator import mul
 
 from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion, InfeasibleZeroRow
@@ -164,21 +164,6 @@ def explicit_box(inst: ILPInstance):
     return list(zip(lo, hi))
 
 
-def _default_box(inst: ILPInstance):
-    box = explicit_box(inst)
-    if box is not None:
-        return box
-    from .lpcore import coordinate_bounds  # deferred: lpcore imports model
-
-    bounds = coordinate_bounds(inst)
-    box = []
-    for lo, hi in bounds:
-        if lo is None or hi is None:
-            raise BoxTooLarge("feasible region unbounded; supply an explicit box")
-        box.append((ceil(lo), floor(hi)))
-    return box
-
-
 def brute_force_ilp(inst: ILPInstance, box=None, max_points: int = DEFAULT_POINT_CAP) -> Outcome:
     """Exhaustive integral optimum over a finite box; the global test oracle.
 
@@ -187,8 +172,10 @@ def brute_force_ilp(inst: ILPInstance, box=None, max_points: int = DEFAULT_POINT
     per-coordinate LP bounds.
     """
     if box is None:
+        from .lpcore import integer_box  # deferred: lpcore imports model
+
         try:
-            box = _default_box(inst)
+            box = explicit_box(inst) or integer_box(inst)
         except InfeasibleRegion:
             return Outcome(INFEASIBLE)  # the relaxation is empty
     if len(box) != inst.n:

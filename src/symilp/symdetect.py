@@ -349,6 +349,3 @@ def detect(
         gens = [SignedPermutation.identity(inst.n)]
     return Detection(GroupSpec(inst.n, tuple(gens)), order, mode, graph)
 
-
-def detect_symmetries(inst: ILPInstance, mode: str = "full", **kw) -> GroupSpec:
-    return detect(inst, mode, **kw).group

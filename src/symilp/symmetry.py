@@ -8,6 +8,7 @@ notation, (1+2-4+3-) corresponds to image (2, -4, -1, 3).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import ResultCheckFailed, SearchBudgetExceeded
 from .model import ILPInstance
@@ -105,16 +106,18 @@ def full_cycle(n: int) -> SignedPermutation:
 
 
 def sym_generators(n: int) -> tuple:
-    if n == 1:
-        return (SignedPermutation.identity(1),)
+    if n <= 2:  # Sym(1) and Sym(2) are generated by the n-cycle alone
+        return (full_cycle(n),)
     return (transposition(n, 1, 2), full_cycle(n))
 
 
 def alt_generators(n: int) -> tuple:
-    """Standard generators of Alt(n) for n >= 3."""
+    """Standard generators of Alt(n) for n >= 3; Alt(3) is one 3-cycle."""
     if n < 3:
         raise ValueError("alternating generators need n >= 3")
     three = SignedPermutation((2, 3, 1) + tuple(range(4, n + 1)))
+    if n == 3:
+        return (three,)
     if n % 2 == 1:
         return (three, full_cycle(n))
     long = SignedPermutation((1,) + tuple(range(3, n + 1)) + (2,))  # (2 3 ... n)
@@ -198,13 +201,10 @@ def fixed_space(G: GroupSpec):
     n = G.degree
     stacked = []
     for g in G.generators:
-        mat = [[0] * n for _ in range(n)]
-        for j, v in enumerate(g.image):
-            s = 1 if v > 0 else -1
-            mat[abs(v) - 1][j] += s
-        for i in range(n):
-            mat[i][i] -= 1
-        stacked.extend(row for row in mat if any(row))
+        for i, row in enumerate(g.matrix()):
+            diff = [v - (i == j) for j, v in enumerate(row)]
+            if any(diff):
+                stacked.append(diff)
     if not stacked:
         return [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return kernel_basis(stacked, ncols=n)
@@ -282,24 +282,21 @@ NONE = "none"
 
 
 def verify_symmetric_group_invariance(inst: ILPInstance) -> str:
-    """Cheap certificate tiers for the solvers' transitivity hypotheses.
+    """The first tier whose generators are all symmetries: Sym(n), Alt(n), the n-cycle.
 
-    Sym(n)/Alt(n) invariance is certified by two generator checks each;
-    otherwise the detected coordinate symmetries are tested for orbit
-    transitivity on the standard basis.
+    The n-cycle certifies transitivity.  NONE means no generator certificate,
+    not an intransitive G.  A permutation in two tiers is checked once.
     """
     n = inst.n
-    if n == 1:
-        return FULL_SYMMETRIC
-    if all(is_symmetry(inst, g) for g in sym_generators(n)):
-        return FULL_SYMMETRIC
-    if n >= 3 and all(is_symmetry(inst, g) for g in alt_generators(n)):
-        return ALTERNATING
-    from .symdetect import detect_symmetries  # deferred: symdetect imports us
-
-    G = detect_symmetries(inst, "reduced")
-    reached = orbit([1], G.generators, lambda g, i: abs(g.image[i - 1]))
-    return TRANSITIVE_ONLY if len(reached) == n else NONE
+    tiers = [(FULL_SYMMETRIC, sym_generators(n))]
+    if n >= 3:
+        tiers.append((ALTERNATING, alt_generators(n)))
+    tiers.append((TRANSITIVE_ONLY, (full_cycle(n),)))
+    holds = cache(lambda g: is_symmetry(inst, g))
+    for level, gens in tiers:
+        if all(map(holds, gens)):
+            return level
+    return NONE
 
 
 def write_generators(G: GroupSpec, path) -> None:

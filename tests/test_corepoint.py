@@ -101,6 +101,14 @@ def test_solve_core_point_ex61_needs_override(ex61):
     assert out.status == "optimal" and out.value == 3 and out.point == (1, 1, 1)
 
 
+@pytest.mark.parametrize("name", ["v4", "cyc4"])
+def test_core_point_scan_refuses_without_detection(name, request, detect_calls):
+    # the scan accepts only Sym(n) or Alt(n), which detection cannot certify
+    with pytest.raises(TransitivityNotEstablished):
+        solve_core_point(request.getfixturevalue(name))
+    assert detect_calls == []
+
+
 def test_solve_core_point_refusals(htc6):
     other = normalize(htc6.rows, [2] + [1] * 5)
     with pytest.raises(ObjectiveNotOnes):

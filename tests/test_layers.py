@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symilp import symdetect
 from symilp.errors import (
     BoxTooLarge,
     ObjectiveNotOnes,
@@ -22,8 +23,9 @@ from symilp.layers import (
     layer_witness,
     solve_by_layers,
 )
-from symilp.model import brute_force_ilp, normalize, satisfies_rows
+from symilp.model import Outcome, brute_force_ilp, normalize, satisfies_rows
 from symilp.ratlin import dot
+from symilp.symmetry import verify_symmetric_group_invariance
 from testkit import Layer, layer_center
 
 ONES3 = coprime_direction((1, 1, 1))
@@ -166,6 +168,26 @@ def test_solve_by_layers_refusals(ex61):
     # input that is only the mechanics, not a correctness guarantee
     out = solve_by_layers(lone, assume_transitive=True)
     assert out.status == "optimal" and out.value == 2 and out.point == (1, 1)
+
+
+def test_layer_scan_detects_a_group_without_generator_certificate(v4, detect_calls):
+    # V4 is transitive but has no Sym, Alt or 4-cycle generator: the gate
+    # falls through to one detection and accepts the orbit of coordinate 1
+    out = solve_by_layers(v4)
+    assert out == Outcome("optimal", point=(0, 0, 1, 1), value=Fraction(2))
+    assert len(detect_calls) == 1
+    assert out == brute_force_ilp(v4)
+
+
+def test_cyclic_layer_scan_runs_no_detection(cyc4, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the n-cycle certificate should answer")
+
+    monkeypatch.setattr(symdetect, "detect", refuse)
+    assert verify_symmetric_group_invariance(cyc4) == "transitive_only"
+    # summing the four rows gives 3 * sum(x) <= 12, and 1 is feasible
+    out = solve_by_layers(cyc4)
+    assert out == Outcome("optimal", point=(1, 1, 1, 1), value=Fraction(4))
 
 
 def test_solve_by_layers_unbounded():

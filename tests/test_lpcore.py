@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from symilp import lpcore
 from symilp.errors import (
+    BoxTooLarge,
     InfeasibleRegion,
     InfeasibleZeroRow,
     ObjectiveNotOnes,
     ResultCheckFailed,
 )
-from symilp.lpcore import coordinate_bounds, solve_lp, solve_lp_on_line
+from symilp.lpcore import coordinate_bounds, integer_box, solve_lp, solve_lp_on_line
 from symilp.model import Outcome, normalize
 from symilp.ratlin import dot, rank, solve_linear
 
@@ -244,6 +245,16 @@ def test_coordinate_bounds_infeasible():
     inst = normalize([(1, -1), (-1, 0)], [1])
     with pytest.raises(InfeasibleRegion):
         coordinate_bounds(inst)
+
+
+def test_integer_box_rounds_the_lp_bounds_inward():
+    # -1/2 <= x1 <= 3/2 and 0 <= x2 <= 1
+    inst = normalize([(2, 0, 3), (-2, 0, 1), (0, 1, 1), (0, -1, 0)], [1, 1])
+    assert integer_box(inst) == [(0, 1), (0, 1)]
+    with pytest.raises(BoxTooLarge):
+        integer_box(normalize([(2, 0, 3), (-2, 0, 1), (0, 1, 1)], [1, 1]))
+    with pytest.raises(InfeasibleRegion):
+        integer_box(normalize([(1, -1), (-1, 0)], [1]))
 
 
 # --- bounded rational instances against the vertex oracle

@@ -33,3 +33,20 @@ def test_public_functions_take_no_private_parameters():
             params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
             found += [f"{path.name}:{node.name}({p.arg})" for p in params if p.arg.startswith("_")]
     assert found == []
+
+
+def test_symmetry_does_not_import_symdetect():
+    # symdetect builds on symmetry; detection is the layer scan's fallback,
+    # never part of the generator certificate
+    path = SRC / "symmetry.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        if any("symdetect" in name.split(".") for name in names):
+            found.append(node.lineno)
+    assert found == []

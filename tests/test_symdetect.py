@@ -13,7 +13,6 @@ from symilp.symdetect import (
     build_full_graph,
     build_reduced_graph,
     detect,
-    detect_symmetries,
 )
 from symilp.symmetry import GroupSpec, SignedPermutation, is_symmetry
 from testkit import group_order

@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
+from symilp import symmetry
 from symilp.errors import SearchBudgetExceeded
 from symilp.model import normalize
 from symilp.symmetry import (
@@ -266,17 +267,40 @@ def test_verify_levels(ex61, htc6):
     assert verify_symmetric_group_invariance(lone) == "none"
 
 
-def test_verify_transitive_only():
+def test_verify_transitive_only(cyc4):
     # 4-cycle orbit of a row: cyclic but not alternating for n = 4
-    rows = []
-    row = (1, 2, 0, 0)
-    for _ in range(4):
-        rows.append(row + (3,))
-        row = row[-1:] + row[:-1]
-    inst = normalize(rows, [1, 1, 1, 1], name="cyc4")
     cyc = full_cycle(4)
-    assert is_symmetry(inst, cyc)
-    assert verify_symmetric_group_invariance(inst) == "transitive_only"
+    assert is_symmetry(cyc4, cyc)
+    assert verify_symmetric_group_invariance(cyc4) == "transitive_only"
+
+
+def test_verify_v4_has_no_generator_certificate(v4):
+    # transitive of order 4, but no Sym, Alt or n-cycle generator holds
+    group = [g for g in map(SignedPermutation, permutations(range(1, 5))) if is_symmetry(v4, g)]
+    assert len(group) == 4
+    assert {abs(g.image[0]) for g in group} == {1, 2, 3, 4}
+    assert verify_symmetric_group_invariance(v4) == "none"
+
+
+def test_verify_checks_each_permutation_once(monkeypatch):
+    checked = []
+
+    def counting(inst, g):
+        checked.append(g)
+        return is_symmetry(inst, g)
+
+    monkeypatch.setattr(symmetry, "is_symmetry", counting)
+    cases = [
+        (normalize([(1, 2, 3)], [1, 1]), 1, "none"),  # Sym(2) is the 2-cycle alone
+        (normalize([(1, 2, 0, 3)], [1, 1, 1]), 2, "none"),  # Alt(3) is the 3-cycle alone
+        # Sym({1,2,3}) x Sym({4,5}): the transposition and the 3-cycle hold,
+        # the 5-cycle, a generator of Sym(5) and of Alt(5), is checked once
+        (normalize([(1, 1, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1)], [1] * 5), 3, "none"),
+    ]
+    for inst, calls, level in cases:
+        checked.clear()
+        assert verify_symmetric_group_invariance(inst) == level
+        assert len(checked) == calls == len(set(checked))
 
 
 def test_verify_alternating_only():
@@ -292,7 +316,15 @@ def test_verify_alternating_only():
     assert len(symmetrize(inst).rows) == 24
 
 
+def test_generators_are_listed_once():
+    for n in range(1, 9):
+        for gens in [sym_generators(n)] + ([alt_generators(n)] if n >= 3 else []):
+            assert len(set(gens)) == len(gens)
+
+
 def test_group_orders():
+    assert group_order(GroupSpec(2, sym_generators(2))) == 2
+    assert group_order(GroupSpec(3, alt_generators(3))) == 3
     assert group_order(GroupSpec(3, sym_generators(3))) == 6
     assert group_order(GroupSpec(5, sym_generators(5))) == 120
     assert group_order(GroupSpec(4, alt_generators(4))) == 12
