@@ -205,6 +205,17 @@ def _simplex(inst: ILPInstance, c) -> Outcome:
     return Outcome(OPTIMAL, point=point, value=Fraction(t.obj[-1], D * t.scale))
 
 
+def _checked_simplex(inst: ILPInstance, c) -> Outcome:
+    """_simplex, with an optimal point checked feasible and worth its value."""
+    out = _simplex(inst, c)
+    if out.status == OPTIMAL:
+        if not inst.is_feasible(out.point):
+            raise ResultCheckFailed(f"simplex: infeasible point for {inst.name or 'instance'}")
+        if sum(map(mul, c, out.point)) != out.value:
+            raise ResultCheckFailed(f"simplex: value mismatch for {inst.name or 'instance'}")
+    return out
+
+
 def solve_lp(inst: ILPInstance, basis=None) -> Outcome:
     """Exact optimum of the relaxation max c^t x, Ax <= b.
 
@@ -223,15 +234,10 @@ def solve_lp(inst: ILPInstance, basis=None) -> Outcome:
             if any(c):
                 return Outcome(UNBOUNDED)
             return Outcome(OPTIMAL, point=(Fraction(0),) * inst.n, value=Fraction(0))
-    out = _simplex(lp, lp.c)
-    if out.status == OPTIMAL:
-        if not lp.is_feasible(out.point):
-            raise ResultCheckFailed(f"solve_lp: infeasible point for {lp.name or 'instance'}")
-        if sum(cj * xj for cj, xj in zip(lp.c, out.point)) != out.value:
-            raise ResultCheckFailed(f"solve_lp: value mismatch for {lp.name or 'instance'}")
-        if basis is not None:
-            point = tuple(sum(map(mul, out.point, col)) for col in zip(*basis))
-            out = Outcome(OPTIMAL, point=point, value=out.value)
+    out = _checked_simplex(lp, lp.c)
+    if out.status == OPTIMAL and basis is not None:
+        point = tuple(sum(map(mul, out.point, col)) for col in zip(*basis))
+        out = Outcome(OPTIMAL, point=point, value=out.value)
     return out
 
 
@@ -258,11 +264,11 @@ def coordinate_bounds(inst: ILPInstance):
     for j in range(n):
         e = [0] * n
         e[j] = 1
-        up = _simplex(inst, e)
+        up = _checked_simplex(inst, e)
         if up.status == INFEASIBLE:
             raise InfeasibleRegion(inst.name or "empty feasible region")
         e[j] = -1
-        down = _simplex(inst, e)
+        down = _checked_simplex(inst, e)
         hi = up.value if up.status == OPTIMAL else None
         lo = -down.value if down.status == OPTIMAL else None
         out.append((lo, hi))

@@ -167,7 +167,8 @@ def explicit_box(inst: ILPInstance):
 def brute_force_ilp(inst: ILPInstance, box=None, max_points: int = DEFAULT_POINT_CAP) -> Outcome:
     """Exhaustive integral optimum over a finite box; the global test oracle.
 
-    Ties are broken toward the lexicographically smallest point.  The box
+    Ties are broken toward the lexicographically smallest point; values are
+    compared as ints, with c scaled by the lcm of its denominators.  The box
     defaults to the bounds implied by single-variable rows, else to exact
     per-coordinate LP bounds.
     """
@@ -188,17 +189,18 @@ def brute_force_ilp(inst: ILPInstance, box=None, max_points: int = DEFAULT_POINT
     best = None
     best_val = None
     rows = inst.rows
-    c = inst.c
+    scale = lcm(*(cj.denominator for cj in inst.c))
+    c = tuple(cj.numerator * (scale // cj.denominator) for cj in inst.c)
     for x in product(*(range(lo, hi + 1) for lo, hi in box)):
         if not satisfies_rows(rows, x):
             continue
-        val = sum(cj * xj for cj, xj in zip(c, x))
+        val = sum(map(mul, c, x))
         if best_val is None or val > best_val:
             best_val = val
             best = x
     if best is None:
         return Outcome(INFEASIBLE)
-    return Outcome(OPTIMAL, point=best, value=Fraction(best_val))
+    return Outcome(OPTIMAL, point=best, value=Fraction(best_val, scale))
 
 
 def write_instance(inst: ILPInstance, path) -> None:

@@ -10,10 +10,13 @@ column node and its twin always have equal degree.
 
 The automorphism engine is a color-refinement / individualization search
 that counts the group order level by level with orbit-stabilizer products.
+It refines the first path once and compares each candidate with it round
+by round (the first-path comparison of nauty and Traces); a spent budget
+raises SearchBudgetExceeded.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
 from operator import getitem
 
 from .errors import ResultCheckFailed, SearchBudgetExceeded
@@ -146,65 +149,53 @@ def build_full_graph(inst: ILPInstance) -> LabeledGraph:
     return bd.graph()
 
 
-def _cells(colors):
-    out = {}
-    for v, c in enumerate(colors):
-        out.setdefault(c, []).append(v)
-    return out
-
-
 def automorphism_group(g: LabeledGraph, budget: int = 100000):
     """Generators (node mapping tuples) and exact order of the labeled
     automorphism group.
 
-    Refinement-and-individualization backtracking; at each level the first
-    nontrivial cell contributes |orbit| * |stabilizer| to the order.  The
-    budget caps refinement calls and raising SearchBudgetExceeded tells the
-    caller to fall back to brute force.
+    Refinement-and-individualization search.  The first path (refine, then
+    individualize the first vertex of the first nontrivial cell) is refined
+    once, and each of its colourings keeps its refinement trace.  At each
+    depth, deepest first, the other vertices of that cell are tried: a
+    candidate is refined against the path's trace and dropped at the first
+    round that differs, and the first leaf below it that is an automorphism
+    becomes a generator.  Each depth multiplies the order by its orbit size.
+    The budget caps refinement calls; spending it raises
+    SearchBudgetExceeded.
     """
     adj = g.adj
     n = g.n_nodes
     spent = 0
 
-    def sigs(colors):
-        out = []
-        for v in range(n):
-            cnt = {}
-            for u in adj[v]:
-                c = colors[u]
-                cnt[c] = cnt.get(c, 0) + 1
-            out.append((colors[v], tuple(sorted(cnt.items()))))
-        return out
-
-    def charge():
+    def refine(colors, expect=None):
+        """The equitable refinement of colors and its trace: one hash per
+        round of that round's sorted (signature, count) list.  Given a
+        trace ``expect`` to match, the colouring is None as soon as the
+        trace departs from it."""
         nonlocal spent
         spent += 1
         if spent > budget:
             raise SearchBudgetExceeded(f"automorphism search over {budget} refinements")
-
-    def refine_one(colors):
-        charge()
+        trace = []
         k = len(set(colors))
         while True:
-            ss = sigs(colors)
-            order = {s: i for i, s in enumerate(sorted(set(ss)))}
+            ss = []
+            for v in range(n):
+                cnt = {}
+                for u in adj[v]:
+                    c = colors[u]
+                    cnt[c] = cnt.get(c, 0) + 1
+                ss.append((colors[v], tuple(sorted(cnt.items()))))
+            steps = sorted(Counter(ss).items())
+            trace.append(hash(tuple(steps)))
+            if expect is not None and trace != expect[: len(trace)]:
+                return None, trace
+            order = {s: i for i, (s, _) in enumerate(steps)}
             colors = [order[s] for s in ss]
             if len(order) == k:
-                return colors
-            k = len(order)
-
-    def refine_pair(cs, ct):
-        charge()
-        k = len(set(cs))
-        while True:
-            ss, st = sigs(cs), sigs(ct)
-            if sorted(ss) != sorted(st):
-                return None
-            order = {s: i for i, s in enumerate(sorted(set(ss)))}
-            cs = [order[s] for s in ss]
-            ct = [order[s] for s in st]
-            if len(order) == k:
-                return cs, ct
+                if expect is not None and trace != expect:
+                    return None, trace
+                return colors, trace
             k = len(order)
 
     def individualized(colors, v):
@@ -212,12 +203,8 @@ def automorphism_group(g: LabeledGraph, budget: int = 100000):
         out[v] = max(colors) + 1
         return out
 
-    def first_nontrivial(colors):
-        cells = _cells(colors)
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                return c, sorted(cells[c])
-        return None, None
+    def cell(colors, c):
+        return [v for v, cv in enumerate(colors) if cv == c]
 
     def is_automorphism(mapping) -> bool:
         for v in range(n):
@@ -227,57 +214,57 @@ def automorphism_group(g: LabeledGraph, budget: int = 100000):
                 return False
         return True
 
-    def extract(cs, ct):
-        where = {}
-        for v, c in enumerate(ct):
-            where[c] = v
-        return tuple(where[c] for c in cs)
-
-    def find_first(cs, ct):
-        r = refine_pair(cs, ct)
-        if r is None:
-            return None
-        cs, ct = r
-        c, cell = first_nontrivial(cs)
+    # the first path: per depth, the refined colouring, its trace, its cell
+    # sizes and the colour of its first nontrivial cell (None at the leaf)
+    path = []
+    colors = list(g.labels)
+    while True:
+        colors, trace = refine(colors)
+        sizes = Counter(colors)
+        c = min((c for c, k in sizes.items() if k > 1), default=None)
+        path.append((colors, trace, sizes, c))
         if c is None:
-            m = extract(cs, ct)
+            break
+        colors = individualized(colors, colors.index(c))
+
+    def find_first(depth, ct):
+        """First automorphism taking path[depth]'s leaf to a leaf below ct."""
+        cs, trace, sizes, c = path[depth]
+        ct, _ = refine(ct, trace)
+        if ct is None or Counter(ct) != sizes:  # a hash collision stops here
+            return None
+        if c is None:
+            where = {cv: v for v, cv in enumerate(ct)}
+            m = tuple(where[cv] for cv in cs)
             return m if is_automorphism(m) else None
-        v = cell[0]
-        tcells = _cells(ct)
-        for w in sorted(tcells[c]):
-            m = find_first(individualized(cs, v), individualized(ct, w))
+        for w in cell(ct, c):
+            m = find_first(depth + 1, individualized(ct, w))
             if m is not None:
                 return m
         return None
 
-    def level(colors):
-        colors = refine_one(colors)
-        c, cell = first_nontrivial(colors)
-        if c is None:
-            return [], 1
-        v = cell[0]
-        gens, stab_order = level(individualized(colors, v))
-        gens = list(gens)
-        reached = {v}
-        for w in cell[1:]:
+    gens = []
+    order = 1
+    for depth in range(len(path) - 2, -1, -1):
+        colors, _, _, c = path[depth]
+        first, *rest = cell(colors, c)
+        reached = {first}
+        for w in rest:
             if w in reached:
                 continue
-            m = find_first(individualized(colors, v), individualized(colors, w))
+            m = find_first(depth + 1, individualized(colors, w))
             if m is not None:
                 gens.append(m)
                 reached = orbit(reached, gens, getitem)
-        return gens, len(reached) * stab_order
-
-    return level(list(g.labels))
+        order *= len(reached)
+    return gens, order
 
 
 @dataclass(frozen=True)
 class Detection:
     group: GroupSpec
     order: int
-    mode: str
     graph: LabeledGraph
-    by_fallback: bool = False
 
 
 def _translate(inst: ILPInstance, g: LabeledGraph, mapping: tuple):
@@ -303,41 +290,16 @@ def _translate(inst: ILPInstance, g: LabeledGraph, mapping: tuple):
     return SignedPermutation(image)
 
 
-def _brute_force_group(inst: ILPInstance, mode: str):
-    n = inst.n
-    found = []
-    signs_iter = [(1,) * n] if mode == "reduced" else product((1, -1), repeat=n)
-    signs = list(signs_iter)
-    for perm in permutations(range(1, n + 1)):
-        for sg in signs:
-            cand = SignedPermutation(tuple(s * p for s, p in zip(sg, perm)))
-            if is_symmetry(inst, cand):
-                found.append(cand)
-    return found
+def detect(inst: ILPInstance, mode: str = "full", budget: int = 100000) -> Detection:
+    """Detect instance symmetries through the chosen ILP graph.
 
-
-def detect(
-    inst: ILPInstance,
-    mode: str = "full",
-    budget: int = 100000,
-    fallback_n: int = 5,
-) -> Detection:
-    """Detect instance symmetries through the chosen ILP graph."""
+    Raises SearchBudgetExceeded when the automorphism search spends its
+    budget.
+    """
     if mode not in ("reduced", "full"):
         raise ValueError("mode must be 'reduced' or 'full'")
     graph = build_reduced_graph(inst) if mode == "reduced" else build_full_graph(inst)
-    try:
-        mappings, order = automorphism_group(graph, budget=budget)
-    except SearchBudgetExceeded:
-        if inst.n > fallback_n:
-            raise
-        elements = _brute_force_group(inst, mode)
-        gens = tuple(e for e in elements if e != SignedPermutation.identity(inst.n))
-        if not gens:
-            gens = (SignedPermutation.identity(inst.n),)
-        return Detection(
-            GroupSpec(inst.n, gens), len(elements), mode, graph, by_fallback=True
-        )
+    mappings, order = automorphism_group(graph, budget=budget)
     gens = []
     for mapping in mappings:
         sp = _translate(inst, graph, mapping)
@@ -347,5 +309,5 @@ def detect(
             gens.append(sp)
     if not gens:
         gens = [SignedPermutation.identity(inst.n)]
-    return Detection(GroupSpec(inst.n, tuple(gens)), order, mode, graph)
+    return Detection(GroupSpec(inst.n, tuple(gens)), order, graph)
 

@@ -176,18 +176,14 @@ def is_symmetry(inst: ILPInstance, g: SignedPermutation) -> bool:
         return False
     rows = inst.rows
     rowset = inst.row_set
-    img = g.image
     if g.is_plain:
-        idx = tuple(v - 1 for v in img) + (n,)
+        idx = tuple(v - 1 for v in g.image) + (n,)
         for row in rows:
             if tuple(map(row.__getitem__, idx)) not in rowset:
                 return False
     else:
         for row in rows:
-            mapped = tuple(
-                row[v - 1] if v > 0 else -row[-v - 1] for v in img
-            ) + (row[-1],)
-            if mapped not in rowset:
+            if g.apply_to_row(row) + (row[-1],) not in rowset:
                 return False
     return True
 

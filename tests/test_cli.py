@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from symilp import layers, model
+from symilp import layers, model, symdetect
 from symilp.cli import bench_rows, main
+from symilp.errors import SearchBudgetExceeded
 from symilp.model import Outcome, read_instance, write_instance
 from symilp.symmetry import read_generators
 
@@ -174,6 +175,24 @@ def test_detect_command(ex61_file, tmp_path, capsys):
     assert "group order 3" in out
     G = read_generators(gfile)
     assert G.degree == 3
+
+
+@pytest.mark.parametrize(
+    "argv", [["detect"], ["solve", "--method", "layers"]], ids=["detect", "layer_scan"]
+)
+def test_spent_search_budget_is_a_refusal(tmp_path, ex61, v4, monkeypatch, capsys, argv):
+    # the layer scan reaches detection only without a generator certificate
+    inst = ex61 if argv == ["detect"] else v4
+    path = tmp_path / "inst.ilp"
+    write_instance(inst, path)
+
+    def spent(g, budget):
+        raise SearchBudgetExceeded(f"automorphism search over {budget} refinements")
+
+    monkeypatch.setattr(symdetect, "automorphism_group", spent)
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1
 
 
 def test_reduce_command(ex61_file, tmp_path, capsys):

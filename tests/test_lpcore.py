@@ -374,3 +374,18 @@ def test_solve_lp_rejects_a_wrong_point(monkeypatch):
     )
     with pytest.raises(ResultCheckFailed):
         solve_lp(inst)
+
+
+def test_coordinate_bounds_rejects_a_wrong_point(monkeypatch):
+    # every simplex answer is checked, not only solve_lp's
+    inst = normalize([(1, 0, 1), (0, 1, 1), (-1, 0, 0), (0, -1, 0)], [1, 1])
+    monkeypatch.setattr(
+        lpcore, "_simplex", lambda inst, c: Outcome("optimal", point=(2, 0), value=2)
+    )
+    with pytest.raises(ResultCheckFailed):
+        coordinate_bounds(inst)
+    monkeypatch.setattr(
+        lpcore, "_simplex", lambda inst, c: Outcome("optimal", point=(1, 0), value=2)
+    )
+    with pytest.raises(ResultCheckFailed):
+        coordinate_bounds(inst)

@@ -5,10 +5,11 @@ from itertools import permutations, product
 import pytest
 
 from symilp import symdetect
-from symilp.errors import ResultCheckFailed
+from symilp.errors import ResultCheckFailed, SearchBudgetExceeded
 from symilp.instances import HtcParams, gen_hypertruncated_cube
 from symilp.model import normalize
 from symilp.symdetect import (
+    LabeledGraph,
     automorphism_group,
     build_full_graph,
     build_reduced_graph,
@@ -232,18 +233,50 @@ def test_detect_full_hyperoctahedral():
     assert red.order == 6
 
 
-def test_budget_fallback_matches_search(ex61):
-    from symilp.errors import SearchBudgetExceeded
-
-    with pytest.raises(SearchBudgetExceeded):
-        automorphism_group(build_full_graph(ex61), budget=2)
-    det = detect(ex61, "full", budget=2)
-    assert det.by_fallback and det.order == 3
-    red = detect(ex61, "reduced", budget=2)
-    assert red.by_fallback and red.order == 3
+def test_spent_budget_raises(ex61):
     big = gen_hypertruncated_cube(HtcParams(8, 3, Fraction(1, 2)))
-    with pytest.raises(SearchBudgetExceeded):
-        detect(big, "full", budget=2, fallback_n=5)  # n too large to brute-force
+    for inst in (ex61, big):
+        for mode, build in (("full", build_full_graph), ("reduced", build_reduced_graph)):
+            with pytest.raises(SearchBudgetExceeded):
+                automorphism_group(build(inst), budget=2)
+            with pytest.raises(SearchBudgetExceeded):
+                detect(inst, mode, budget=2)
+
+
+def _assert_automorphisms(g, gens):
+    for m in gens:
+        assert all(g.labels[m[v]] == g.labels[v] for v in range(g.n_nodes))
+        assert all({m[u] for u in g.adj[v]} == g.adj[m[v]] for v in range(g.n_nodes))
+
+
+def _graph(n, edges):
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return LabeledGraph([0] * n, adj, [("v", i) for i in range(n)])
+
+
+def test_petersen_graph_order():
+    # 3-regular: refinement alone splits no cell at the root
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    g = _graph(10, outer + spokes + inner)
+    gens, order = automorphism_group(g)
+    assert order == 120
+    _assert_automorphisms(g, gens)
+
+
+def test_hexagon_and_two_triangles_order():
+    # 2-regular, so refinement cannot tell the 6-cycle's vertices from the
+    # triangles'; candidates across the two must fail on the trace
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    triangles = [(6 + t * 3 + i, 6 + t * 3 + (i + 1) % 3) for t in range(2) for i in range(3)]
+    g = _graph(12, hexagon + triangles)
+    gens, order = automorphism_group(g)
+    assert order == 12 * 72  # D6 times (Sym(3) wr Sym(2))
+    _assert_automorphisms(g, gens)
 
 
 def test_detect_emits_generating_set(htc6):
