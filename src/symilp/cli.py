@@ -15,6 +15,7 @@ from . import corepoint, instances, layers, lpcore, model, ratlin, reduction, sy
 from .errors import (
     BadParams,
     BoxTooLarge,
+    InfeasibleZeroRow,
     NotASymmetry,
     ObjectiveNotOnes,
     ResultCheckFailed,
@@ -134,7 +135,11 @@ def cmd_reduce(args) -> int:
     inst = model.read_instance(args.file)
     G = symmetry.read_generators(args.group)
     rp = reduction.build_reduced(inst, G)
-    red = reduction.reduced_instance(rp)
+    try:
+        red = reduction.reduced_instance(rp)
+    except InfeasibleZeroRow as exc:  # an orbit sum reads 0 <= b with b < 0
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     model.write_instance(red, args.outfile)
     print(
         f"reduced {inst.name}: {inst.m} rows -> {len(rp.summed_rows)} orbit sums "

@@ -33,7 +33,8 @@ from .model import (
     satisfies_rows,
 )
 from .ratlin import scale_coprime
-from .symmetry import ALTERNATING, FULL_SYMMETRIC, NONE, TRANSITIVE_ONLY, orbit, verify_symmetric_group_invariance
+from .symmetry import ALTERNATING, FULL_SYMMETRIC, NONE, TRANSITIVE_ONLY
+from .symmetry import basis_orbits, verify_symmetric_group_invariance
 
 
 @dataclass(frozen=True)
@@ -164,8 +165,8 @@ def scan_prologue(
     if not assume_transitive:
         level = verify_symmetric_group_invariance(inst)
         if level == NONE and TRANSITIVE_ONLY in accepted:
-            G = symdetect.detect(inst, "reduced").group  # transitive iff coordinate 1 reaches all n
-            if len(orbit([1], G.generators, lambda g, i: abs(g.image[i - 1]))) == inst.n:
+            G = symdetect.detect(inst, "reduced").group  # transitive iff e_1 reaches all n
+            if len({abs(v) for v in basis_orbits(G)[0].members}) == inst.n:
                 level = TRANSITIVE_ONLY
         if level not in accepted:
             raise TransitivityNotEstablished(

@@ -77,13 +77,6 @@ class SignedPermutation:
         w = self.image[abs(v) - 1]
         return w if v > 0 else -w
 
-    def matrix(self) -> tuple:
-        n = len(self.image)
-        rows = [[0] * n for _ in range(n)]
-        for j, v in enumerate(self.image):
-            rows[abs(v) - 1][j] = 1 if v > 0 else -1
-        return tuple(tuple(r) for r in rows)
-
     def __eq__(self, other):
         return isinstance(other, SignedPermutation) and self.image == other.image
 
@@ -171,7 +164,7 @@ def is_symmetry(inst: ILPInstance, g: SignedPermutation) -> bool:
     """Row-set invariance of (A|b) under a -> a*gamma, plus c*gamma = c."""
     n = inst.n
     if g.degree != n:
-        raise ValueError("degree mismatch")
+        raise ValueError(f"degree mismatch: generator of degree {g.degree}, instance of n = {n}")
     if g.apply_to_row(inst.c) != inst.c:
         return False
     rows = inst.rows
@@ -188,87 +181,81 @@ def is_symmetry(inst: ILPInstance, g: SignedPermutation) -> bool:
     return True
 
 
-def fixed_space(G: GroupSpec):
-    """Basis of the common eigenvalue-1 eigenspace of the generators.
-
-    Stacks the (gamma - id) blocks and takes one kernel; the basis vectors
-    come back as coprime integer tuples.
-    """
-    n = G.degree
-    stacked = []
-    for g in G.generators:
-        for i, row in enumerate(g.matrix()):
-            diff = [v - (i == j) for j, v in enumerate(row)]
-            if any(diff):
-                stacked.append(diff)
-    if not stacked:
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return kernel_basis(stacked, ncols=n)
-
-
-def fixing_equations(G: GroupSpec) -> tuple:
-    """Matrix E with ker E = Fix(G); it has n - dim Fix rows."""
-    basis = fixed_space(G)
-    n = G.degree
-    if not basis:
-        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return tuple(kernel_basis(basis, ncols=n))
-
-
-def project_barycenter(G: GroupSpec, x) -> tuple:
-    """Average of the orbit of x; the projection onto the fixed space."""
-    points = orbit([tuple(Fraction(v) for v in x)], G.generators, SignedPermutation.apply)
-    return tuple(Fraction(sum(col), len(points)) for col in zip(*points))
-
-
-def _signed_key(v: int):
-    return (abs(v), v < 0)
-
-
 def basis_orbits(G: GroupSpec) -> list:
-    """Orbit partition of {+-e_1, ..., +-e_n} with polarity classification."""
+    """Orbit partition of {+-e_1, ..., +-e_n} with polarity classification.
+
+    The first orbit is that of e_1; members are sorted by coordinate, + first.
+    """
     seen = set()
     orbits = []
-    universe = [s * i for i in range(1, G.degree + 1) for s in (1, -1)]
-    for start in universe:
+    for start in (s * i for i in range(1, G.degree + 1) for s in (1, -1)):
         if start in seen:
             continue
         members = orbit([start], G.generators, SignedPermutation.apply_signed_index)
         seen |= members
         polarity = "bipolar" if any(-v in members for v in members) else "unipolar"
-        orbits.append(BasisOrbit(tuple(sorted(members, key=_signed_key)), polarity))
+        orbits.append(BasisOrbit(tuple(sorted(members, key=lambda v: (abs(v), v < 0))), polarity))
     return orbits
+
+
+def fixed_space(G: GroupSpec):
+    """Basis of Fix(G), read off the orbits of +-e_1, ..., +-e_n.
+
+    One +-1 vector per unipolar orbit with a positive first member, sorted
+    by largest coordinate: the kernel basis of the stacked (gamma - id)
+    blocks, in the same order and signs.  Bipolar orbits' coordinates are 0.
+    """
+    n = G.degree
+    basis = []
+    for o in sorted(basis_orbits(G), key=lambda o: abs(o.members[-1])):
+        if o.polarity == "unipolar" and o.members[0] > 0:
+            v = [0] * n
+            for m in o.members:
+                v[abs(m) - 1] = 1 if m > 0 else -1
+            basis.append(tuple(v))
+    return basis
+
+
+def fixing_equations(G: GroupSpec) -> tuple:
+    """Matrix E with ker E = Fix(G); it has n - dim Fix rows."""
+    return tuple(kernel_basis(fixed_space(G), ncols=G.degree))
+
+
+def project_barycenter(G: GroupSpec, x) -> tuple:
+    """Average of the orbit of x; the projection onto the fixed space.
+
+    The ``fixed_space`` vectors f have disjoint supports, so this is the sum
+    of (f.x / f.f) f, in O(n |gens|) without enumerating the orbit of x.
+    """
+    n = G.degree
+    x = tuple(Fraction(v) for v in x)
+    if len(x) != n:
+        raise ValueError(f"point of length {len(x)} for a group of degree {n}")
+    y = [Fraction(0)] * n
+    for o in basis_orbits(G):
+        if o.polarity == "unipolar" and o.members[0] > 0:
+            t = sum(x[m - 1] if m > 0 else -x[-m - 1] for m in o.members) / len(o.members)
+            for m in o.members:
+                y[abs(m) - 1] = t if m > 0 else -t
+    return tuple(y)
 
 
 def conjugate_to_permutations(G: GroupSpec):
     """Diagonal sign change conjugating a semi-transitive G into Sym(n).
 
-    Returns (eps, H) with eps*G*eps^-1 = H sign-free, or None when the
-    action is not semi-transitive (two opposite unipolar orbits of length n).
+    G is semi-transitive iff the orbit of e_1 is unipolar with n members;
+    then eps is that orbit read as a diagonal sign change, eps = eps^-1,
+    and eps*g*eps is sign-free for every g.  Returns (eps, H), or None.
     """
     n = G.degree
     orbits = basis_orbits(G)
-    if len(orbits) != 2:
+    if not orbits or orbits[0].polarity != "unipolar" or len(orbits[0].members) != n:
         return None
-    a, b = orbits
-    if a.polarity != "unipolar" or b.polarity != "unipolar":
-        return None
-    if len(a.members) != n or len(b.members) != n:
-        return None
-    if set(b.members) != {-v for v in a.members}:
-        return None
-    chosen = a if 1 in a.members else b
-    signs = {}
-    for v in chosen.members:
-        signs[abs(v)] = 1 if v > 0 else -1
-    eps = SignedPermutation(tuple(signs[i] * i for i in range(1, n + 1)))
-    conj = []
-    for g in G.generators:
-        h = eps * g * eps.inverse()
-        if not h.is_plain:
-            raise ResultCheckFailed("conjugation failed to clear signs")
-        conj.append(h)
-    return eps, GroupSpec(n, tuple(conj))
+    eps = SignedPermutation(orbits[0].members)
+    H = GroupSpec(n, tuple(eps * g * eps for g in G.generators))
+    if not all(h.is_plain for h in H.generators):
+        raise ResultCheckFailed("conjugation failed to clear signs")
+    return eps, H
 
 
 FULL_SYMMETRIC = "full_symmetric"
@@ -302,13 +289,19 @@ def write_generators(G: GroupSpec, path) -> None:
 
 
 def read_generators(path) -> GroupSpec:
+    """One image per line, '#' comments; a bad line raises ValueError naming it."""
     gens = []
     with open(path) as fh:
         for ln in fh:
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
-            gens.append(SignedPermutation(int(t) for t in ln.split()))
+            try:
+                gens.append(SignedPermutation(int(t) for t in ln.split()))
+                if gens[-1].degree != gens[0].degree:
+                    raise ValueError(f"degree {gens[-1].degree} after degree {gens[0].degree}")
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc} in {ln!r}") from None
     if not gens:
         raise ValueError(f"{path}: no generators")
     return GroupSpec(gens[0].degree, tuple(gens))

@@ -8,7 +8,9 @@ from symilp import layers, model, symdetect
 from symilp.cli import bench_rows, main
 from symilp.errors import SearchBudgetExceeded
 from symilp.model import Outcome, read_instance, write_instance
-from symilp.symmetry import read_generators
+from symilp.symmetry import GroupSpec, read_generators, sym_generators, write_generators
+
+from corpus import build_corpus
 
 
 @pytest.fixture
@@ -206,6 +208,52 @@ def test_reduce_command(ex61_file, tmp_path, capsys):
     from symilp.lpcore import solve_lp
 
     assert solve_lp(red).value == 3
+
+
+@pytest.mark.parametrize("case", ["two_rows", "corpus_seed2_16"])
+def test_reduce_of_an_infeasible_lp_exits_2(tmp_path, capsys, case):
+    # an orbit sum reads 0 <= b with b < 0; `lp` also exits 2 on these
+    path = tmp_path / "inf.ilp"
+    gfile = tmp_path / "gens.grp"
+    if case == "two_rows":  # x1 - x2 <= -1 and x2 - x1 <= -1 sum to 0 <= -2
+        path.write_text("ILP v1\nvars 2\nobj 1 1\n1 -1 <= -1\n-1 1 <= -1\n")
+        gfile.write_text("2 1\n")
+    else:
+        inst = build_corpus(seed=2)[16]
+        write_instance(inst, path)
+        write_generators(GroupSpec(inst.n, sym_generators(inst.n)), gfile)
+    assert main(["lp", str(path)]) == 2
+    capsys.readouterr()
+    out = tmp_path / "red.ilp"
+    assert main(["reduce", str(path), "--group", str(gfile), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [("2 3 1\n1 x 3\n", "1 x 3"), ("2 3 1\n1 1 3\n", "1 1 3"), ("2 3 1\n2 1\n", "2 1")],
+    ids=["bad_token", "not_a_signed_permutation", "mixed_degree"],
+)
+def test_bad_group_file_names_path_and_line(ex61_file, tmp_path, capsys, text, bad):
+    gfile = tmp_path / "bad.grp"
+    gfile.write_text(text)
+    assert main(["reduce", ex61_file, "--group", str(gfile), "-o", str(tmp_path / "r.ilp")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(gfile) in err and repr(bad) in err
+
+
+def test_group_of_the_wrong_degree_names_both_degrees(htc6, tmp_path, capsys):
+    path = tmp_path / "htc6.ilp"
+    write_instance(htc6, path)
+    gfile = tmp_path / "c5.grp"
+    gfile.write_text("2 3 4 5 1\n")
+    assert main(["reduce", str(path), "--group", str(gfile), "-o", str(tmp_path / "r.ilp")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree mismatch") and err.count("\n") == 1
+    assert "degree 5" in err and "n = 6" in err
 
 
 def test_bench_htc_rows():

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symilp import symmetry
 from symilp.errors import SearchBudgetExceeded
@@ -26,7 +28,14 @@ from symilp.symmetry import (
     write_generators,
 )
 from symilp.ratlin import dot, rank
-from testkit import group_elements, group_order, orbit_barycenter
+from testkit import (
+    group_elements,
+    group_order,
+    kernel_fixed_space,
+    orbit_average,
+    orbit_barycenter,
+    signed_matrix,
+)
 
 SIGNED_4CYCLE = SignedPermutation((2, -4, -1, 3))  # e1->e2, e2->-e4, e4->e3, e3->-e1
 
@@ -47,7 +56,7 @@ def test_signed_matrix_action():
 
 
 def test_signed_matrix_entries():
-    m = SIGNED_4CYCLE.matrix()
+    m = signed_matrix(SIGNED_4CYCLE)
     assert m == ((0, 0, -1, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, -1, 0, 0))
 
 
@@ -67,7 +76,7 @@ def test_compose_inverse_roundtrip():
 def test_row_action_matches_matrix_product():
     g = SIGNED_4CYCLE
     row = (3, -1, 4, 2)
-    m = g.matrix()
+    m = signed_matrix(g)
     expect = tuple(dot(row, tuple(m[i][j] for i in range(4))) for j in range(4))
     assert g.apply_to_row(row) == expect
 
@@ -138,6 +147,56 @@ def test_barycenter_idempotent_linear_fixed(corpus):
     xy = tuple(a + c for a, c in zip(x, y))
     by = project_barycenter(G, y)
     assert project_barycenter(G, xy) == tuple(a + c for a, c in zip(b, by))
+
+
+@st.composite
+def signed_groups(draw, max_degree):
+    """A group of degree 1..max_degree on 1-3 random signed permutations."""
+    n = draw(st.integers(1, max_degree))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(1, n + 1)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        gens.append(SignedPermutation(s * p for s, p in zip(signs, perm)))
+    return GroupSpec(n, tuple(gens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_groups(7))
+def test_fixed_space_is_the_kernel_basis(G):
+    # the same vectors as the kernel of the stacked (gamma - id) blocks, in
+    # the same order and with the same signs, so solve_lp pivots alike
+    assert fixed_space(G) == kernel_fixed_space(G)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_groups(5), st.lists(st.fractions(max_denominator=6), min_size=5, max_size=5))
+def test_project_barycenter_is_the_orbit_average(G, x):
+    x = x[: G.degree]
+    assert project_barycenter(G, x) == orbit_average(G, x)
+
+
+def test_project_barycenter_rejects_a_wrong_length():
+    G = GroupSpec(3, sym_generators(3))
+    for x in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="length"):
+            project_barycenter(G, x)
+
+
+def test_large_groups_need_no_enumeration():
+    assert fixed_space(GroupSpec(500, sym_generators(500))) == [(1,) * 500]
+    # the orbit of (0, 1, ..., 11) under Sym(12) has 12! points
+    assert project_barycenter(GroupSpec(12, sym_generators(12)), range(12)) == (
+        Fraction(11, 2),
+    ) * 12
+
+
+def test_degree_zero():
+    G = GroupSpec(0, (SignedPermutation(()),))
+    assert fixed_space(G) == []
+    assert fixing_equations(G) == ()
+    assert project_barycenter(G, ()) == ()
+    assert conjugate_to_permutations(G) is None
 
 
 def test_fixed_space_vectors_are_fixed():

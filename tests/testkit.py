@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use.
 
 Layer centers, core-point distances, the representative oracle, basis
-orbit barycenters and group enumeration: each restates a definition of the
+orbit barycenters, group enumeration, and the fixed space and orbit
+average by matrices and enumeration: each restates a definition of the
 paper directly, so the tests can check the solvers against it.
 """
 
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 from symilp.corepoint import CoreRepresentative
 from symilp.layers import CoprimeDirection
+from symilp.ratlin import kernel_basis
 from symilp.symmetry import BasisOrbit, GroupSpec, SignedPermutation, orbit
 
 
@@ -68,3 +70,29 @@ def group_elements(G: GroupSpec, limit: int | None = None) -> set:
 
 def group_order(G: GroupSpec, limit: int | None = None) -> int:
     return len(group_elements(G, limit))
+
+
+def signed_matrix(g: SignedPermutation) -> tuple:
+    """The n x n matrix of g: column j is the image of e_{j+1}."""
+    n = g.degree
+    rows = [[0] * n for _ in range(n)]
+    for j, v in enumerate(g.image):
+        rows[abs(v) - 1][j] = 1 if v > 0 else -1
+    return tuple(tuple(r) for r in rows)
+
+
+def kernel_fixed_space(G: GroupSpec) -> list:
+    """Fix(G) as the kernel of the stacked (gamma - id) blocks of the generators."""
+    stacked = []
+    for g in G.generators:
+        for i, row in enumerate(signed_matrix(g)):
+            diff = [v - (i == j) for j, v in enumerate(row)]
+            if any(diff):
+                stacked.append(diff)
+    return kernel_basis(stacked, ncols=G.degree)
+
+
+def orbit_average(G: GroupSpec, x) -> tuple:
+    """The average of the points of the orbit of x, by enumerating that orbit."""
+    points = orbit([tuple(Fraction(v) for v in x)], G.generators, SignedPermutation.apply)
+    return tuple(Fraction(sum(col), len(points)) for col in zip(*points))
