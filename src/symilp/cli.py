@@ -121,8 +121,10 @@ def cmd_lp(args) -> int:
 
 def cmd_detect(args) -> int:
     inst = model.read_instance(args.file)
-    det = symdetect.detect(inst, args.graph)
+    trace = {}
+    det = symdetect.detect(inst, args.graph, trace=trace)
     print(f"graph {args.graph}: {det.graph.n_nodes} nodes, {det.graph.n_edges} edges")
+    print(f"search: {trace['refinements']} refinements, {trace['splits']} splits")
     print(f"group order {det.order}")
     for g in det.group.generators:
         print("gen " + " ".join(str(v) for v in g.image))
@@ -135,12 +137,7 @@ def cmd_reduce(args) -> int:
     inst = model.read_instance(args.file)
     G = symmetry.read_generators(args.group)
     rp = reduction.build_reduced(inst, G)
-    try:
-        red = reduction.reduced_instance(rp)
-    except InfeasibleZeroRow as exc:  # an orbit sum reads 0 <= b with b < 0
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    model.write_instance(red, args.outfile)
+    model.write_instance(reduction.reduced_instance(rp), args.outfile)
     print(
         f"reduced {inst.name}: {inst.m} rows -> {len(rp.summed_rows)} orbit sums "
         f"+ {len(rp.fixing)} equations -> {args.outfile}"
@@ -300,6 +297,9 @@ def main(argv=None) -> int:
             if not hasattr(args, dest):
                 setattr(args, dest, default)
         return _COMMANDS[args.command](args)
+    except InfeasibleZeroRow as exc:  # a row, read or orbit-summed, reads 0 <= b with b < 0
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except UnboundedRelaxation as exc:
         print(f"unbounded relaxation: {exc}", file=sys.stderr)
         return EXIT_UNBOUNDED

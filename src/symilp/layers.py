@@ -165,8 +165,8 @@ def scan_prologue(
     if not assume_transitive:
         level = verify_symmetric_group_invariance(inst)
         if level == NONE and TRANSITIVE_ONLY in accepted:
-            G = symdetect.detect(inst, "reduced").group  # transitive iff e_1 reaches all n
-            if len({abs(v) for v in basis_orbits(G)[0].members}) == inst.n:
+            G = symdetect.detect(inst, "reduced", trace=trace).group
+            if len({abs(v) for v in basis_orbits(G)[0].members}) == inst.n:  # e_1 reaches all n
                 level = TRANSITIVE_ONLY
         if level not in accepted:
             raise TransitivityNotEstablished(

@@ -87,19 +87,12 @@ def _echelon(rows: list, ncols: int):
     return pivots
 
 
-def rank(M) -> int:
-    rows = [list(scale_coprime(row)) for row in M]
-    if not rows:
-        return 0
-    return len(_echelon(rows, len(rows[0])))
-
-
 def kernel_basis(M, ncols: int | None = None) -> list:
     """Basis of {x : Mx = 0}, one coprime integer vector per free column.
 
-    Vectors have a positive leading nonzero entry; their count is
-    ncols - rank(M).  A matrix with no rows (or only zero rows) yields the
-    standard basis.
+    Vectors have a positive leading nonzero entry; there is one per column
+    without a pivot in the echelon form of M.  A matrix with no rows (or
+    only zero rows) yields the standard basis.
     """
     rows = [list(scale_coprime(row)) for row in M]
     if ncols is None:
@@ -118,24 +111,3 @@ def kernel_basis(M, ncols: int | None = None) -> list:
             v[c] = Fraction(-s, rows[r][c])
         basis.append(scale_coprime(v, positive_leading=True))
     return basis
-
-
-def solve_linear(M, rhs):
-    """One exact solution of Mx = rhs, or None when inconsistent.
-
-    Free variables are set to zero.
-    """
-    rows = [list(scale_coprime(tuple(row) + (b,))) for row, b in zip(M, rhs)]
-    if not rows:
-        raise ValueError("empty system")
-    ncols = len(rows[0]) - 1
-    pivots = _echelon(rows, ncols)
-    nrank = len(pivots)
-    for i in range(nrank, len(rows)):
-        if rows[i][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, c in reversed(pivots):
-        s = sum(rows[r][j] * x[j] for j in range(c + 1, ncols))
-        x[c] = Fraction(rows[r][ncols] - s, rows[r][c])
-    return tuple(x)

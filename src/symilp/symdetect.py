@@ -8,15 +8,16 @@ coefficients, which extends the correspondence to all signed permutations.
 Zero positions act as their own twins (negating zero changes nothing), so a
 column node and its twin always have equal degree.
 
-The automorphism engine is a color-refinement / individualization search
-that counts the group order level by level with orbit-stabilizer products.
-It refines the first path once and compares each candidate with it round
-by round (the first-path comparison of nauty and Traces); a spent budget
-raises SearchBudgetExceeded.
+The automorphism engine is an individualization-refinement search that
+counts the group order level by level with orbit-stabilizer products.  It
+refines by splitter cells (as nauty and Traces do), from the new cell
+alone after an individualization, refines the first path once and drops a
+candidate at its first split record that differs from the path's.
 """
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from operator import getitem
 
 from .errors import ResultCheckFailed, SearchBudgetExceeded
@@ -149,59 +150,89 @@ def build_full_graph(inst: ILPInstance) -> LabeledGraph:
     return bd.graph()
 
 
-def automorphism_group(g: LabeledGraph, budget: int = 100000):
+def automorphism_group(g: LabeledGraph, budget: int = 100000, trace: dict | None = None):
     """Generators (node mapping tuples) and exact order of the labeled
     automorphism group.
 
-    Refinement-and-individualization search.  The first path (refine, then
-    individualize the first vertex of the first nontrivial cell) is refined
-    once, and each of its colourings keeps its refinement trace.  At each
-    depth, deepest first, the other vertices of that cell are tried: a
-    candidate is refined against the path's trace and dropped at the first
-    round that differs, and the first leaf below it that is an automorphism
-    becomes a generator.  Each depth multiplies the order by its orbit size.
-    The budget caps refinement calls; spending it raises
-    SearchBudgetExceeded.
+    The first path (refine, then individualize the first vertex of the
+    first nontrivial cell) is refined once.  At each depth, deepest first,
+    the other vertices of that cell are refined against the path's split
+    records; the first leaf below one that is an automorphism becomes a
+    generator, and each depth multiplies the order by its orbit size.  The
+    budget caps refinement calls (SearchBudgetExceeded); ``trace`` receives
+    ``refinements`` (the calls spent) and ``splits`` (the cells split).
     """
     adj = g.adj
     n = g.n_nodes
-    spent = 0
+    spent = splits = 0
 
-    def refine(colors, expect=None):
-        """The equitable refinement of colors and its trace: one hash per
-        round of that round's sorted (signature, count) list.  Given a
-        trace ``expect`` to match, the colouring is None as soon as the
-        trace departs from it."""
-        nonlocal spent
+    def refine(colors, queue, expect=None):
+        """The equitable refinement of colors (ids 0..k-1, equitable towards
+        all cells but the splitters in ``queue``), made in place, and its
+        split records.  A splitter S splits each cell holding a neighbour of
+        S by |N(v) & S|: cells in colour order, fragments in count order, the
+        first keeping the id and the others numbered on from k, and queued
+        (all if the cell was queued, else all but the largest).  So the ids
+        depend on colours and counts only.  A split records ``(splitter,
+        cell, ((count, size), ...))``; given records ``expect``, the
+        colouring is None at the first split that differs from them."""
+        nonlocal spent, splits
         spent += 1
         if spent > budget:
             raise SearchBudgetExceeded(f"automorphism search over {budget} refinements")
-        trace = []
-        k = len(set(colors))
-        while True:
-            ss = []
-            for v in range(n):
-                cnt = {}
-                for u in adj[v]:
-                    c = colors[u]
-                    cnt[c] = cnt.get(c, 0) + 1
-                ss.append((colors[v], tuple(sorted(cnt.items()))))
-            steps = sorted(Counter(ss).items())
-            trace.append(hash(tuple(steps)))
-            if expect is not None and trace != expect[: len(trace)]:
-                return None, trace
-            order = {s: i for i, (s, _) in enumerate(steps)}
-            colors = [order[s] for s in ss]
-            if len(order) == k:
-                if expect is not None and trace != expect:
-                    return None, trace
-                return colors, trace
-            k = len(order)
+        cells = [set() for _ in range(max(colors, default=-1) + 1)]
+        for v, c in enumerate(colors):
+            cells[c].add(v)
+        expect = None if expect is None else iter(expect)
+        queued = set(queue)
+        queue = deque(queue)
+        records = []
+        while queue and len(cells) < n:  # a discrete colouring splits no further
+            s = queue.popleft()
+            queued.discard(s)
+            count = Counter(chain.from_iterable(map(adj.__getitem__, cells[s])))
+            touched = {}
+            for u in count:
+                touched.setdefault(colors[u], []).append(u)
+            for c in sorted(touched):
+                cell, us = cells[c], touched[c]
+                if len(cell) == 1:  # cannot split: skip the grouping
+                    continue
+                frags = {}
+                for u in us:
+                    frags.setdefault(count[u], []).append(u)
+                frags = sorted(frags.items())
+                rest = len(cell) - len(us)  # the fragment of count 0
+                shape = ((0, rest),) * (rest > 0) + tuple((k, len(f)) for k, f in frags)
+                if len(shape) == 1:
+                    continue
+                record = (s, c, shape)
+                if expect is not None and next(expect, None) != record:
+                    return None, records
+                records.append(record)
+                splits += 1
+                ids = [c]
+                for _, f in frags if rest else frags[1:]:
+                    cell.difference_update(f)
+                    for v in f:
+                        colors[v] = len(cells)
+                    ids.append(len(cells))
+                    cells.append(set(f))
+                sizes = [size for _, size in shape]
+                largest = -1 if c in queued else sizes.index(max(sizes))
+                for i, d in enumerate(ids):
+                    if i != largest and d not in queued:
+                        queue.append(d)
+                        queued.add(d)
+        if expect is not None and next(expect, None) is not None:
+            return None, records
+        return colors, records
 
-    def individualized(colors, v):
+    def individualize(colors, v, expect=None):
+        """Give v a cell of its own and refine from that cell."""
         out = list(colors)
-        out[v] = max(colors) + 1
-        return out
+        out[v] = k = max(colors) + 1
+        return refine(out, [k], expect)
 
     def cell(colors, c):
         return [v for v, cv in enumerate(colors) if cv == c]
@@ -214,31 +245,32 @@ def automorphism_group(g: LabeledGraph, budget: int = 100000):
                 return False
         return True
 
-    # the first path: per depth, the refined colouring, its trace, its cell
-    # sizes and the colour of its first nontrivial cell (None at the leaf)
+    # the first path: per depth, the refined colouring, its split records, its
+    # cell sizes and the colour of its first nontrivial cell (None at the leaf)
     path = []
-    colors = list(g.labels)
+    rank = {label: i for i, label in enumerate(sorted(set(g.labels)))}
+    colors, records = refine([rank[label] for label in g.labels], range(len(rank)))
     while True:
-        colors, trace = refine(colors)
         sizes = Counter(colors)
         c = min((c for c, k in sizes.items() if k > 1), default=None)
-        path.append((colors, trace, sizes, c))
+        path.append((colors, records, sizes, c))
         if c is None:
             break
-        colors = individualized(colors, colors.index(c))
+        colors, records = individualize(colors, colors.index(c))
 
-    def find_first(depth, ct):
-        """First automorphism taking path[depth]'s leaf to a leaf below ct."""
-        cs, trace, sizes, c = path[depth]
-        ct, _ = refine(ct, trace)
-        if ct is None or Counter(ct) != sizes:  # a hash collision stops here
+    def find_first(depth, ct, w):
+        """First automorphism taking path[depth]'s leaf to a leaf below ct
+        with w individualized."""
+        cs, records, sizes, c = path[depth]
+        ct, _ = individualize(ct, w, records)
+        if ct is None or Counter(ct) != sizes:
             return None
         if c is None:
             where = {cv: v for v, cv in enumerate(ct)}
             m = tuple(where[cv] for cv in cs)
             return m if is_automorphism(m) else None
-        for w in cell(ct, c):
-            m = find_first(depth + 1, individualized(ct, w))
+        for u in cell(ct, c):
+            m = find_first(depth + 1, ct, u)
             if m is not None:
                 return m
         return None
@@ -252,11 +284,13 @@ def automorphism_group(g: LabeledGraph, budget: int = 100000):
         for w in rest:
             if w in reached:
                 continue
-            m = find_first(depth + 1, individualized(colors, w))
+            m = find_first(depth + 1, colors, w)
             if m is not None:
                 gens.append(m)
                 reached = orbit(reached, gens, getitem)
         order *= len(reached)
+    if trace is not None:
+        trace.update(refinements=spent, splits=splits)
     return gens, order
 
 
@@ -290,16 +324,18 @@ def _translate(inst: ILPInstance, g: LabeledGraph, mapping: tuple):
     return SignedPermutation(image)
 
 
-def detect(inst: ILPInstance, mode: str = "full", budget: int = 100000) -> Detection:
+def detect(
+    inst: ILPInstance, mode: str = "full", budget: int = 100000, trace: dict | None = None
+) -> Detection:
     """Detect instance symmetries through the chosen ILP graph.
 
     Raises SearchBudgetExceeded when the automorphism search spends its
-    budget.
+    budget.  ``trace`` receives the search's ``refinements`` and ``splits``.
     """
     if mode not in ("reduced", "full"):
         raise ValueError("mode must be 'reduced' or 'full'")
     graph = build_reduced_graph(inst) if mode == "reduced" else build_full_graph(inst)
-    mappings, order = automorphism_group(graph, budget=budget)
+    mappings, order = automorphism_group(graph, budget=budget, trace=trace)
     gens = []
     for mapping in mappings:
         sp = _translate(inst, graph, mapping)

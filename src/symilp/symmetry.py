@@ -46,15 +46,6 @@ class SignedPermutation:
             out.append(w if v > 0 else -w)
         return SignedPermutation(out)
 
-    def inverse(self) -> "SignedPermutation":
-        inv = [0] * len(self.image)
-        for j, v in enumerate(self.image):
-            if v > 0:
-                inv[v - 1] = j + 1
-            else:
-                inv[-v - 1] = -(j + 1)
-        return SignedPermutation(inv)
-
     def apply(self, x) -> tuple:
         """Matrix action on a column vector; O(n)."""
         y = [0] * len(self.image)

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import time
 
 import pytest
@@ -175,6 +176,7 @@ def test_detect_command(ex61_file, tmp_path, capsys):
                  "--emit-generators", str(gfile)]) == 0
     out = capsys.readouterr().out
     assert "group order 3" in out
+    assert re.search(r"^search: [1-9]\d* refinements, \d+ splits$", out, re.M)
     G = read_generators(gfile)
     assert G.degree == 3
 
@@ -188,7 +190,7 @@ def test_spent_search_budget_is_a_refusal(tmp_path, ex61, v4, monkeypatch, capsy
     path = tmp_path / "inst.ilp"
     write_instance(inst, path)
 
-    def spent(g, budget):
+    def spent(g, budget, trace=None):
         raise SearchBudgetExceeded(f"automorphism search over {budget} refinements")
 
     monkeypatch.setattr(symdetect, "automorphism_group", spent)
@@ -229,6 +231,16 @@ def test_reduce_of_an_infeasible_lp_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("infeasible: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lp", "solve"])
+def test_a_zero_row_with_a_negative_rhs_is_infeasible(tmp_path, capsys, command):
+    # normalize refuses the row 0 <= -1 while the file is read
+    path = tmp_path / "zero.ilp"
+    path.write_text("ILP v1\nvars 2\nobj 1 1\n1 0 <= 1\n0 1 <= 1\n0 0 <= -1\n")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

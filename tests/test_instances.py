@@ -21,8 +21,9 @@ from symilp.instances import (
     _join_facet_vertex_sets,
 )
 from symilp.model import normalize
-from symilp.ratlin import dot, rank
+from symilp.ratlin import dot
 from symilp.symmetry import full_cycle, is_symmetry, transposition
+from testkit import rank
 
 
 def test_htc_params_window():

@@ -15,7 +15,8 @@ from symilp.errors import (
 )
 from symilp.lpcore import coordinate_bounds, integer_box, solve_lp, solve_lp_on_line
 from symilp.model import Outcome, normalize
-from symilp.ratlin import dot, rank, solve_linear
+from symilp.ratlin import dot
+from testkit import rank, solve_linear
 
 
 def vertex_oracle_max(inst):

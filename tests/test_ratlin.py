@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symilp.ratlin import (
-    dot,
-    kernel_basis,
-    parse_rational,
-    rank,
-    scale_coprime,
-    solve_linear,
-)
+from symilp.ratlin import dot, kernel_basis, parse_rational, scale_coprime
+from testkit import rank, solve_linear
 
 
 def test_parse_rational_forms():

@@ -3,10 +3,12 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symilp import symdetect
 from symilp.errors import ResultCheckFailed, SearchBudgetExceeded
-from symilp.instances import HtcParams, gen_hypertruncated_cube
+from symilp.instances import HtcParams, gen_hypertruncated_cube, gen_wild
 from symilp.model import normalize
 from symilp.symdetect import (
     LabeledGraph,
@@ -16,7 +18,7 @@ from symilp.symdetect import (
     detect,
 )
 from symilp.symmetry import GroupSpec, SignedPermutation, is_symmetry
-from testkit import group_order
+from testkit import group_order, reference_automorphism_group
 
 
 def counts(inst):
@@ -279,6 +281,94 @@ def test_hexagon_and_two_triangles_order():
     _assert_automorphisms(g, gens)
 
 
+def _relabelled(labels, edges, perm):
+    """The graph with node v renamed perm[v]."""
+    n = len(labels)
+    new = [None] * n
+    for v in range(n):
+        new[perm[v]] = labels[v]
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            adj[perm[u]].add(perm[v])
+            adj[perm[v]].add(perm[u])
+    return LabeledGraph(new, adj, [("v", i) for i in range(n)])
+
+
+@st.composite
+def circulants(draw):
+    # Cayley graphs of Z_k: i ~ i + s for s in a connection set; a label
+    # i mod d (d | k) keeps the rotations by multiples of d
+    k = draw(st.integers(3, 12))
+    jumps = draw(st.sets(st.integers(1, k // 2), min_size=1))
+    d = draw(st.sampled_from([d for d in range(1, k + 1) if k % d == 0]))
+    edges = [(i, (i + s) % k) for i in range(k) for s in jumps]
+    return [i % d for i in range(k)], edges
+
+
+@st.composite
+def unions_of_copies(draw):
+    size = draw(st.integers(1, 5))
+    copies = draw(st.integers(2, 14 // size))
+    labels = draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+    pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return (
+        labels * copies,
+        [(u + c * size, v + c * size) for c in range(copies) for u, v in edges],
+    )
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 14))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return labels, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(circulants(), unions_of_copies(), random_graphs()), st.randoms())
+def test_search_matches_the_round_based_reference(graph, rng):
+    # refinement splits little in these graphs, so the search does the work;
+    # a random renaming of the nodes must change nothing
+    labels, edges = graph
+    perm = list(range(len(labels)))
+    rng.shuffle(perm)
+    g = _relabelled(labels, edges, perm)
+    gens, order = automorphism_group(g)
+    assert order == reference_automorphism_group(g)[1]
+    _assert_automorphisms(g, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_search_matches_the_reference_on_corpus_graphs(corpus, data):
+    build = data.draw(st.sampled_from([build_reduced_graph, build_full_graph]))
+    g = build(data.draw(st.sampled_from(corpus)))
+    gens, order = automorphism_group(g)
+    assert order == reference_automorphism_group(g)[1]
+    _assert_automorphisms(g, gens)
+
+
+def test_refinement_alone_makes_a_marked_path_discrete():
+    # an equitable colouring of a path with one marked end is discrete, so
+    # the search refines once and individualizes nothing
+    g = _relabelled([1] + [0] * 11, [(i, i + 1) for i in range(11)], list(range(12)))
+    trace = {}
+    assert automorphism_group(g, trace=trace) == ([], 1)
+    assert trace["refinements"] == 1 and trace["splits"] > 0
+
+
+@pytest.mark.parametrize("d, order", [(3, 720), (4, 5040)])
+def test_wild_reduced_detection_orders(d, order):
+    inst = gen_wild(d)
+    det = detect(inst, "reduced")
+    assert det.order == order
+    assert all(is_symmetry(inst, g) for g in det.group.generators)
+
+
 def test_detect_emits_generating_set(htc6):
     det = detect(htc6, "full")
     assert det.order == 720
@@ -295,7 +385,7 @@ def _swap_nodes(graph, a, b):
 def test_detect_rejects_a_mapping_that_is_no_symmetry(ex61, monkeypatch):
     # the transposition (1 2) does not fix the cyclic instance
     bad = _swap_nodes(build_reduced_graph(ex61), ("col", 0), ("col", 1))
-    monkeypatch.setattr(symdetect, "automorphism_group", lambda g, budget: ([bad], 2))
+    monkeypatch.setattr(symdetect, "automorphism_group", lambda g, budget, trace=None: ([bad], 2))
     with pytest.raises(ResultCheckFailed):
         detect(ex61, "reduced")
 
@@ -303,6 +393,6 @@ def test_detect_rejects_a_mapping_that_is_no_symmetry(ex61, monkeypatch):
 def test_detect_rejects_incoherent_twins(ex61, monkeypatch):
     # column 1 stays put while its twin moves to column 2's twin
     bad = _swap_nodes(build_full_graph(ex61), ("colhat", 0), ("colhat", 1))
-    monkeypatch.setattr(symdetect, "automorphism_group", lambda g, budget: ([bad], 2))
+    monkeypatch.setattr(symdetect, "automorphism_group", lambda g, budget, trace=None: ([bad], 2))
     with pytest.raises(ResultCheckFailed):
         detect(ex61, "full")

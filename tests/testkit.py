@@ -1,15 +1,21 @@
 """Reference helpers that only the tests use.
 
 Layer centers, core-point distances, the representative oracle, basis
-orbit barycenters, group enumeration, and the fixed space and orbit
-average by matrices and enumeration: each restates a definition of the
-paper directly, so the tests can check the solvers against it.
+orbit barycenters, group enumeration, the fixed space and orbit average by
+matrices and enumeration, rank and linear solving by Gauss-Jordan
+elimination over Fraction, signed-permutation inverses, and the
+round-based automorphism search: each restates a definition of the paper
+directly, or keeps an earlier implementation, so the tests can check the
+solvers against it.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 
 from symilp.corepoint import CoreRepresentative
+from symilp.errors import SearchBudgetExceeded
 from symilp.layers import CoprimeDirection
 from symilp.ratlin import kernel_basis
 from symilp.symmetry import BasisOrbit, GroupSpec, SignedPermutation, orbit
@@ -96,3 +102,145 @@ def orbit_average(G: GroupSpec, x) -> tuple:
     """The average of the points of the orbit of x, by enumerating that orbit."""
     points = orbit([tuple(Fraction(v) for v in x)], G.generators, SignedPermutation.apply)
     return tuple(Fraction(sum(col), len(points)) for col in zip(*points))
+
+
+def reduced_row_echelon(rows, ncols: int):
+    """Gauss-Jordan elimination over Fraction on the first ncols columns:
+    the reduced rows (pivot rows first) and their pivot columns."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def rank(M) -> int:
+    M = list(M)
+    return len(reduced_row_echelon(M, len(M[0]))[1]) if M else 0
+
+
+def solve_linear(M, rhs):
+    """One exact solution of Mx = rhs, free variables at zero, or None
+    when the system is inconsistent."""
+    rows = [tuple(row) + (b,) for row, b in zip(M, rhs)]
+    if not rows:
+        raise ValueError("empty system")
+    ncols = len(rows[0]) - 1
+    rows, pivots = reduced_row_echelon(rows, ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(rows, pivots):
+        x[c] = row[ncols]
+    return tuple(x)
+
+
+def inverse(g: SignedPermutation) -> SignedPermutation:
+    inv = [0] * g.degree
+    for j, v in enumerate(g.image):
+        inv[abs(v) - 1] = j + 1 if v > 0 else -(j + 1)
+    return SignedPermutation(inv)
+
+
+def reference_automorphism_group(g, budget: int = 100000):
+    """The automorphism search with round-based refinement: every round
+    recolours each vertex by its sorted multiset of neighbour colours, and
+    the trace keeps one hash per round.  Same generators-and-order contract
+    as ``symdetect.automorphism_group``."""
+    adj = g.adj
+    n = g.n_nodes
+    spent = 0
+
+    def refine(colors, expect=None):
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            raise SearchBudgetExceeded(f"automorphism search over {budget} refinements")
+        trace = []
+        k = len(set(colors))
+        while True:
+            ss = []
+            for v in range(n):
+                cnt = {}
+                for u in adj[v]:
+                    c = colors[u]
+                    cnt[c] = cnt.get(c, 0) + 1
+                ss.append((colors[v], tuple(sorted(cnt.items()))))
+            steps = sorted(Counter(ss).items())
+            trace.append(hash(tuple(steps)))
+            if expect is not None and trace != expect[: len(trace)]:
+                return None, trace
+            order = {s: i for i, (s, _) in enumerate(steps)}
+            colors = [order[s] for s in ss]
+            if len(order) == k:
+                if expect is not None and trace != expect:
+                    return None, trace
+                return colors, trace
+            k = len(order)
+
+    def individualized(colors, v):
+        out = list(colors)
+        out[v] = max(colors) + 1
+        return out
+
+    def cell(colors, c):
+        return [v for v, cv in enumerate(colors) if cv == c]
+
+    def is_automorphism(mapping) -> bool:
+        for v in range(n):
+            if g.labels[mapping[v]] != g.labels[v]:
+                return False
+            if {mapping[u] for u in adj[v]} != adj[mapping[v]]:
+                return False
+        return True
+
+    path = []
+    colors = list(g.labels)
+    while True:
+        colors, trace = refine(colors)
+        sizes = Counter(colors)
+        c = min((c for c, k in sizes.items() if k > 1), default=None)
+        path.append((colors, trace, sizes, c))
+        if c is None:
+            break
+        colors = individualized(colors, colors.index(c))
+
+    def find_first(depth, ct):
+        cs, trace, sizes, c = path[depth]
+        ct, _ = refine(ct, trace)
+        if ct is None or Counter(ct) != sizes:
+            return None
+        if c is None:
+            where = {cv: v for v, cv in enumerate(ct)}
+            m = tuple(where[cv] for cv in cs)
+            return m if is_automorphism(m) else None
+        for w in cell(ct, c):
+            m = find_first(depth + 1, individualized(ct, w))
+            if m is not None:
+                return m
+        return None
+
+    gens = []
+    order = 1
+    for depth in range(len(path) - 2, -1, -1):
+        colors, _, _, c = path[depth]
+        first, *rest = cell(colors, c)
+        reached = {first}
+        for w in rest:
+            if w in reached:
+                continue
+            m = find_first(depth + 1, individualized(colors, w))
+            if m is not None:
+                gens.append(m)
+                reached = orbit(reached, gens, getitem)
+        order *= len(reached)
+    return gens, order
