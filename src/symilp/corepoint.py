@@ -57,7 +57,9 @@ def solve_core_point(
     Maintains the m dot products incrementally while single coordinates of
     the representative drop from q+1 to q, so a whole scan costs O(mn)
     beyond the O(mn) initialization (within the O(mn^2) contract).
-    ``trace`` receives ``lp_s`` and ``feasibility_checks``.
+    ``trace`` receives ``lp_s`` and ``feasibility_checks``, and the
+    certificate's ``certificate`` and ``certificate_s`` unless
+    ``assume_transitive``.
     """
     n = inst.n
     if n < 2:

@@ -157,13 +157,18 @@ def scan_prologue(
     ``assume_transitive``, runs the certificate, which must reach one of the
     ``accepted`` levels; if it finds none and TRANSITIVE_ONLY is accepted,
     detection decides.  Returns zeta of the LP on the line, None if that
-    LP is infeasible; an unbounded one raises.  The LP's seconds go to
-    ``trace["lp_s"]``.
+    LP is infeasible; an unbounded one raises.  The certificate's tier and
+    seconds go to ``trace["certificate"]`` and ``trace["certificate_s"]``,
+    the LP's seconds to ``trace["lp_s"]``.
     """
     if any(cj != 1 for cj in inst.c):
         raise ObjectiveNotOnes(f"{scan} is defined for c = 1")
     if not assume_transitive:
+        t0 = perf_counter()
         level = verify_symmetric_group_invariance(inst)
+        if trace is not None:
+            trace["certificate"] = level
+            trace["certificate_s"] = perf_counter() - t0
         if level == NONE and TRANSITIVE_ONLY in accepted:
             G = symdetect.detect(inst, "reduced", trace=trace).group
             if len({abs(v) for v in basis_orbits(G)[0].members}) == inst.n:  # e_1 reaches all n
@@ -192,7 +197,9 @@ def solve_by_layers(
 
     Scans k from floor(n*zeta) down to n*floor(zeta): the first layer with
     a feasible integral point is optimal, and an exhausted scan certifies
-    infeasibility.  ``trace`` receives ``lp_s`` and ``layers_scanned``.
+    infeasibility.  ``trace`` receives ``lp_s`` and ``layers_scanned``, and
+    the certificate's ``certificate`` and ``certificate_s`` unless
+    ``assume_transitive``.
     """
     n = inst.n
     transitive = (FULL_SYMMETRIC, ALTERNATING, TRANSITIVE_ONLY)  # any level but NONE

@@ -18,8 +18,9 @@ a fixed space; the LP on the line is the case F = (1, ..., 1).
 """
 
 from fractions import Fraction
+from itertools import compress, repeat
 from math import ceil, floor, lcm
-from operator import mul
+from operator import add, itemgetter, mul
 
 from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion, InfeasibleZeroRow
 from .errors import ObjectiveNotOnes, ResultCheckFailed
@@ -216,16 +217,35 @@ def _checked_simplex(inst: ILPInstance, c) -> Outcome:
     return out
 
 
+def _basis_column(rows, f):
+    """a.f for every row a, as the sum over f's distinct nonzero values v of
+    v times the sum of a's entries where f is v: one compress pass per value.
+
+    A lazy chain of maps, so no per-row bytecode runs and no list of m
+    products is held: the caller's set of distinct rows is all it keeps.
+    """
+    col = repeat(0, len(rows))
+    for v in set(f) - {0}:
+        mask = [x == v for x in f]
+        col = map(add, col, map(mul, repeat(v), map(sum, map(compress, rows, repeat(mask)))))
+    return col
+
+
 def solve_lp(inst: ILPInstance, basis=None) -> Outcome:
     """Exact optimum of the relaxation max c^t x, Ax <= b.
 
-    With a basis (a list of integer vectors f_1..f_k) the LP is solved over
-    x = F y: its rows are the distinct (a.f_1, ..., a.f_k | b), its objective c F.
+    With a basis (a list of integer vectors f_1..f_k, each of length n) the
+    LP is solved over x = F y: its rows are the distinct (a.f_1, ..., a.f_k | b),
+    its objective c F.  A vector of another length raises ValueError.
     """
     lp = inst
     if basis is not None:
+        for f in basis:
+            if len(f) != inst.n:
+                raise ValueError(f"basis vector of length {len(f)} for n = {inst.n}")
         c = tuple(sum(map(mul, inst.c, f)) for f in basis)
-        rows = {tuple(sum(map(mul, row, f)) for f in basis) + (row[-1],) for row in inst.rows}
+        cols = [_basis_column(inst.rows, f) for f in basis]
+        rows = set(zip(*cols, map(itemgetter(-1), inst.rows)))
         try:
             lp = normalize(rows, c, name=f"{inst.name}#span")
         except InfeasibleZeroRow:

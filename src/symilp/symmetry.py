@@ -9,6 +9,7 @@ notation, (1+2-4+3-) corresponds to image (2, -4, -1, 3).
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 
 from .errors import ResultCheckFailed, SearchBudgetExceeded
 from .model import ILPInstance
@@ -161,9 +162,10 @@ def is_symmetry(inst: ILPInstance, g: SignedPermutation) -> bool:
     rows = inst.rows
     rowset = inst.row_set
     if g.is_plain:
-        idx = tuple(v - 1 for v in g.image) + (n,)
+        # n >= 1 indices plus the rhs's n: at least two, so it returns a tuple
+        permuted = itemgetter(*(v - 1 for v in g.image), n)
         for row in rows:
-            if tuple(map(row.__getitem__, idx)) not in rowset:
+            if permuted(row) not in rowset:
                 return False
     else:
         for row in rows:

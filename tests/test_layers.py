@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symilp import symdetect
+from symilp.corepoint import solve_core_point
 from symilp.errors import (
     BoxTooLarge,
     ObjectiveNotOnes,
@@ -188,6 +189,21 @@ def test_cyclic_layer_scan_runs_no_detection(cyc4, monkeypatch):
     # summing the four rows gives 3 * sum(x) <= 12, and 1 is feasible
     out = solve_by_layers(cyc4)
     assert out == Outcome("optimal", point=(1, 1, 1, 1), value=Fraction(4))
+
+
+def test_scans_trace_the_certificate(htc6, cyc4):
+    trace = {}
+    solve_core_point(htc6, trace=trace)
+    assert trace["certificate"] == "full_symmetric"
+    assert trace["certificate_s"] >= 0
+    trace = {}
+    solve_by_layers(cyc4, trace=trace)
+    assert trace["certificate"] == "transitive_only"
+    for scan, inst in ((solve_core_point, htc6), (solve_by_layers, cyc4)):
+        trace = {}
+        scan(inst, assume_transitive=True, trace=trace)
+        assert "lp_s" in trace
+        assert "certificate" not in trace and "certificate_s" not in trace
 
 
 def test_solve_by_layers_unbounded():

@@ -194,6 +194,13 @@ def test_line_requires_ones(ex61):
         solve_lp_on_line(inst)
 
 
+@pytest.mark.parametrize("f", [(1, 1), (1, 1, 1, 1)])
+def test_basis_vector_of_the_wrong_length_is_refused(ex61, f):
+    # a short or long vector would be cut to the shorter length, not refused
+    with pytest.raises(ValueError, match="n = 3"):
+        solve_lp(ex61, [(1, 1, 1), f])
+
+
 def test_line_agrees_with_equality_augmented_lp(corpus):
     """On the diagonal, max sum(x) equals the LP with x_i = x_{i+1} rows."""
     taken = 0

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from symilp import reduction
 from symilp.errors import NotASymmetry, ResultCheckFailed
@@ -18,11 +17,12 @@ from symilp.ratlin import dot
 from symilp.symmetry import (
     GroupSpec,
     SignedPermutation,
+    fixed_space,
     full_cycle,
-    orbit,
     sym_generators,
     transposition,
 )
+from testkit import symmetric_lps
 
 CYC3 = GroupSpec(3, (full_cycle(3),))
 
@@ -151,47 +151,6 @@ def test_solve_symmetric_rows_vanish_on_fix():
     assert solve_lp(inst).status == "unbounded"
 
 
-# --- instances closed under a drawn group
-
-
-def _act(g, row):
-    return g.apply_to_row(row[:-1]) + (row[-1],)
-
-
-@st.composite
-def symmetric_lps(draw):
-    """Rows closed under Sym(n), the n-cycle, a signed group or the trivial
-    group, with an objective the group fixes."""
-    n = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["sym", "cycle", "minus_id", "flip", "trivial"]))
-    t = draw(st.integers(-2, 2))
-    c = [t] * n
-    if kind == "sym":
-        gens = sym_generators(n)
-    elif kind == "cycle":
-        gens = (full_cycle(n),)
-    elif kind == "minus_id":
-        gens = (SignedPermutation(range(-1, -n - 1, -1)),)
-        c = [0] * n
-    elif kind == "flip":
-        j = draw(st.integers(1, n))
-        gens = (SignedPermutation(-i if i == j else i for i in range(1, n + 1)),)
-        c = [draw(st.integers(-2, 2)) for _ in range(n)]
-        c[j - 1] = 0
-    else:
-        gens = (SignedPermutation.identity(n),)
-        c = [draw(st.integers(-2, 2)) for _ in range(n)]
-    seeds = []
-    for _ in range(draw(st.integers(1, 3))):
-        a = tuple(draw(st.integers(-2, 2)) for _ in range(n))
-        if any(a):
-            seeds.append(a + (draw(st.integers(-2, 4)),))
-    if not seeds:
-        seeds.append((1,) * n + (1,))
-    rows = orbit(seeds, gens, _act)
-    return normalize(rows, c, name=kind), GroupSpec(n, gens)
-
-
 @settings(max_examples=200, deadline=None)
 @given(symmetric_lps())
 def test_solve_symmetric_matches_solve_lp(drawn):
@@ -205,3 +164,6 @@ def test_solve_symmetric_matches_solve_lp(drawn):
     n = inst.n
     standard = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     assert solve_lp(inst, standard) == full
+    # a non-unit basis of Fix(G); the simplex may stop at another optimal vertex
+    doubled = solve_lp(inst, [tuple(2 * v for v in f) for f in fixed_space(G)])
+    assert (doubled.status, doubled.value) == (full.status, full.value)

@@ -36,7 +36,9 @@ from testkit import (
     orbit_average,
     orbit_barycenter,
     rank,
+    reference_is_symmetry,
     signed_matrix,
+    symmetric_lps,
 )
 
 SIGNED_4CYCLE = SignedPermutation((2, -4, -1, 3))  # e1->e2, e2->-e4, e4->e3, e3->-e1
@@ -87,6 +89,29 @@ def test_is_symmetry_ex61(ex61):
     assert is_symmetry(ex61, SignedPermutation((2, 3, 1)))
     assert not is_symmetry(ex61, transposition(3, 1, 2))
     assert is_symmetry(ex61, SignedPermutation.identity(3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_is_symmetry_matches_the_row_loop(corpus, data):
+    if data.draw(st.booleans()):
+        inst = data.draw(st.sampled_from(corpus))
+        gens = sym_generators(inst.n)
+    else:
+        inst, G = data.draw(symmetric_lps())
+        gens = G.generators
+    n = inst.n
+    if data.draw(st.booleans()):  # c = 0 leaves every verdict to the rows
+        inst = normalize(inst.rows, [0] * n, name=inst.name)
+    signs = data.draw(st.lists(st.sampled_from((1, 1, -1)), min_size=n, max_size=n))
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    drawn = [
+        SignedPermutation(perm),
+        SignedPermutation(s * v for s, v in zip(signs, perm)),
+        data.draw(st.sampled_from(gens)),
+    ]
+    for g in drawn:
+        assert is_symmetry(inst, g) == reference_is_symmetry(inst, g)
 
 
 def test_fixed_space_cyclic():

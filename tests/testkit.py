@@ -3,10 +3,11 @@
 Layer centers, core-point distances, the representative oracle, basis
 orbit barycenters, group enumeration, the fixed space and orbit average by
 matrices and enumeration, rank and linear solving by Gauss-Jordan
-elimination over Fraction, signed-permutation inverses, and the
-round-based automorphism search: each restates a definition of the paper
-directly, or keeps an earlier implementation, so the tests can check the
-solvers against it.
+elimination over Fraction, signed-permutation inverses, the row loop of
+the symmetry check and the round-based automorphism search: each restates
+a definition of the paper directly, or keeps an earlier implementation, so
+the tests can check the solvers against it.  ``symmetric_lps`` draws
+instances closed under a group, for the property tests.
 """
 
 from collections import Counter
@@ -14,11 +15,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import getitem
 
+from hypothesis import strategies as st
+
 from symilp.corepoint import CoreRepresentative
 from symilp.errors import SearchBudgetExceeded
 from symilp.layers import CoprimeDirection
+from symilp.model import normalize
 from symilp.ratlin import kernel_basis
-from symilp.symmetry import BasisOrbit, GroupSpec, SignedPermutation, orbit
+from symilp.symmetry import (
+    BasisOrbit,
+    GroupSpec,
+    SignedPermutation,
+    full_cycle,
+    orbit,
+    sym_generators,
+)
 
 
 @dataclass(frozen=True)
@@ -149,6 +160,59 @@ def inverse(g: SignedPermutation) -> SignedPermutation:
     for j, v in enumerate(g.image):
         inv[abs(v) - 1] = j + 1 if v > 0 else -(j + 1)
     return SignedPermutation(inv)
+
+
+def _act(g, row):
+    return g.apply_to_row(row[:-1]) + (row[-1],)
+
+
+def reference_is_symmetry(inst, g) -> bool:
+    """The row loop of ``is_symmetry`` before its row kernels: c gamma = c,
+    and every a gamma | b is a row of the instance."""
+    if g.apply_to_row(inst.c) != inst.c:
+        return False
+    return all(_act(g, row) in inst.row_set for row in inst.rows)
+
+
+@st.composite
+def symmetric_lps(draw):
+    """Rows closed under Sym(n), the n-cycle, a signed group or the trivial
+    group, with an objective the group fixes."""
+    kind = draw(st.sampled_from(["sym", "cycle", "minus_id", "flip", "swap", "trivial"]))
+    n = draw(st.integers(2 if kind == "swap" else 1, 4))
+    t = draw(st.integers(-2, 2))
+    c = [t] * n
+    if kind == "sym":
+        gens = sym_generators(n)
+    elif kind == "cycle":
+        gens = (full_cycle(n),)
+    elif kind == "minus_id":
+        gens = (SignedPermutation(range(-1, -n - 1, -1)),)
+        c = [0] * n
+    elif kind == "flip":
+        j = draw(st.integers(1, n))
+        gens = (SignedPermutation(-i if i == j else i for i in range(1, n + 1)),)
+        c = [draw(st.integers(-2, 2)) for _ in range(n)]
+        c[j - 1] = 0
+    elif kind == "swap":
+        # e_1 -> -e_2, e_2 -> -e_1: Fix(G) holds (1, -1, 0, ..., 0)
+        gens = (SignedPermutation((-2, -1) + tuple(range(3, n + 1))),)
+        c = [draw(st.integers(-2, 2)) for _ in range(n)]
+        c[1] = -c[0]
+    else:
+        gens = (SignedPermutation.identity(n),)
+        c = [draw(st.integers(-2, 2)) for _ in range(n)]
+    seeds = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+        if any(a):
+            seeds.append(a + (draw(st.integers(-2, 4)),))
+    if not seeds:
+        seeds.append((1,) * n + (1,))
+    rows = orbit(seeds, gens, _act)
+    return normalize(rows, c, name=kind), GroupSpec(n, gens)
+
+
 
 
 def reference_automorphism_group(g, budget: int = 100000):
