@@ -81,7 +81,10 @@ def _parse_box(text, n):
     pairs = []
     for part in parts:
         lo, _, hi = part.partition(":")
-        pairs.append((int(lo), int(hi)))
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise ValueError(f"box range {part} is empty")
+        pairs.append((lo, hi))
     if len(pairs) == 1:
         pairs = pairs * n
     if len(pairs) != n:

@@ -42,7 +42,7 @@ class TransitivityNotEstablished(SymilpError):
 
 
 class SearchBudgetExceeded(SymilpError):
-    """The automorphism search exceeded its node budget."""
+    """An exponential search (automorphism search or simplex pivots) spent its budget."""
 
 
 class BadParams(SymilpError):

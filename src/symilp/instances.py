@@ -12,7 +12,7 @@ closed under the full symmetric group.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import isqrt
 
 from .errors import BadParams, DegenerateFacet
@@ -82,20 +82,6 @@ def gen_hypertruncated_cube(p: HtcParams) -> ILPInstance:
         row[n] = num * (n - r)
         rows.append(tuple(row))
     return normalize(rows, [ONE] * n, name=f"htc-n{n}-r{r}-l{num}_{den}")
-
-
-def htc_vertices(p: HtcParams):
-    """Vertex inventory: e_S for |S| <= r, plus lambda*1."""
-    n = p.n
-    verts = []
-    for size in range(p.r + 1):
-        for S in combinations(range(n), size):
-            v = [Fraction(0)] * n
-            for i in S:
-                v[i] = ONE
-            verts.append(tuple(v))
-    verts.append((p.lam,) * n)
-    return verts
 
 
 def round3(x: Fraction) -> Fraction:

@@ -1,10 +1,13 @@
 """Exact rational linear programming over Ax <= b with free variables.
 
-Two-phase simplex on an integer tableau: free variables are split into
-differences of nonnegatives, infeasibility is handled with a single
-auxiliary variable, and Bland's smallest-index rule is used in both phases
-so termination is guaranteed on the heavily degenerate symmetric instances
-this toolkit produces.
+Two-phase simplex on an integer tableau with one column per variable: each
+free x_j is pivoted into the basis before phase 1 and never leaves
+(Chvatal 1983), so the ratio tests and phase 1 see only the slack rows.
+Infeasibility is handled with a single auxiliary variable, and Bland's
+smallest-index rule is used in both phases so termination is guaranteed on
+the heavily degenerate symmetric instances this toolkit produces.  Bland's
+rule can still take exponentially many pivots (Avis and Chvatal 1978), so
+a run that needs more than PIVOT_BUDGET of them raises SearchBudgetExceeded.
 
 The tableau is fraction-free (integer pivoting, as in Edmonds 1967 and in
 Avis's lrs).  Every row holds Python ints over one shared denominator D,
@@ -18,42 +21,42 @@ a fixed space; the LP on the line is the case F = (1, ..., 1).
 """
 
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from math import ceil, floor, lcm
 from operator import add, itemgetter, mul
 
 from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion, InfeasibleZeroRow
-from .errors import ObjectiveNotOnes, ResultCheckFailed
+from .errors import ObjectiveNotOnes, ResultCheckFailed, SearchBudgetExceeded
 from .model import ILPInstance, INFEASIBLE, Outcome, OPTIMAL, UNBOUNDED, normalize
+
+PIVOT_BUDGET = 100000  # pivots one simplex run may make
 
 
 class _Tableau:
-    """Integer simplex dictionary for max sum(c~_v y_v), A~y <= b, y >= 0.
+    """Integer simplex dictionary for max c^t x, Ax + s = b, s >= 0, x free.
 
-    Variable ids: 0..2n-1 split structurals (x_j = y_2j - y_2j+1),
-    2n..2n+m-1 slacks, 2n+m the phase-1 auxiliary.  Row i reads
-    D * y_basis[i] = rows[i][-1] + sum_k rows[i][k] * y_nonbasic[k], and
-    the objective row obj reads D * scale * z the same way.
+    Variable ids: 0..n-1 structurals, n..n+m-1 slacks, n+m the phase-1
+    auxiliary.  Row i reads D * y_basis[i] = rows[i][-1] + sum_k rows[i][k] *
+    y_nonbasic[k], and the objective row obj reads D * scale * z the same
+    way.  Each structural enters on its first slack row with a nonzero
+    entry; one with none moves along a line inside the region, so it stays
+    nonbasic at 0 with its column zero on every slack row.
     """
 
     def __init__(self, inst: ILPInstance):
         m, n = inst.m, inst.n
         self.m, self.n = m, n
-        self.aux = 2 * n + m
-        self.nonbasic = list(range(2 * n))
-        self.basis = [2 * n + i for i in range(m)]
-        self.rows = []
-        for row in inst.rows:
-            r = []
-            for j in range(n):
-                a = row[j]
-                r.append(-a)
-                r.append(a)
-            r.append(row[-1])
-            self.rows.append(r)
+        self.aux = n + m
+        self.nonbasic = list(range(n))
+        self.basis = list(range(n, n + m))
+        self.rows = [[-a for a in row[:-1]] + [row[-1]] for row in inst.rows]
         self.D = 1
         self.scale = 1
-        self.obj = [0] * (2 * n + 1)
+        self.obj = [0] * (n + 1)
+        for j in range(n):
+            l = next((i for i, r in enumerate(self.rows) if r[j] and self.basis[i] >= n), None)
+            if l is not None:
+                self.pivot(j, l)
 
     def pivot(self, e: int, l: int) -> None:
         """Enter nonbasic position e, leave basic row l."""
@@ -87,12 +90,12 @@ class _Tableau:
     def bland_leaving(self, e: int):
         # the limit of row i is b_i / t_i with t_i = -a_ie > 0; compare
         # b_i / t_i < b_best / t_best as b_i * t_best < b_best * t_i, and
-        # break ties toward the smaller basic variable
-        basis = self.basis
+        # break ties toward the smaller basic variable; structurals never leave
+        basis, n = self.basis, self.n
         best_row = None
         for i, r in enumerate(self.rows):
             t = -r[e]
-            if t > 0 and (
+            if t > 0 and basis[i] >= n and (
                 best_row is None
                 or (r[-1] * best_t, basis[i]) < (best_b * t, basis[best_row])
             ):
@@ -100,13 +103,15 @@ class _Tableau:
         return best_row
 
     def run(self) -> str:
-        while True:
+        for spent in count():
             e = self.bland_entering()
             if e is None:
                 return OPTIMAL
             l = self.bland_leaving(e)
             if l is None:
                 return UNBOUNDED
+            if spent == PIVOT_BUDGET:
+                raise SearchBudgetExceeded(f"simplex over {PIVOT_BUDGET} pivots")
             self.pivot(e, l)
 
 
@@ -134,16 +139,17 @@ def _eliminate(r, nz, e, ap, sp, D):
 
 def _phase1(t: _Tableau) -> bool:
     """Drive the tableau to feasibility; False means infeasible."""
-    rows = t.rows
-    worst = min(range(t.m), key=lambda i: (rows[i][-1], t.basis[i]))
-    if rows[worst][-1] >= 0:
+    rows, n = t.rows, t.n
+    slack_rows = [i for i, v in enumerate(t.basis) if v >= n]
+    worst = min(slack_rows, key=lambda i: (rows[i][-1], t.basis[i]), default=None)
+    if worst is None or rows[worst][-1] >= 0:
         return True
     pos = len(t.nonbasic)
     t.nonbasic.append(t.aux)
-    for r in rows:
-        r.insert(pos, 1)
+    for r, v in zip(rows, t.basis):
+        r.insert(pos, t.D if v >= n else 0)
     t.obj = [0] * (pos + 2)
-    t.obj[pos] = -1
+    t.obj[pos] = -t.D
     t.pivot(pos, worst)
     if t.run() != OPTIMAL:
         raise ResultCheckFailed("phase 1: w = -aux <= 0 came out unbounded")
@@ -151,10 +157,11 @@ def _phase1(t: _Tableau) -> bool:
         return False
     if t.aux in t.basis:
         # Degenerate at zero: pivot the auxiliary out.  Its row is never all
-        # zero: it is r^T [A~ | I | 1] over the nonbasic columns, where r is
-        # the auxiliary's row of the inverse basis.  r vanishes on the basic
-        # slacks' identity columns and r.1 = 1, so r_i != 0 for some
-        # nonbasic slack i, whose column then holds -r_i * D.
+        # zero: it is r^T [A | I | u] over the nonbasic columns, where r is
+        # the auxiliary's row of the inverse basis and u its input column.
+        # r vanishes on the basic structurals' and slacks' columns and
+        # r.u = 1, so r_i != 0 for some nonbasic slack i, whose column then
+        # holds -r_i * D.
         l = t.basis.index(t.aux)
         e = next(k for k, v in enumerate(t.rows[l][:-1]) if v)
         t.pivot(e, l)
@@ -165,56 +172,39 @@ def _phase1(t: _Tableau) -> bool:
     return True
 
 
-def _install_objective(t: _Tableau, c) -> None:
-    """Express max c^t x over the tableau's nonbasic variables.
+def _maximize(t: _Tableau, inst: ILPInstance, c) -> Outcome:
+    """max c^t x from the feasible tableau t of inst, which stays feasible.
 
-    c is scaled to integers by the lcm of its denominators, and the row is
-    kept over D times that scale like every other row.
+    c is scaled to integers by the lcm of its denominators, and the objective
+    row is kept over D times that scale like every other row.  A nonbasic
+    structural with a nonzero entry there is a free line that improves c, so
+    the LP is unbounded.  An optimal point is checked feasible and worth its
+    value.
     """
     scale = lcm(*(Fraction(cj).denominator for cj in c))
-    D = t.D
     obj = [0] * (len(t.nonbasic) + 1)
     pos = {v: k for k, v in enumerate(t.nonbasic)}
     row_of = {v: i for i, v in enumerate(t.basis)}
     for j, cj in enumerate(c):
-        if not cj:
-            continue
         w = int(cj * scale)
-        for v, wv in ((2 * j, w), (2 * j + 1, -w)):
-            if v in pos:
-                obj[pos[v]] += wv * D
-            else:
-                for k, a in enumerate(t.rows[row_of[v]]):
-                    if a:
-                        obj[k] += wv * a
+        if j in pos:
+            obj[pos[j]] += w * t.D
+        elif w:
+            for k, a in enumerate(t.rows[row_of[j]]):
+                if a:
+                    obj[k] += w * a
     t.obj = obj
     t.scale = scale
-
-
-def _simplex(inst: ILPInstance, c) -> Outcome:
-    t = _Tableau(inst)
-    if not _phase1(t):
-        return Outcome(INFEASIBLE)
-    _install_objective(t, c)
-    if t.run() == UNBOUNDED:
+    if any(obj[pos[j]] for j in range(t.n) if j in pos) or t.run() == UNBOUNDED:
         return Outcome(UNBOUNDED)
     vals = {v: r[-1] for v, r in zip(t.basis, t.rows)}
-    D = t.D
-    point = tuple(
-        Fraction(vals.get(2 * j, 0) - vals.get(2 * j + 1, 0), D) for j in range(inst.n)
-    )
-    return Outcome(OPTIMAL, point=point, value=Fraction(t.obj[-1], D * t.scale))
-
-
-def _checked_simplex(inst: ILPInstance, c) -> Outcome:
-    """_simplex, with an optimal point checked feasible and worth its value."""
-    out = _simplex(inst, c)
-    if out.status == OPTIMAL:
-        if not inst.is_feasible(out.point):
-            raise ResultCheckFailed(f"simplex: infeasible point for {inst.name or 'instance'}")
-        if sum(map(mul, c, out.point)) != out.value:
-            raise ResultCheckFailed(f"simplex: value mismatch for {inst.name or 'instance'}")
-    return out
+    point = tuple(Fraction(vals.get(j, 0), t.D) for j in range(t.n))
+    value = Fraction(t.obj[-1], t.D * scale)
+    if not inst.is_feasible(point):
+        raise ResultCheckFailed(f"simplex: infeasible point for {inst.name or 'instance'}")
+    if sum(map(mul, c, point)) != value:
+        raise ResultCheckFailed(f"simplex: value mismatch for {inst.name or 'instance'}")
+    return Outcome(OPTIMAL, point=point, value=value)
 
 
 def _basis_column(rows, f):
@@ -254,7 +244,10 @@ def solve_lp(inst: ILPInstance, basis=None) -> Outcome:
             if any(c):
                 return Outcome(UNBOUNDED)
             return Outcome(OPTIMAL, point=(Fraction(0),) * inst.n, value=Fraction(0))
-    out = _checked_simplex(lp, lp.c)
+    t = _Tableau(lp)
+    if not _phase1(t):
+        return Outcome(INFEASIBLE)
+    out = _maximize(t, lp, lp.c)
     if out.status == OPTIMAL and basis is not None:
         point = tuple(sum(map(mul, out.point, col)) for col in zip(*basis))
         out = Outcome(OPTIMAL, point=point, value=out.value)
@@ -274,21 +267,23 @@ def solve_lp_on_line(inst: ILPInstance):
 
 
 def coordinate_bounds(inst: ILPInstance):
-    """Exact [min x_i, max x_i] over the feasible region, via 2n LP solves.
+    """Exact [min x_i, max x_i] over the feasible region: one phase 1, then
+    2n phase-2 runs on the same tableau.
 
     Unbounded directions are reported as None.  Raises InfeasibleRegion on
     an empty feasible set.
     """
     n = inst.n
+    t = _Tableau(inst)
+    if not _phase1(t):
+        raise InfeasibleRegion(inst.name or "empty feasible region")
     out = []
     for j in range(n):
         e = [0] * n
         e[j] = 1
-        up = _checked_simplex(inst, e)
-        if up.status == INFEASIBLE:
-            raise InfeasibleRegion(inst.name or "empty feasible region")
+        up = _maximize(t, inst, e)
         e[j] = -1
-        down = _checked_simplex(inst, e)
+        down = _maximize(t, inst, e)
         hi = up.value if up.status == OPTIMAL else None
         lo = -down.value if down.status == OPTIMAL else None
         out.append((lo, hi))

@@ -50,6 +50,19 @@ def test_solve_methods_agree(tmp_path, ex61_file, capsys):
         assert code == 0 and "optimal" in out and "point 1 1 1" in out
 
 
+def test_an_empty_box_range_is_a_one_line_error(tmp_path, capsys):
+    # brute force would enumerate nothing and call the feasible ILP infeasible
+    path = tmp_path / "half.ilp"
+    path.write_text("ILP v1\nvars 2\nobj 1 1\n1 1 <= 1\n")
+    assert main(["solve", str(path), "--method", "brute", "--box", "1:0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1:0" in err and err.count("\n") == 1
+    assert main(["solve", str(path), "--method", "brute", "--box", "0:1,1:0"]) == 1
+    capsys.readouterr()
+    assert main(["solve", str(path), "--method", "brute", "--box", "0:1"]) == 0
+    assert "optimal" in capsys.readouterr().out
+
+
 def test_lp_command(ex61_file, capsys):
     assert main(["lp", ex61_file]) == 0
     out = capsys.readouterr().out

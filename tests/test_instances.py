@@ -13,7 +13,6 @@ from symilp.instances import (
     gen_wild,
     hexagon_vrep,
     htc_r,
-    htc_vertices,
     multiset_permutations,
     round3,
     round3_sqrt3,
@@ -23,7 +22,7 @@ from symilp.instances import (
 from symilp.model import normalize
 from symilp.ratlin import dot
 from symilp.symmetry import full_cycle, is_symmetry, transposition
-from testkit import rank
+from testkit import htc_vertices, rank
 
 
 def test_htc_params_window():

@@ -1,22 +1,26 @@
 from fractions import Fraction
 from itertools import combinations
+from math import ceil, floor
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from symilp import lpcore
+from symilp import cli, lpcore
 from symilp.errors import (
     BoxTooLarge,
     InfeasibleRegion,
     InfeasibleZeroRow,
     ObjectiveNotOnes,
     ResultCheckFailed,
+    SearchBudgetExceeded,
 )
 from symilp.lpcore import coordinate_bounds, integer_box, solve_lp, solve_lp_on_line
-from symilp.model import Outcome, normalize
-from symilp.ratlin import dot
-from testkit import rank, solve_linear
+from symilp.model import normalize, write_instance
+from symilp.ratlin import dot, kernel_basis
+from symilp.reduction import solve_symmetric_lp
+from symilp.symmetry import fixed_space
+from testkit import rank, reference_simplex, solve_linear, symmetric_lps
 
 
 def vertex_oracle_max(inst):
@@ -325,10 +329,10 @@ def test_lp_and_bounds_match_vertex_oracle(inst):
 def test_phase1_pivots_out_a_degenerate_auxiliary(monkeypatch):
     """Phase 1 can end with the auxiliary basic at zero; its row never vanishes.
 
-    The auxiliary's row is r^T [A~ | I | 1] over the nonbasic columns, with
-    r its row of the inverse basis: r is zero on the basic slacks and
-    r.1 = 1, so some nonbasic slack column is nonzero and a pivot-out
-    always exists.  No row ever has to be deleted.
+    The auxiliary's row is r^T [A | I | u] over the nonbasic columns, with
+    r its row of the inverse basis: r is zero on the basic structurals and
+    slacks and r.u = 1, so some nonbasic slack column is nonzero and a
+    pivot-out always exists.  No row ever has to be deleted.
     """
     hits = []
     run = lpcore._Tableau.run
@@ -337,14 +341,15 @@ def test_phase1_pivots_out_a_degenerate_auxiliary(monkeypatch):
         status = run(t)
         if t.aux in t.basis:
             row = t.rows[t.basis.index(t.aux)]
-            slacks = range(2 * t.n, 2 * t.n + t.m)
+            slacks = range(t.n, t.n + t.m)
             hits.append(any(row[k] for k, v in enumerate(t.nonbasic) if v in slacks))
         return status
 
     monkeypatch.setattr(lpcore._Tableau, "run", spy)
-    # x = 1 from x <= 1 and -x <= -1: the ratio test ties the auxiliary
-    # with the slack of x <= 1, and Bland's rule keeps the auxiliary
-    inst = normalize([(1, 1), (-1, -1)], [1])
+    # x = 1 from x >= 1/2, x >= 1 and x <= 1: x enters on x >= 1/2, the
+    # auxiliary on x >= 1, and the ratio test then ties the auxiliary with
+    # the slack of x <= 1, which Bland's rule lets leave first
+    inst = normalize([(-2, -1), (-1, -1), (1, 1)], [1])
     out = solve_lp(inst)
     assert out.status == "optimal" and out.value == 1 and out.point == (1,)
     assert hits == [True]
@@ -370,30 +375,171 @@ def test_phase1_pivots_out_a_degenerate_auxiliary(monkeypatch):
     assert len(hits) > 1 and all(hits)
 
 
+SQUARE = [(1, 0, 1), (0, 1, 1), (-1, 0, 0), (0, -1, 0)]
+
+
+def _corrupt_phase2(monkeypatch, dx, dz):
+    """After the first phase-2 run, move x_1 by dx and the objective value by dz."""
+    run = lpcore._Tableau.run
+    done = []
+
+    def spy(t):
+        status = run(t)
+        if t.aux not in t.basis + t.nonbasic and not done:
+            t.rows[t.basis.index(0)][-1] += dx * t.D
+            t.obj[-1] += dz * t.D * t.scale
+            done.append(t)
+        return status
+
+    monkeypatch.setattr(lpcore._Tableau, "run", spy)
+
+
+# an optimal point with a wrong value, or off the region with a value to match
+WRONG = [(0, 1), (1, 1)]
+
+
 def test_solve_lp_rejects_a_wrong_point(monkeypatch):
-    inst = normalize([(1, 0, 1), (0, 1, 1), (-1, 0, 0), (0, -1, 0)], [1, 1])
-    monkeypatch.setattr(
-        lpcore, "_simplex", lambda inst, c: Outcome("optimal", point=(2, 2), value=4)
-    )
-    with pytest.raises(ResultCheckFailed):
-        solve_lp(inst)
-    monkeypatch.setattr(
-        lpcore, "_simplex", lambda inst, c: Outcome("optimal", point=(1, 1), value=3)
-    )
-    with pytest.raises(ResultCheckFailed):
-        solve_lp(inst)
+    inst = normalize(SQUARE, [1, 1])
+    for dx, dz in WRONG:
+        with monkeypatch.context() as mp:
+            _corrupt_phase2(mp, dx, dz)
+            with pytest.raises(ResultCheckFailed):
+                solve_lp(inst)
 
 
 def test_coordinate_bounds_rejects_a_wrong_point(monkeypatch):
-    # every simplex answer is checked, not only solve_lp's
-    inst = normalize([(1, 0, 1), (0, 1, 1), (-1, 0, 0), (0, -1, 0)], [1, 1])
-    monkeypatch.setattr(
-        lpcore, "_simplex", lambda inst, c: Outcome("optimal", point=(2, 0), value=2)
-    )
-    with pytest.raises(ResultCheckFailed):
-        coordinate_bounds(inst)
-    monkeypatch.setattr(
-        lpcore, "_simplex", lambda inst, c: Outcome("optimal", point=(1, 0), value=2)
-    )
-    with pytest.raises(ResultCheckFailed):
-        coordinate_bounds(inst)
+    # every phase-2 answer is checked, not only solve_lp's
+    inst = normalize(SQUARE, [1, 1])
+    for dx, dz in WRONG:
+        with monkeypatch.context() as mp:
+            _corrupt_phase2(mp, dx, dz)
+            with pytest.raises(ResultCheckFailed):
+                coordinate_bounds(inst)
+
+
+def test_coordinate_bounds_runs_phase1_once(monkeypatch):
+    built, phase1 = [], lpcore._phase1
+
+    class Tableau(lpcore._Tableau):
+        def __init__(self, inst):
+            built.append(inst)
+            super().__init__(inst)
+
+    ran = []
+    monkeypatch.setattr(lpcore, "_Tableau", Tableau)
+    monkeypatch.setattr(lpcore, "_phase1", lambda t: ran.append(t) or phase1(t))
+    # x in [1, 2], y in [1/2, 3/2], x + y <= 5/2: the origin is infeasible
+    inst = normalize([(1, 0, 2), (-1, 0, -1), (0, 2, 3), (0, -2, -1), (2, 2, 5)], [1, 1])
+    assert coordinate_bounds(inst) == [(1, 2), (Fraction(1, 2), Fraction(3, 2))]
+    assert len(built) == len(ran) == 1
+    assert coordinate_bounds(inst) == reference_bounds(inst)
+
+
+def test_simplex_refuses_past_its_pivot_budget(monkeypatch, tmp_path, capsys):
+    # from the square's lower corner, phase 2 takes 2 pivots to (1, 1)
+    inst = normalize(SQUARE, [1, 1])
+    monkeypatch.setattr(lpcore, "PIVOT_BUDGET", 2)
+    assert solve_lp(inst).value == 2
+    monkeypatch.setattr(lpcore, "PIVOT_BUDGET", 1)
+    with pytest.raises(SearchBudgetExceeded, match="1 pivots"):
+        solve_lp(inst)
+    path = tmp_path / "square.ilp"
+    write_instance(inst, path)
+    assert cli.main(["lp", str(path)]) == cli.EXIT_REFUSED
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+# --- against the split-column simplex in testkit
+
+
+def reference_bounds(inst):
+    """coordinate_bounds by 2n reference solves, or None when infeasible."""
+    n = inst.n
+    out = []
+    for j in range(n):
+        up = reference_simplex(inst, _unit(n, j, 1))
+        if up.status == "infeasible":
+            return None
+        down = reference_simplex(inst, _unit(n, j, -1))
+        out.append((-down.value if down.value is not None else None, up.value))
+    return out
+
+
+def reference_over(inst, basis):
+    """The reference LP over x in the span of basis, as equality rows k.x = 0."""
+    rows = list(inst.rows)
+    for k in kernel_basis(basis, ncols=inst.n):
+        rows += [tuple(k) + (0,), tuple(-v for v in k) + (0,)]
+    return reference_simplex(normalize(rows, inst.c), inst.c)
+
+
+@st.composite
+def free_lps(draw):
+    """Ax <= b over free x, infeasible and unbounded ones too: at times with
+    a zero column or two equal columns, and c inside or outside the row space."""
+    n = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["plain", "zero column", "equal columns"]))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        a = [draw(st.integers(-2, 2)) for _ in range(n)]
+        if shape == "zero column":
+            a[-1] = 0
+        elif shape == "equal columns":
+            a[-1] = a[0]
+        if any(a):
+            rows.append(tuple(a) + (draw(st.integers(-2, 3)),))
+    assume(rows)
+    if draw(st.booleans()):
+        mult = [draw(st.integers(-1, 2)) for _ in rows]
+        c = [sum(t * r[j] for t, r in zip(mult, rows)) for j in range(n)]
+    else:
+        c = [draw(st.integers(-2, 2)) for _ in range(n)]
+    return normalize(rows, c, name=shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(free_lps())
+def test_free_columns_match_the_split_column_reference(inst):
+    out, ref = solve_lp(inst), reference_simplex(inst, inst.c)
+    assert (out.status, out.value) == (ref.status, ref.value)
+    line = [(1,) * inst.n]
+    out, ref = solve_lp(inst, line), reference_over(inst, line)
+    assert (out.status, out.value) == (ref.status, ref.value)
+    ones = normalize(inst.rows, [1] * inst.n)
+    ref = reference_over(ones, line)
+    zeta = ref.value / inst.n if ref.status == "optimal" else None
+    assert solve_lp_on_line(ones) == (ref.status, zeta)
+    bounds = reference_bounds(inst)
+    if bounds is None:
+        for f in (coordinate_bounds, integer_box):
+            with pytest.raises(InfeasibleRegion):
+                f(inst)
+        return
+    assert coordinate_bounds(inst) == bounds
+    if any(v is None for pair in bounds for v in pair):
+        with pytest.raises(BoxTooLarge):
+            integer_box(inst)
+    else:
+        assert integer_box(inst) == [(ceil(lo), floor(hi)) for lo, hi in bounds]
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_lps())
+def test_fixed_space_lp_matches_the_reference(case):
+    inst, G = case
+    out, ref = solve_symmetric_lp(inst, G), reference_simplex(inst, inst.c)
+    assert (out.status, out.value) == (ref.status, ref.value)
+    basis = fixed_space(G)
+    if basis:
+        ref = reference_over(inst, basis)
+        assert (out.status, out.value) == (ref.status, ref.value)
+
+
+def test_a_free_line_in_the_region():
+    # x1 + x2 <= 1 holds along x1 - x2 = t: x2 never finds a slack row to enter on
+    inst = normalize([(1, 1, 1)], [1, 1])
+    out = solve_lp(inst)
+    assert out.status == "optimal" and out.value == 1 and inst.is_feasible(out.point)
+    assert solve_lp(normalize(inst.rows, [1, 0])).status == "unbounded"
+    assert coordinate_bounds(inst) == [(None, None)] * 2

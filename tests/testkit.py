@@ -2,7 +2,8 @@
 
 Layer centers, core-point distances, the representative oracle, basis
 orbit barycenters, group enumeration, the fixed space and orbit average by
-matrices and enumeration, rank and linear solving by Gauss-Jordan
+matrices and enumeration, the hypertruncated cube's vertices, the
+split-column simplex, rank and linear solving by Gauss-Jordan
 elimination over Fraction, signed-permutation inverses, the row loop of
 the symmetry check and the round-based automorphism search: each restates
 a definition of the paper directly, or keeps an earlier implementation, so
@@ -13,14 +14,18 @@ instances closed under a group, for the property tests.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from operator import getitem
 
 from hypothesis import strategies as st
 
 from symilp.corepoint import CoreRepresentative
-from symilp.errors import SearchBudgetExceeded
+from symilp.errors import ResultCheckFailed, SearchBudgetExceeded
+from symilp.instances import HtcParams
 from symilp.layers import CoprimeDirection
-from symilp.model import normalize
+from symilp.lpcore import _eliminate
+from symilp.model import INFEASIBLE, OPTIMAL, UNBOUNDED, Outcome, normalize
 from symilp.ratlin import kernel_basis
 from symilp.symmetry import (
     BasisOrbit,
@@ -43,6 +48,20 @@ def layer_center(layer: Layer) -> tuple:
     d = layer.dir.direction
     q = Fraction(layer.k, sum(v * v for v in d))
     return tuple(q * v for v in d)
+
+
+def htc_vertices(p: HtcParams):
+    """Vertex inventory of the hypertruncated cube: e_S for |S| <= r, plus lambda*1."""
+    n = p.n
+    verts = []
+    for size in range(p.r + 1):
+        for S in combinations(range(n), size):
+            v = [Fraction(0)] * n
+            for i in S:
+                v[i] = Fraction(1)
+            verts.append(tuple(v))
+    verts.append((p.lam,) * n)
+    return verts
 
 
 def core_distance_sq(n: int, k: int) -> Fraction:
@@ -172,6 +191,125 @@ def reference_is_symmetry(inst, g) -> bool:
     if g.apply_to_row(inst.c) != inst.c:
         return False
     return all(_act(g, row) in inst.row_set for row in inst.rows)
+
+
+class _SplitTableau:
+    """The integer simplex with every free x_j split as y_2j - y_2j+1.
+
+    Variable ids: 0..2n-1 split structurals, 2n..2n+m-1 slacks, 2n+m the
+    phase-1 auxiliary; rows and the objective row read as in lpcore._Tableau,
+    whose pivot kernel it shares.  Every variable is nonnegative, so the
+    tableau starts at the origin and phase 1 relaxes every row.
+    """
+
+    def __init__(self, inst):
+        m, n = inst.m, inst.n
+        self.m, self.n = m, n
+        self.aux = 2 * n + m
+        self.nonbasic = list(range(2 * n))
+        self.basis = [2 * n + i for i in range(m)]
+        self.rows = []
+        for row in inst.rows:
+            r = []
+            for a in row[:-1]:
+                r += [-a, a]
+            self.rows.append(r + [row[-1]])
+        self.D = 1
+        self.scale = 1
+        self.obj = [0] * (2 * n + 1)
+
+    def pivot(self, e, l):
+        rows, D = self.rows, self.D
+        pr = rows[l]
+        p = pr[e]
+        ap = abs(p)
+        sp = 1 if p > 0 else -1
+        nz = [(k, w) for k, w in enumerate(pr) if w and k != e]
+        for i, r in enumerate(rows):
+            if i != l:
+                rows[i] = _eliminate(r, nz, e, ap, sp, D)
+        self.obj = _eliminate(self.obj, nz, e, ap, sp, D)
+        new = [-w for w in pr] if p > 0 else pr[:]
+        new[e] = sp * D
+        rows[l] = new
+        self.D = ap
+        self.nonbasic[e], self.basis[l] = self.basis[l], self.nonbasic[e]
+
+    def run(self):
+        """Bland's rule to the end: OPTIMAL or UNBOUNDED."""
+        while True:
+            entering = [k for k, w in enumerate(self.obj[:-1]) if w > 0]
+            if not entering:
+                return OPTIMAL
+            e = min(entering, key=self.nonbasic.__getitem__)
+            best = None
+            for i, r in enumerate(self.rows):
+                t = -r[e]
+                if t > 0 and (
+                    best is None or (r[-1] * bt, self.basis[i]) < (bb * t, self.basis[best])
+                ):
+                    best, bb, bt = i, r[-1], t
+            if best is None:
+                return UNBOUNDED
+            self.pivot(e, best)
+
+    def phase1(self):
+        """Drive the tableau to feasibility; False means infeasible."""
+        rows = self.rows
+        worst = min(range(self.m), key=lambda i: (rows[i][-1], self.basis[i]))
+        if rows[worst][-1] >= 0:
+            return True
+        pos = len(self.nonbasic)
+        self.nonbasic.append(self.aux)
+        for r in rows:
+            r.insert(pos, 1)
+        self.obj = [0] * (pos + 2)
+        self.obj[pos] = -1
+        self.pivot(pos, worst)
+        if self.run() != OPTIMAL:
+            raise ResultCheckFailed("reference phase 1: w = -aux <= 0 came out unbounded")
+        if self.obj[-1] < 0:
+            return False
+        if self.aux in self.basis:
+            l = self.basis.index(self.aux)
+            self.pivot(next(k for k, v in enumerate(rows[l][:-1]) if v), l)
+        p = self.nonbasic.index(self.aux)
+        del self.nonbasic[p]
+        for r in rows:
+            del r[p]
+        return True
+
+    def install_objective(self, c):
+        self.scale = lcm(*(Fraction(cj).denominator for cj in c))
+        obj = [0] * (len(self.nonbasic) + 1)
+        pos = {v: k for k, v in enumerate(self.nonbasic)}
+        row_of = {v: i for i, v in enumerate(self.basis)}
+        for j, cj in enumerate(c):
+            w = int(cj * self.scale)
+            for v, wv in ((2 * j, w), (2 * j + 1, -w)):
+                if v in pos:
+                    obj[pos[v]] += wv * self.D
+                else:
+                    for k, a in enumerate(self.rows[row_of[v]]):
+                        obj[k] += wv * a
+        self.obj = obj
+
+
+def reference_simplex(inst, c):
+    """max c^t x over inst's rows by the split-column two-phase simplex, on a
+    fresh tableau per call: the exact LP solver before each free variable
+    kept one column.  Unchecked; the tests compare lpcore against it."""
+    t = _SplitTableau(inst)
+    if not t.phase1():
+        return Outcome(INFEASIBLE)
+    t.install_objective(c)
+    if t.run() == UNBOUNDED:
+        return Outcome(UNBOUNDED)
+    vals = {v: r[-1] for v, r in zip(t.basis, t.rows)}
+    point = tuple(
+        Fraction(vals.get(2 * j, 0) - vals.get(2 * j + 1, 0), t.D) for j in range(inst.n)
+    )
+    return Outcome(OPTIMAL, point=point, value=Fraction(t.obj[-1], t.D * t.scale))
 
 
 @st.composite
