@@ -5,32 +5,17 @@ the center (k/n)*1 are exactly the vectors with r entries q+1 and n-r
 entries q: vertices of an (r,n)-hypersimplex translated by q*1.  If the
 symmetry group acts (floor(n/2)+1)-transitively, a layer is feasible iff
 its core points are, so one representative check per layer decides the ILP.
+The scan checks it against the row classes, not the rows: one sort per row
+builds them, and then each check costs O(1) per class.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import floor
 
 from .layers import scan_prologue
 from .model import ILPInstance, Outcome, INFEASIBLE, OPTIMAL
 from .symmetry import ALTERNATING, FULL_SYMMETRIC
-
-
-@dataclass(frozen=True)
-class CoreRepresentative:
-    """The scan's canonical core point: d raised coordinates, leftmost."""
-
-    q: int
-    d: int
-    n: int
-
-    def point(self) -> tuple:
-        return (self.q + 1,) * self.d + (self.q,) * (self.n - self.d)
-
-    @property
-    def layer(self) -> int:
-        return self.n * self.q + self.d
 
 
 def core_points(n: int, k: int) -> list:
@@ -54,16 +39,18 @@ def solve_core_point(
 ) -> Outcome:
     """Core point scan for ILP(A, b, 1): at most n feasibility checks.
 
-    Maintains the m dot products incrementally while single coordinates of
-    the representative drop from q+1 to q, so a whole scan costs O(mn)
-    beyond the O(mn) initialization (within the O(mn^2) contract).
-    ``trace`` receives ``lp_s`` and ``feasibility_checks``, and the
-    certificate's ``certificate`` and ``certificate_s`` unless
+    Each check tests the representative (q+1,...,q+1,q,...,q), d raised
+    entries, against the row classes: the most a row of a class reaches
+    there is q*sum(a) plus the d largest entries of a.  Under Sym(n), or
+    Alt(n) with n >= 4, some row of the class reaches it, so the check is
+    exact; on any rows it bounds every row, so a returned point is feasible.
+    Cost: one sort per row to build the classes, O(n) set-up per class,
+    then O(1) per class and check.
+    ``trace`` receives ``lp_s``, ``row_classes`` and ``feasibility_checks``,
+    and the certificate's ``certificate`` and ``certificate_s`` unless
     ``assume_transitive``.
     """
     n = inst.n
-    if n < 2:
-        raise ValueError("core point scan needs n >= 2")
     # Alt(n) supplies the layer all-or-nothing property only from n = 4 up;
     # Alt(3) is the cyclic group and merely transitive.
     accepted = (FULL_SYMMETRIC, ALTERNATING) if n >= 4 else (FULL_SYMMETRIC,)
@@ -72,22 +59,21 @@ def solve_core_point(
         return Outcome(INFEASIBLE)
     q = floor(zeta)
     d = floor(n * zeta) - n * q
-    rows = inst.rows
-    # dot products of every row with (q+1,...,q+1,q,...,q), d raised entries
-    dots = [q * sum(row[:-1]) + sum(row[:d]) for row in rows]
-    rhs = [row[-1] for row in rows]
+    # per class, top[j] is the sum of its j largest coefficients, and the
+    # representative passes iff top[d] <= b - q*sum(a) for every class
+    classes = []
+    for key in inst.row_classes:
+        top = list(accumulate(reversed(key[:-1]), initial=0))
+        classes.append((top, key[-1] - q * top[-1]))
     checks = 0
     while d >= 0:
         checks += 1
-        if all(s <= b for s, b in zip(dots, rhs)):
+        if all(top[d] <= room for top, room in classes):
             if trace is not None:
                 trace["feasibility_checks"] = checks
             point = (q + 1,) * d + (q,) * (n - d)
             return Outcome(OPTIMAL, point=point, value=Fraction(n * q + d))
         d -= 1
-        if d >= 0:
-            col = d
-            dots = [s - row[col] for s, row in zip(dots, rows)]
     if trace is not None:
         trace["feasibility_checks"] = checks
     return Outcome(INFEASIBLE)

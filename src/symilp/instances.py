@@ -227,17 +227,14 @@ def multiset_permutations(values):
 def symmetrize(inst: ILPInstance) -> ILPInstance:
     """Close the row set under all coefficient permutations of Sym(n).
 
-    Rows are grouped by (coefficient multiset, rhs) first so each orbit is
-    expanded exactly once; the result is canonical, deduplicated and
-    Sym(n)-invariant.
+    Each row class (``ILPInstance.row_classes``) is one orbit, expanded
+    exactly once; the result is canonical, deduplicated and Sym(n)-invariant.
     """
-    classes = {}
-    for row in inst.rows:
-        classes.setdefault((tuple(sorted(row[:-1])), row[-1]), True)
     rows = []
-    for ms, rhs in classes:
-        for perm in multiset_permutations(ms):
-            rows.append(perm + (rhs,))
+    for key in inst.row_classes:
+        rhs = key[-1:]
+        for perm in multiset_permutations(key[:-1]):
+            rows.append(perm + rhs)
     return from_canonical(rows, inst.c, name=f"{inst.name}#sym")
 
 

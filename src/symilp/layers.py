@@ -156,10 +156,11 @@ def scan_prologue(
     The gate raises ObjectiveNotOnes unless c = 1, then, without
     ``assume_transitive``, runs the certificate, which must reach one of the
     ``accepted`` levels; if it finds none and TRANSITIVE_ONLY is accepted,
-    detection decides.  Returns zeta of the LP on the line, None if that
-    LP is infeasible; an unbounded one raises.  The certificate's tier and
-    seconds go to ``trace["certificate"]`` and ``trace["certificate_s"]``,
-    the LP's seconds to ``trace["lp_s"]``.
+    detection decides.  Returns zeta of the LP on the line, solved over one
+    row per row class, None if that LP is infeasible; an unbounded one
+    raises.  The certificate's tier and seconds go to ``trace["certificate"]``
+    and ``trace["certificate_s"]``, the LP's seconds to ``trace["lp_s"]`` and
+    the number of row classes to ``trace["row_classes"]``.
     """
     if any(cj != 1 for cj in inst.c):
         raise ObjectiveNotOnes(f"{scan} is defined for c = 1")
@@ -178,10 +179,13 @@ def scan_prologue(
                 f"certificate level {level!r}; {scan} needs one of "
                 f"{sorted(accepted)}; pass assume_transitive to override"
             )
+    classes = inst.row_classes
     t0 = perf_counter()
-    status, zeta = solve_lp_on_line(inst)
+    # (sum a | b) is constant on a class: one sorted row per class gives zeta
+    status, zeta = solve_lp_on_line(ILPInstance(sorted(classes), inst.c, name=inst.name))
     if trace is not None:
         trace["lp_s"] = perf_counter() - t0
+        trace["row_classes"] = len(classes)
     if status == UNBOUNDED:
         raise UnboundedRelaxation(inst.name or "relaxation unbounded along 1")
     return zeta
@@ -197,9 +201,9 @@ def solve_by_layers(
 
     Scans k from floor(n*zeta) down to n*floor(zeta): the first layer with
     a feasible integral point is optimal, and an exhausted scan certifies
-    infeasibility.  ``trace`` receives ``lp_s`` and ``layers_scanned``, and
-    the certificate's ``certificate`` and ``certificate_s`` unless
-    ``assume_transitive``.
+    infeasibility.  ``trace`` receives ``lp_s``, ``row_classes`` and
+    ``layers_scanned``, and the certificate's ``certificate`` and
+    ``certificate_s`` unless ``assume_transitive``.
     """
     n = inst.n
     transitive = (FULL_SYMMETRIC, ALTERNATING, TRANSITIVE_ONLY)  # any level but NONE

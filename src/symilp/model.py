@@ -7,6 +7,7 @@ removed, and the rows are kept in lexicographic order.  A row is a flat
 rationals.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -35,7 +36,7 @@ class Outcome:
 class ILPInstance:
     """Normalized inequality system with a maximization objective."""
 
-    __slots__ = ("name", "n", "rows", "c", "_rowset")
+    __slots__ = ("name", "n", "rows", "c", "_rowset", "_classes")
 
     def __init__(self, rows, c, name=""):
         rows = tuple(rows)
@@ -53,6 +54,7 @@ class ILPInstance:
             raise ValueError("objective length mismatch")
         self.name = name
         self._rowset = None
+        self._classes = None
 
     @property
     def m(self) -> int:
@@ -63,6 +65,17 @@ class ILPInstance:
         if self._rowset is None:
             self._rowset = frozenset(self.rows)
         return self._rowset
+
+    @property
+    def row_classes(self) -> Counter:
+        """Distinct rows counted by class, keyed by ``tuple(sorted(a)) + (b,)``.
+
+        A class holds the rows that permute each other's coefficients and
+        share b: a union of Sym(n)-orbits of rows.  A repeated row counts once.
+        """
+        if self._classes is None:
+            self._classes = Counter((*sorted(row[:-1]), row[-1]) for row in self.row_set)
+        return self._classes
 
     def is_feasible(self, x) -> bool:
         """Exact check of Ax <= b for a rational point; O(mn) integer work.

@@ -9,6 +9,8 @@ notation, (1+2-4+3-) corresponds to image (2, -4, -1, 3).
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import groupby
+from math import factorial, prod
 from operator import itemgetter
 
 from .errors import ResultCheckFailed, SearchBudgetExceeded
@@ -257,16 +259,26 @@ TRANSITIVE_ONLY = "transitive_only"
 NONE = "none"
 
 
-def verify_symmetric_group_invariance(inst: ILPInstance) -> str:
-    """The first tier whose generators are all symmetries: Sym(n), Alt(n), the n-cycle.
+def distinct_permutations(values) -> int:
+    """n!/prod m_v! for a sorted tuple in which v occurs m_v times."""
+    return factorial(len(values)) // prod(factorial(len(list(run))) for _, run in groupby(values))
 
-    The n-cycle certifies transitivity.  NONE means no generator certificate,
-    not an intransitive G.  A permutation in two tiers is checked once.
+
+def verify_symmetric_group_invariance(inst: ILPInstance) -> str:
+    """The first tier that holds: Sym(n), Alt(n), the n-cycle.
+
+    Sym(n) holds when c is constant and every row class is a whole orbit:
+    its distinct rows are all distinct_permutations of its key.  The other
+    tiers check generators with is_symmetry, each permutation once.  The
+    n-cycle certifies transitivity.  NONE means no certificate, not an
+    intransitive G.
     """
     n = inst.n
-    tiers = [(FULL_SYMMETRIC, sym_generators(n))]
-    if n >= 3:
-        tiers.append((ALTERNATING, alt_generators(n)))
+    if len(set(inst.c)) == 1 and all(
+        members == distinct_permutations(key[:-1]) for key, members in inst.row_classes.items()
+    ):
+        return FULL_SYMMETRIC
+    tiers = [(ALTERNATING, alt_generators(n))] if n >= 3 else []
     tiers.append((TRANSITIVE_ONLY, (full_cycle(n),)))
     holds = cache(lambda g: is_symmetry(inst, g))
     for level, gens in tiers:

@@ -33,6 +33,14 @@ def test_generate_and_solve_roundtrip(tmp_path, capsys):
     assert "point 1 1 0 0 0 0 0 0" in captured
 
 
+def test_solve_one_variable(tmp_path, capsys):
+    path = tmp_path / "one.ilp"
+    path.write_text("ILP v1\nvars 1\nobj 1\n2 <= 7\n-1 <= 1\n")
+    assert main(["solve", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "optimal" in out and "point 3\n" in out
+
+
 def test_generate_default_r(tmp_path):
     out = tmp_path / "htc100.ilp"
     assert main(["generate", "htc", "--n", "100", "-o", str(out)]) == 0

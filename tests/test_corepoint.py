@@ -4,10 +4,10 @@ from itertools import permutations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symilp.corepoint import CoreRepresentative, core_points, solve_core_point
+from symilp.corepoint import core_points, solve_core_point
 from symilp.errors import (
     ObjectiveNotOnes,
     TransitivityNotEstablished,
@@ -15,8 +15,9 @@ from symilp.errors import (
 )
 from symilp.layers import solve_by_layers
 from symilp.model import brute_force_ilp, normalize
+from symilp.symmetry import alt_generators, orbit
 from corpus import random_symmetric_instance
-from testkit import core_distance_check, representative_oracle
+from testkit import CoreRepresentative, core_distance_check, reference_core_scan, representative_oracle
 
 
 def test_core_points_examples():
@@ -116,8 +117,97 @@ def test_solve_core_point_refusals(htc6):
     unb = normalize([(-1, -1, 0)], [1, 1])
     with pytest.raises(UnboundedRelaxation):
         solve_core_point(unb, assume_transitive=True)
-    with pytest.raises(ValueError):
-        solve_core_point(normalize([(1, 1)], [1]), assume_transitive=True)
+
+
+def test_both_scans_trace_the_row_classes(htc6, ex61):
+    for scan, inst in ((solve_core_point, htc6), (solve_by_layers, htc6), (solve_by_layers, ex61)):
+        trace = {}
+        scan(inst, trace=trace)
+        assert trace["row_classes"] == len(inst.row_classes)
+    assert len(htc6.row_classes) == 4  # the htc's four facet families
+    assert len(ex61.row_classes) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-6, 6)), min_size=1, max_size=4),
+    st.integers(-6, 6),
+)
+def test_core_point_scan_in_one_variable(pairs, lo):
+    # Sym(1) is trivial: every layer is one point, and the scan is exact
+    assume(all(a or b >= 0 for a, b in pairs))
+    inst = normalize(pairs + [(-1, -lo)], [1])
+    trace = {}
+    try:
+        out = solve_core_point(inst, trace=trace)
+    except UnboundedRelaxation:
+        assert all(a <= 0 for a, _ in inst.rows)
+        return
+    assert trace.get("certificate") == "full_symmetric"
+    assert out == brute_force_ilp(inst)
+
+
+def alternating_instance(seeds, n: int):
+    """The Alt(n)-closure of the seed rows, in the box 0 <= x <= 2, c = 1."""
+    rows = orbit(seeds, alt_generators(n), lambda g, row: g.apply_to_row(row) + row[-1:])
+    for i in range(n):
+        e = tuple(int(i == j) for j in range(n))
+        rows |= {e + (2,), tuple(-v for v in e) + (0,)}
+    return normalize(rows, [1] * n, name=f"alt{n}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["sym", "alt4", "alt5"]))
+def test_class_scan_matches_the_expanded_row_scan(seed, kind):
+    rng = random.Random(seed)
+    if kind == "sym":
+        inst = random_symmetric_instance(rng, seed)
+    else:
+        n = int(kind[-1])
+        seeds = []
+        while len(seeds) < 2:
+            # distinct entries make the Alt(n)-orbit half the Sym(n)-orbit
+            a = rng.choice([rng.sample(range(-2, n + 2), n), [rng.randint(-2, 3) for _ in range(n)]])
+            if any(a):
+                seeds.append((*a, rng.randint(-2, 2 * n)))
+        inst = alternating_instance(seeds[: rng.randint(1, 2)], n)
+    trace = {}
+    out = solve_core_point(inst, trace=trace)
+    assert (out, trace.get("feasibility_checks", 0)) == reference_core_scan(inst)
+
+
+def test_class_scan_on_an_alternating_instance():
+    # the Alt(4)-orbit of x2 + 2x3 + 3x4 <= 4 is half its Sym(4)-orbit
+    inst = alternating_instance([(0, 1, 2, 3, 4)], 4)
+    trace = {}
+    out = solve_core_point(inst, trace=trace)
+    assert trace["certificate"] == "alternating"
+    assert (out, trace["feasibility_checks"]) == reference_core_scan(inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_class_scan_is_safe_on_any_rows(seed):
+    # under assume_transitive the class bound may stop the scan lower than
+    # the expanded rows, never higher, and its point is always feasible
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    rows = [(1,) * n + (2 * n,)]
+    for _ in range(rng.randint(1, 4)):
+        a = tuple(rng.randint(-2, 3) for _ in range(n))
+        if any(a):
+            rows.append(a + (rng.randint(-2, 2 * n),))
+    inst = normalize(rows, [1] * n)
+    try:
+        out = solve_core_point(inst, assume_transitive=True)
+    except UnboundedRelaxation:
+        with pytest.raises(UnboundedRelaxation):
+            reference_core_scan(inst)
+        return
+    ref, _ = reference_core_scan(inst)
+    if out.status == "optimal":
+        assert inst.is_feasible(out.point)
+        assert ref.status == "optimal" and ref.value >= out.value
 
 
 def test_solve_core_point_infeasible_band():

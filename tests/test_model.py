@@ -44,6 +44,12 @@ def test_normalize_rational_rows():
     assert inst.rows == ((2, 6, 9),)
 
 
+def test_row_classes_count_distinct_rows():
+    inst = ILPInstance([(1, 2, 3), (2, 1, 3), (1, 2, 3), (2, 1, 4)], [1, 1])
+    assert inst.row_classes == {(1, 2, 3): 2, (1, 2, 4): 1}
+    assert inst.row_classes is inst.row_classes
+
+
 def test_is_feasible_ex61(ex61):
     assert ex61.is_feasible((1, 1, 1))
     assert not ex61.is_feasible((2, 2, 2))

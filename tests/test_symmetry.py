@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from symilp import symmetry
 from symilp.errors import SearchBudgetExceeded
-from symilp.model import normalize
+from symilp.model import ILPInstance, normalize
 from symilp.symmetry import (
     BasisOrbit,
     GroupSpec,
@@ -15,6 +15,7 @@ from symilp.symmetry import (
     alt_generators,
     basis_orbits,
     conjugate_to_permutations,
+    distinct_permutations,
     fixed_space,
     fixing_equations,
     full_cycle,
@@ -368,7 +369,7 @@ def test_verify_v4_has_no_generator_certificate(v4):
     assert verify_symmetric_group_invariance(v4) == "none"
 
 
-def test_verify_checks_each_permutation_once(monkeypatch):
+def test_verify_checks_each_permutation_once(monkeypatch, htc6):
     checked = []
 
     def counting(inst, g):
@@ -377,16 +378,43 @@ def test_verify_checks_each_permutation_once(monkeypatch):
 
     monkeypatch.setattr(symmetry, "is_symmetry", counting)
     cases = [
-        (normalize([(1, 2, 3)], [1, 1]), 1, "none"),  # Sym(2) is the 2-cycle alone
-        (normalize([(1, 2, 0, 3)], [1, 1, 1]), 2, "none"),  # Alt(3) is the 3-cycle alone
-        # Sym({1,2,3}) x Sym({4,5}): the transposition and the 3-cycle hold,
-        # the 5-cycle, a generator of Sym(5) and of Alt(5), is checked once
-        (normalize([(1, 1, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1)], [1] * 5), 3, "none"),
+        (normalize([(1, 2, 3)], [1, 1]), 1, "none"),  # the 2-cycle, of the n-cycle tier
+        (normalize([(1, 2, 0, 3)], [1, 1, 1]), 1, "none"),  # Alt(3) is the 3-cycle alone
+        # Sym({1,2,3}) x Sym({4,5}): the 3-cycle holds, and the 5-cycle, of
+        # the Alt(5) and the n-cycle tiers, is checked once
+        (normalize([(1, 1, 1, 0, 0, 1), (0, 0, 0, 1, 1, 1)], [1] * 5), 2, "none"),
+        (htc6, 0, "full_symmetric"),  # a count of row classes, no generator
     ]
     for inst, calls, level in cases:
         checked.clear()
         assert verify_symmetric_group_invariance(inst) == level
         assert len(checked) == calls == len(set(checked))
+
+
+@pytest.mark.parametrize("values", [(), (0,), (1, 1, 1), (0, 0, 1, 2, 2), (-2, -1, 0, 3)])
+def test_distinct_permutations_counts_the_orderings(values):
+    assert distinct_permutations(values) == len(set(permutations(values)))
+
+
+def test_full_symmetric_counts_distinct_rows():
+    # five of the six orderings of (1, 2, 3) <= 4, the first one twice
+    rows = [p + (4,) for p in sorted(permutations((1, 2, 3)))]
+    short = ILPInstance(rows[:5] + rows[:1], [1] * 3)
+    assert short.m == 6 and short.row_classes == {(1, 2, 3, 4): 5}
+    assert verify_symmetric_group_invariance(short) != "full_symmetric"
+    assert verify_symmetric_group_invariance(ILPInstance(rows, [1] * 3)) == "full_symmetric"
+
+
+def test_dropping_any_row_refutes_full_symmetric(htc6, corpus):
+    for inst in [htc6] + corpus[:8]:
+        assert verify_symmetric_group_invariance(inst) == "full_symmetric"
+        for i, row in enumerate(inst.rows):
+            rest = ILPInstance(inst.rows[:i] + inst.rows[i + 1 :], inst.c)
+            # a row of equal coefficients is an orbit of its own
+            alone = len(set(row[:-1])) == 1
+            assert (verify_symmetric_group_invariance(rest) == "full_symmetric") == alone
+    skewed = ILPInstance(htc6.rows, (2,) + htc6.c[1:])
+    assert verify_symmetric_group_invariance(skewed) != "full_symmetric"
 
 
 def test_verify_alternating_only():

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use.
 
-Layer centers, core-point distances, the representative oracle, basis
+Layer centers, core-point distances, the core representative, the core
+point scan over expanded rows, the representative oracle, basis
 orbit barycenters, group enumeration, the fixed space and orbit average by
 matrices and enumeration, the hypertruncated cube's vertices, the
 split-column simplex, rank and linear solving by Gauss-Jordan
@@ -15,16 +16,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import floor, lcm
 from operator import getitem
 
 from hypothesis import strategies as st
 
-from symilp.corepoint import CoreRepresentative
-from symilp.errors import ResultCheckFailed, SearchBudgetExceeded
+from symilp.errors import ResultCheckFailed, SearchBudgetExceeded, UnboundedRelaxation
 from symilp.instances import HtcParams
 from symilp.layers import CoprimeDirection
-from symilp.lpcore import _eliminate
+from symilp.lpcore import _eliminate, solve_lp_on_line
 from symilp.model import INFEASIBLE, OPTIMAL, UNBOUNDED, Outcome, normalize
 from symilp.ratlin import kernel_basis
 from symilp.symmetry import (
@@ -77,6 +77,49 @@ def core_distance_check(n: int, k: int, x) -> bool:
     center = Fraction(k, n)
     d2 = sum((Fraction(v) - center) ** 2 for v in x)
     return d2 == core_distance_sq(n, k)
+
+
+@dataclass(frozen=True)
+class CoreRepresentative:
+    """The scan's canonical core point: d raised coordinates, leftmost."""
+
+    q: int
+    d: int
+    n: int
+
+    def point(self) -> tuple:
+        return (self.q + 1,) * self.d + (self.q,) * (self.n - self.d)
+
+    @property
+    def layer(self) -> int:
+        return self.n * self.q + self.d
+
+
+def reference_core_scan(inst):
+    """The core point scan over the expanded rows, with no certificate.
+
+    Keeps the m dot products with the representative and lowers one raised
+    coordinate at a time; returns the outcome and the number of checks.
+    """
+    n = inst.n
+    status, zeta = solve_lp_on_line(inst)
+    if status == UNBOUNDED:
+        raise UnboundedRelaxation(inst.name)
+    if zeta is None:
+        return Outcome(INFEASIBLE), 0
+    q = floor(zeta)
+    d = floor(n * zeta) - n * q
+    rows = inst.rows
+    dots = [q * sum(row[:-1]) + sum(row[:d]) for row in rows]
+    checks = 0
+    while d >= 0:
+        checks += 1
+        if all(s <= row[-1] for s, row in zip(dots, rows)):
+            return Outcome(OPTIMAL, CoreRepresentative(q, d, n).point(), Fraction(n * q + d)), checks
+        d -= 1
+        if d >= 0:
+            dots = [s - row[d] for s, row in zip(dots, rows)]
+    return Outcome(INFEASIBLE), checks
 
 
 def representative_oracle(inst, k: int):
