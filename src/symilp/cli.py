@@ -232,7 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--assume-transitivity", action="store_true",
                         default=argparse.SUPPRESS,
-                        help="skip the transitivity certificate checks")
+                        help="skip the symmetry certificate: the core point scan then "
+                        "assumes Sym(n), or Alt(n) with n >= 4, and the layer scan "
+                        "assumes a transitive group; on rows with less symmetry an "
+                        "'optimal' answer can be below the optimum")
 
     ap = _Parser(prog="symilp", parents=[common])
     sub = ap.add_subparsers(dest="command", required=True)

@@ -49,6 +49,9 @@ def solve_core_point(
     ``trace`` receives ``lp_s``, ``row_classes`` and ``feasibility_checks``,
     and the certificate's ``certificate`` and ``certificate_s`` unless
     ``assume_transitive``.
+    ``assume_transitive`` skips the certificate and trusts Sym(n), or Alt(n)
+    with n >= 4, not mere transitivity: on rows that only the n-cycle fixes
+    the scan can report a layer below the optimum as optimal.
     """
     n = inst.n
     # Alt(n) supplies the layer all-or-nothing property only from n = 4 up;

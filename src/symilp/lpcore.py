@@ -40,7 +40,8 @@ class _Tableau:
     y_nonbasic[k], and the objective row obj reads D * scale * z the same
     way.  Each structural enters on its first slack row with a nonzero
     entry; one with none moves along a line inside the region, so it stays
-    nonbasic at 0 with its column zero on every slack row.
+    nonbasic at 0 with its column zero on every slack row.  ``pivots``
+    counts the pivots made after those entries.
     """
 
     def __init__(self, inst: ILPInstance):
@@ -53,10 +54,12 @@ class _Tableau:
         self.D = 1
         self.scale = 1
         self.obj = [0] * (n + 1)
+        self.pivots = 0
         for j in range(n):
             l = next((i for i, r in enumerate(self.rows) if r[j] and self.basis[i] >= n), None)
             if l is not None:
                 self.pivot(j, l)
+        self.pivots = 0  # the entries above are not counted
 
     def pivot(self, e: int, l: int) -> None:
         """Enter nonbasic position e, leave basic row l."""
@@ -75,6 +78,7 @@ class _Tableau:
         rows[l] = new
         self.D = ap
         self.nonbasic[e], self.basis[l] = self.basis[l], self.nonbasic[e]
+        self.pivots += 1
 
     def bland_entering(self):
         best = None
@@ -221,12 +225,14 @@ def _basis_column(rows, f):
     return col
 
 
-def solve_lp(inst: ILPInstance, basis=None) -> Outcome:
+def solve_lp(inst: ILPInstance, basis=None, trace: dict | None = None) -> Outcome:
     """Exact optimum of the relaxation max c^t x, Ax <= b.
 
     With a basis (a list of integer vectors f_1..f_k, each of length n) the
     LP is solved over x = F y: its rows are the distinct (a.f_1, ..., a.f_k | b),
     its objective c F.  A vector of another length raises ValueError.
+    ``trace`` receives ``pivots_phase1`` and ``pivots_phase2`` when the
+    simplex runs; phase 1 makes none when the starting basis is feasible.
     """
     lp = inst
     if basis is not None:
@@ -245,9 +251,12 @@ def solve_lp(inst: ILPInstance, basis=None) -> Outcome:
                 return Outcome(UNBOUNDED)
             return Outcome(OPTIMAL, point=(Fraction(0),) * inst.n, value=Fraction(0))
     t = _Tableau(lp)
-    if not _phase1(t):
-        return Outcome(INFEASIBLE)
-    out = _maximize(t, lp, lp.c)
+    feasible = _phase1(t)
+    phase1 = t.pivots
+    out = _maximize(t, lp, lp.c) if feasible else Outcome(INFEASIBLE)
+    if trace is not None:
+        trace["pivots_phase1"] = phase1
+        trace["pivots_phase2"] = t.pivots - phase1
     if out.status == OPTIMAL and basis is not None:
         point = tuple(sum(map(mul, out.point, col)) for col in zip(*basis))
         out = Outcome(OPTIMAL, point=point, value=out.value)

@@ -230,31 +230,41 @@ def write_instance(inst: ILPInstance, path) -> None:
 def read_instance(path, name=None) -> ILPInstance:
     """Parse the `ILP v1` text format; numbers are exact rationals.
 
-    A malformed file raises ValueError naming the path.
+    A row of integer tokens is read with ``int``, building no Fraction; any
+    other row, or one holding ``_`` (Python 3.10's Fraction refuses ``1_000``
+    and its int does not), with parse_rational.  A malformed file raises
+    ValueError naming the path and the 1-based line.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != "ILP v1":
+        lines = [(i, ln) for i, ln in enumerate(map(str.strip, fh), 1)
+                 if ln and not ln.startswith("#")]
+    if not lines or lines[0][1] != "ILP v1":
         raise ValueError(f"{path}: missing 'ILP v1' header")
-    if len(lines) < 3 or not lines[1].startswith("vars ") or not lines[2].startswith("obj "):
+    if len(lines) < 3 or not lines[1][1].startswith("vars ") or not lines[2][1].startswith("obj "):
         raise ValueError(f"{path}: expected 'vars n' and 'obj c1 ... cn' after the header")
-    ln = lines[1]
+    lineno, ln = lines[1]
     try:
         n = int(ln.split()[1])
-        ln = lines[2]
+        lineno, ln = lines[2]
         c = [parse_rational(t) for t in ln.split()[1:]]
         if len(c) != n:
             raise ValueError(f"objective length != {n}")
         rows = []
-        for ln in lines[3:]:
+        for lineno, ln in lines[3:]:
             left, sep, right = ln.partition("<=")
             if not sep:
                 raise ValueError("row without '<='")
-            coeffs = [parse_rational(t) for t in left.split()]
-            if len(coeffs) != n:
+            tokens = left.split()
+            if len(tokens) != n:
                 raise ValueError(f"row length != {n}")
-            rows.append(tuple(coeffs) + (parse_rational(right),))
+            tokens.append(right)
+            row = None
+            if "_" not in ln:
+                try:
+                    row = tuple(map(int, tokens))
+                except ValueError:
+                    pass
+            rows.append(row or tuple(map(parse_rational, tokens)))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc} in {ln!r}") from None
+        raise ValueError(f"{path}:{lineno}: {exc} in {ln!r}") from None
     return normalize(rows, c, name=name if name is not None else str(path))

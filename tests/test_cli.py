@@ -97,6 +97,22 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_assume_transitivity_is_trusted_not_checked(tmp_path, capsys):
+    # the 4-cycle fixes these rows and Alt(4) does not: the core point scan
+    # refuses them, and the layer scan, which needs only transitivity,
+    # finds the optimum 2 at which --assume-transitivity's scan falls short
+    path = tmp_path / "c4.ilp"
+    path.write_text(
+        "ILP v1\nvars 4\nobj 1 1 1 1\n1 0 1 0 <= 1\n0 1 0 1 <= 1\n"
+        "-1 0 0 0 <= 0\n0 -1 0 0 <= 0\n0 0 -1 0 <= 0\n0 0 0 -1 <= 0\n"
+    )
+    assert main(["solve", str(path)]) == 4
+    assert "transitive_only" in capsys.readouterr().err
+    assert main(["--output", "csv", "solve", str(path), "--method", "layers"]) == 0
+    header, row = list(csv.reader(io.StringIO(capsys.readouterr().out)))[:2]
+    assert row[header.index("status")] == "optimal" and row[header.index("value")] == "2"
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -326,6 +326,24 @@ def test_lp_and_bounds_match_vertex_oracle(inst):
     assert coordinate_bounds(inst) == bounds
 
 
+def test_pivots_are_traced_per_phase():
+    # the starting basis violates 2x - 2y <= -1, so phase 1 pivots
+    inst = normalize([(-1, 0, 1), (1, -2, 1), (2, -2, -1), (2, 1, 0)], [1, 1])
+    trace = {}
+    out = solve_lp(inst, trace=trace)
+    assert out.status == "optimal" and out.value == 1
+    assert trace["pivots_phase1"] > 0 and trace["pivots_phase2"] >= 0
+    # the unit square starts feasible: phase 1 makes no pivot
+    square = normalize([(1, 0, 1), (0, 1, 1), (-1, 0, 0), (0, -1, 0)], [1, 1])
+    trace = {}
+    solve_lp(square, trace=trace)
+    assert trace == {"pivots_phase1": 0, "pivots_phase2": 2}
+    # an infeasible LP stops after phase 1
+    trace = {}
+    assert solve_lp(normalize([(1, -1), (-1, 0)], [1]), trace=trace).status == "infeasible"
+    assert trace["pivots_phase1"] > 0 and trace["pivots_phase2"] == 0
+
+
 def test_phase1_pivots_out_a_degenerate_auxiliary(monkeypatch):
     """Phase 1 can end with the auxiliary basic at zero; its row never vanishes.
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from symilp.errors import BoxTooLarge, EmptySystem, InfeasibleZeroRow, SymilpError
@@ -14,7 +14,7 @@ from symilp.model import (
     satisfies_rows,
     write_instance,
 )
-from symilp.ratlin import scale_coprime
+from symilp.ratlin import parse_rational, scale_coprime
 
 
 def test_normalize_scales_to_coprime():
@@ -148,6 +148,16 @@ def test_instance_file_errors(tmp_path):
     bad.write_text("ILP v1\nvars 2\nobj 1 1\n1 2 3\n")
     with pytest.raises(ValueError):
         read_instance(bad)
+    # comment and blank lines count toward the reported line number
+    bad.write_text("ILP v1\nvars 2\nobj 1 1\n# a comment\n\n1 2 <= 3\n1 2 3 <= 4\n")
+    with pytest.raises(ValueError, match=r"bad\.ilp:7: row length != 2 in '1 2 3 <= 4'$"):
+        read_instance(bad)
+    bad.write_text("ILP v1\n# a comment\nvars 2\nobj 1 1\n1 2 3\n")
+    with pytest.raises(ValueError, match=r"bad\.ilp:5: row without '<=' in '1 2 3'$"):
+        read_instance(bad)
+    bad.write_text("ILP v1\nvars 2\n\nobj 1 x\n1 2 <= 3\n")
+    with pytest.raises(ValueError, match=r"bad\.ilp:4: .* in 'obj 1 x'$"):
+        read_instance(bad)
 
 
 raw_rows = st.lists(
@@ -242,3 +252,100 @@ def test_read_instance_fuzz(tmp_path, text):
     except (ValueError, SymilpError):
         return
     assert isinstance(inst, ILPInstance)
+
+
+# The reader's integer fast path against parse_rational.
+TOKEN_ALPHABET = "0123456789 /-.<=#ILPvarsobje" + "_+./" + "\u0663"
+tokens = st.text(alphabet=TOKEN_ALPHABET, max_size=8)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(tokens)
+@example("+5")
+@example("-0")
+@example("007")
+@example("\u0663")
+@example("1_000")
+@example("1__0")
+@example("5.")
+@example("1e5")
+@example(" 7 ")
+def test_int_reads_a_subset_of_parse_rational(token):
+    # a token int accepts has the same value under parse_rational; the
+    # reader sends every row holding "_" to parse_rational, because on
+    # Python 3.10 int accepts 1_000 and Fraction does not
+    fast = _parsed(int, token)
+    if fast is not None and "_" not in token:
+        assert _parsed(parse_rational, token) == fast
+
+
+def _read_text(tmp_path, text):
+    path = tmp_path / "t.ilp"
+    path.write_text(text)
+    try:
+        return read_instance(path, name="t")
+    except (ValueError, SymilpError) as exc:
+        return type(exc)
+
+
+def _normalized(token_rows, c):
+    try:
+        return normalize([tuple(map(parse_rational, row)) for row in token_rows], c, name="t")
+    except (ValueError, SymilpError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tokens.filter(lambda t: t.split() == [t]), tokens)
+@example("1_000", "2")
+@example("\u0663", "+5")
+@example("1", "1_000")
+@example("1.5", "2")
+@example("-3/6", "0.25")
+def test_reader_accepts_a_token_iff_parse_rational_does(tmp_path, coef, rhs):
+    # a coefficient is one whitespace-free token; the rhs is the rest of the line
+    text = f"ILP v1\nvars 2\nobj 1 1\n1 {coef} <= {rhs}\n"
+    got = _read_text(tmp_path, text)
+    want = _normalized([("1", coef, rhs.strip())], [1, 1])
+    if isinstance(want, ILPInstance):
+        assert got == want
+    else:
+        assert got is ValueError
+
+
+integer_token = st.integers(-12, 12).map(str)
+rational_token = integer_token | st.builds(
+    lambda p, q: f"{p}/{q}", st.integers(-12, 12), st.integers(1, 6)
+) | st.builds(lambda p, k: f"{p / 10**k:.{k}f}", st.integers(-99, 99), st.integers(1, 2))
+
+
+@st.composite
+def mixed_files(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(
+        st.lists(integer_token | rational_token, min_size=n + 1, max_size=n + 1)
+        | st.lists(integer_token, min_size=n + 1, max_size=n + 1),
+        min_size=1, max_size=8,
+    ))
+    lines = ["ILP v1", f"vars {n}", "obj " + " ".join(["1"] * n)]
+    for row in rows:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# comment"])))
+        lines.append(" ".join(row[:-1]) + " <= " + row[-1])
+    return n, rows, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mixed_files())
+def test_mixed_file_reads_as_parse_rational_rows(tmp_path, case):
+    n, rows, text = case
+    assert _read_text(tmp_path, text) == _normalized(rows, [1] * n)
