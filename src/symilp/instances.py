@@ -1,25 +1,31 @@
 """Benchmark instance generators.
 
 Hypertruncated cubes: conv([0,1]^n truncated at sum x <= r, plus the apex
-lambda*1) described by exactly 4n facets in four coordinate-orbit families.
+lambda*1) described by exactly 4n facets in four coordinate-orbit families,
+each built coprime and in lexicographic order.
 
 Wild input: the distorted join of a hexagon (circumradius 56/6) with a
 scaled cross polytope (73/10), lifted to heights 1 and -11/12, every vertex
-coordinate rounded to three decimals (half away from zero, exactly), its
-6 + 2^d facet hyperplanes fitted through their vertex sets, and the row set
-closed under the full symmetric group.
+coordinate rounded to three decimals (half away from zero, exactly), and
+the row set closed under the full symmetric group.  Of its 6 + 2^d facets
+only 7 are fitted through their vertex sets: the 6 hexagon-edge facets and
+one cross facet; the other cross facets are sign flips of that one.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import BadParams, DegenerateFacet
-from .model import ILPInstance, from_canonical, normalize
+from .model import ILPInstance, from_canonical
 from .ratlin import kernel_basis
+from .symmetry import distinct_permutations
 
 ONE = Fraction(1)
+
+# The most rows gen_wild expands: d = 10 has 885,768, d = 16 190,537,092.
+WILD_ROW_BUDGET = 10**7
 
 # Euler's number to 30 decimal places; enough that floor(n/e) is exact for
 # any dimension this toolkit will ever see.
@@ -54,34 +60,32 @@ def gen_hypertruncated_cube(p: HtcParams) -> ILPInstance:
     inequality (1-n+r/lambda) x_i + sum_{k!=i} x_k <= r and the contraction
     inequality (1-r+lambda(n-1)) x_i + (1-lambda) sum_{k!=i} x_k <=
     lambda(n-r).  Objective all-ones.
+
+    A family is (background, special entry, rhs), divided by the gcd of the
+    three, so its rows come out coprime; each family is emitted as one
+    ascending run.  The window r/n < lambda < 1 keeps special != background,
+    so the n rows of a family are distinct.
     """
     n, r = p.n, p.r
     num, den = p.lam.numerator, p.lam.denominator
+    # deletion cleared by lambda's numerator, contraction by its denominator
+    families = (
+        (0, 1, 1),
+        (0, -1, 0),
+        (num, num * (1 - n) + r * den, r * num),
+        (den - num, den * (1 - r) + num * (n - 1), num * (n - r)),
+    )
     rows = []
-    for i in range(n):
-        row = [0] * (n + 1)
-        row[i] = 1
-        row[n] = 1
-        rows.append(tuple(row))
-        row = [0] * (n + 1)
-        row[i] = -1
-        rows.append(tuple(row))
-    # deletion family, cleared by lambda's numerator
-    special = num * (1 - n) + r * den
-    for i in range(n):
-        row = [num] * (n + 1)
-        row[i] = special
-        row[n] = r * num
-        rows.append(tuple(row))
-    # contraction family, cleared by lambda's denominator
-    special = den * (1 - r) + num * (n - 1)
-    other = den - num
-    for i in range(n):
-        row = [other] * (n + 1)
-        row[i] = special
-        row[n] = num * (n - r)
-        rows.append(tuple(row))
-    return normalize(rows, [ONE] * n, name=f"htc-n{n}-r{r}-l{num}_{den}")
+    for family in families:
+        g = gcd(*family)
+        background, special, rhs = (v // g for v in family)
+        row = [background] * n + [rhs]
+        # row i leads with i backgrounds, then special: ascending in i iff special < background
+        for i in range(n) if special < background else range(n - 1, -1, -1):
+            row[i] = special
+            rows.append(tuple(row))
+            row[i] = background
+    return from_canonical(rows, [ONE] * n, name=f"htc-n{n}-r{r}-l{num}_{den}")
 
 
 def round3(x: Fraction) -> Fraction:
@@ -159,28 +163,6 @@ def distorted_join_vrep(d: int) -> tuple:
     return tuple(verts)
 
 
-def _join_facet_vertex_sets(d: int):
-    """Index sets of the 6 + 2^d facets of the join, combinatorially.
-
-    A facet is (hexagon edge) * (whole cross polytope) or (whole hexagon) *
-    (cross polytope facet); cross polytope facets are the 2^d sign
-    patterns.
-    """
-    hex_idx = list(range(6))
-    cross_idx = {}
-    pos = 6
-    for i in range(d):
-        for s in (1, -1):
-            cross_idx[(i, s)] = pos
-            pos += 1
-    sets = []
-    for k in range(6):
-        sets.append([hex_idx[k], hex_idx[(k + 1) % 6]] + list(range(6, 6 + 2 * d)))
-    for signs in product((1, -1), repeat=d):
-        sets.append(hex_idx + [cross_idx[(i, signs[i])] for i in range(d)])
-    return sets
-
-
 def _fit_facet(vertices, idx_set, barycenter):
     """Unique hyperplane a.x = beta through the vertex subset, as a valid
     coprime-integer row oriented so the barycenter is feasible."""
@@ -238,21 +220,69 @@ def symmetrize(inst: ILPInstance) -> ILPInstance:
     return from_canonical(rows, inst.c, name=f"{inst.name}#sym")
 
 
-def gen_wild(d: int) -> ILPInstance:
-    """Symmetrized distorted join in dimension n = d + 3, objective 1."""
+def orbit_row_count(inst: ILPInstance) -> int:
+    """The number of rows symmetrize(inst) returns, without expanding them."""
+    return sum(distinct_permutations(key[:-1]) for key in inst.row_classes)
+
+
+def _check_facets(vertices, facets) -> None:
+    """Every (row, sorted vertex indices) pair holds on every vertex and is
+    tight on exactly its indices, checked in ints on the vertices scaled by
+    the lcm of their denominators."""
+    den = lcm(*(x.denominator for v in vertices for x in v))
+    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in vertices]
+    for row, idx in facets:
+        bound = row[-1] * den
+        tight = []
+        for j, v in enumerate(scaled):
+            side = sum(map(mul, row, v))
+            if side > bound:
+                raise DegenerateFacet("rounding broke the join's convex position")
+            if side == bound:
+                tight.append(j)
+        if tight != idx:
+            raise DegenerateFacet(f"facet tight on vertices {tight}, expected {idx}")
+
+
+def wild_facets(d: int) -> ILPInstance:
+    """One facet row of the distorted join per Sym(n) class, n = d + 3.
+
+    Fits the 6 hexagon-edge facets and the all-plus cross facet.  Negating
+    p of its cross coordinates (3..d+2) gives the cross facet with p minus
+    signs, since the vertices are closed under those flips (round3 is odd);
+    all such facets form one Sym(n) class, so one flip per p stands for
+    them.  Every row is checked in ints against every vertex.
+    """
     if d < 3:
         raise BadParams(f"wild construction needs d >= 3, got d={d}")
     n = d + 3
     verts = distorted_join_vrep(d)
     k = len(verts)
     barycenter = tuple(sum(v[t] for v in verts) / k for t in range(n))
-    facet_rows = []
-    for idx_set in _join_facet_vertex_sets(d):
-        row = _fit_facet(verts, idx_set, barycenter)
-        for v in verts:
-            if sum(av * xv for av, xv in zip(row, v)) > row[-1]:
-                raise DegenerateFacet("rounding broke the join's convex position")
-        facet_rows.append(row)
-    base = from_canonical(facet_rows, [ONE] * n, name=f"wild-d{d}-facets")
+    # hexagon vertices are 0..5; the cross vertex s*e_i is 6 + 2i, or 7 + 2i if s < 0
+    cross = list(range(6, 6 + 2 * d))
+    facets = []
+    for e in range(6):
+        idx = sorted((e, (e + 1) % 6)) + cross
+        facets.append((_fit_facet(verts, idx, barycenter), idx))
+    plus = _fit_facet(verts, list(range(6)) + cross[::2], barycenter)
+    for p in range(d + 1):
+        row = plus[:2] + tuple(-v for v in plus[2 : 2 + p]) + plus[2 + p :]
+        facets.append((row, list(range(6)) + [6 + 2 * i + (i < p) for i in range(d)]))
+    _check_facets(verts, facets)
+    return from_canonical([row for row, _ in facets], [ONE] * n, name=f"wild-d{d}-facets")
+
+
+def gen_wild(d: int) -> ILPInstance:
+    """Symmetrized distorted join in dimension n = d + 3, objective 1.
+
+    The orbits of wild_facets(d), expanded; more than WILD_ROW_BUDGET rows
+    raises BadParams before any is expanded.
+    """
+    base = wild_facets(d)
+    m = orbit_row_count(base)
+    if m > WILD_ROW_BUDGET:
+        raise BadParams(f"wild d={d} has {m:,} rows, above the budget of {WILD_ROW_BUDGET:,}")
     out = symmetrize(base)
-    return ILPInstance(out.rows, out.c, name=f"wild-d{d}")
+    out.name = f"wild-d{d}"
+    return out

@@ -159,7 +159,8 @@ def scan_prologue(
     detection decides.  Returns zeta of the LP on the line, solved over one
     row per row class, None if that LP is infeasible; an unbounded one
     raises.  The certificate's tier and seconds go to ``trace["certificate"]``
-    and ``trace["certificate_s"]``, the LP's seconds to ``trace["lp_s"]`` and
+    and ``trace["certificate_s"]``, the LP's seconds to ``trace["lp_s"]``, its
+    pivots to ``trace["pivots_phase1"]`` and ``trace["pivots_phase2"]``, and
     the number of row classes to ``trace["row_classes"]``.
     """
     if any(cj != 1 for cj in inst.c):
@@ -182,7 +183,7 @@ def scan_prologue(
     classes = inst.row_classes
     t0 = perf_counter()
     # (sum a | b) is constant on a class: one sorted row per class gives zeta
-    status, zeta = solve_lp_on_line(ILPInstance(sorted(classes), inst.c, name=inst.name))
+    status, zeta = solve_lp_on_line(ILPInstance(sorted(classes), inst.c, name=inst.name), trace)
     if trace is not None:
         trace["lp_s"] = perf_counter() - t0
         trace["row_classes"] = len(classes)

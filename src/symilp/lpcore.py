@@ -263,15 +263,15 @@ def solve_lp(inst: ILPInstance, basis=None, trace: dict | None = None) -> Outcom
     return out
 
 
-def solve_lp_on_line(inst: ILPInstance):
+def solve_lp_on_line(inst: ILPInstance, trace: dict | None = None):
     """Largest zeta with zeta*1 feasible: solve_lp over the line spanned by 1.
 
     Requires the all-ones objective.  Returns (status, zeta) where zeta is
-    None unless status is "optimal".
+    None unless status is "optimal".  ``trace`` goes to solve_lp.
     """
     if any(cj != 1 for cj in inst.c):
         raise ObjectiveNotOnes("solve_lp_on_line needs c = 1")
-    out = solve_lp(inst, [(1,) * inst.n])
+    out = solve_lp(inst, [(1,) * inst.n], trace=trace)
     return (out.status, out.point[0] if out.status == OPTIMAL else None)
 
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from symilp import layers, model, symdetect
+from symilp import instances, layers, model, symdetect
 from symilp.cli import bench_rows, main
 from symilp.errors import SearchBudgetExceeded
 from symilp.model import Outcome, read_instance, write_instance
@@ -175,9 +175,9 @@ def test_help_exits_0(capsys):
 def test_lp_on_line_is_timed_apart_from_the_scan(tmp_path, monkeypatch, capsys):
     line_lp = layers.solve_lp_on_line
 
-    def slow_line_lp(inst):
+    def slow_line_lp(inst, trace=None):
         time.sleep(0.05)
-        return line_lp(inst)
+        return line_lp(inst, trace)
 
     monkeypatch.setattr(layers, "solve_lp_on_line", slow_line_lp)
     path = tmp_path / "htc.ilp"
@@ -350,3 +350,15 @@ def test_bench_empty_range(capsys):
     assert main(["bench", "htc", "--range", "100:90:10"]) == 0
     out = capsys.readouterr().out
     assert "instance" in out  # header only
+
+
+def test_wild_past_the_row_budget_is_refused(tmp_path, monkeypatch, capsys):
+    def expand(inst):
+        raise AssertionError("rows expanded past the budget")
+
+    monkeypatch.setattr(instances, "symmetrize", expand)
+    path = tmp_path / "wild16.ilp"
+    assert main(["generate", "wild", "--d", "16", "-o", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1
+    assert "190,537,092 rows" in err and not path.exists()

@@ -13,7 +13,9 @@ from symilp.errors import (
     TransitivityNotEstablished,
     UnboundedRelaxation,
 )
+from symilp.instances import HtcParams, gen_hypertruncated_cube, htc_r
 from symilp.layers import solve_by_layers
+from symilp.lpcore import solve_lp_on_line
 from symilp.model import brute_force_ilp, normalize
 from symilp.symmetry import alt_generators, orbit
 from corpus import random_symmetric_instance
@@ -126,6 +128,20 @@ def test_both_scans_trace_the_row_classes(htc6, ex61):
         assert trace["row_classes"] == len(inst.row_classes)
     assert len(htc6.row_classes) == 4  # the htc's four facet families
     assert len(ex61.row_classes) == 1
+
+
+def test_both_scans_trace_the_line_lp_pivots():
+    inst = gen_hypertruncated_cube(HtcParams(8, htc_r(8), Fraction(1, 2)))
+    line = {}
+    solve_lp_on_line(inst, trace=line)
+    assert line["pivots_phase1"] == 0 and line["pivots_phase2"] >= 1  # 0 is feasible
+    for scan in (solve_core_point, solve_by_layers):
+        trace = {}
+        scan(inst, trace=trace)
+        assert (trace["pivots_phase1"], trace["pivots_phase2"]) == (
+            line["pivots_phase1"],
+            line["pivots_phase2"],
+        )
 
 
 @settings(max_examples=100, deadline=None)

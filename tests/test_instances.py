@@ -2,10 +2,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from symilp.errors import BadParams
+from symilp import instances
+from symilp.errors import BadParams, DegenerateFacet
 from symilp.instances import (
     EULER_E,
+    WILD_ROW_BUDGET,
     HtcParams,
     cross_polytope_vrep,
     distorted_join_vrep,
@@ -14,15 +18,23 @@ from symilp.instances import (
     hexagon_vrep,
     htc_r,
     multiset_permutations,
+    orbit_row_count,
     round3,
     round3_sqrt3,
     symmetrize,
-    _join_facet_vertex_sets,
+    wild_facets,
+    _check_facets,
 )
 from symilp.model import normalize
 from symilp.ratlin import dot
 from symilp.symmetry import full_cycle, is_symmetry, transposition
-from testkit import htc_vertices, rank
+from testkit import (
+    htc_vertices,
+    join_facet_vertex_sets,
+    rank,
+    reference_gen_wild,
+    reference_htc,
+)
 
 
 def test_htc_params_window():
@@ -133,8 +145,8 @@ def test_join_vertex_embedding():
 
 
 def test_join_facet_count():
-    assert len(_join_facet_vertex_sets(3)) == 6 + 8
-    assert len(_join_facet_vertex_sets(5)) == 6 + 32
+    assert len(join_facet_vertex_sets(3)) == 6 + 8
+    assert len(join_facet_vertex_sets(5)) == 6 + 32
 
 
 def test_multiset_permutations():
@@ -182,11 +194,11 @@ def test_wild_rows_valid_on_vertices():
     # spot-check validity of all rows on all vertices (symmetrized rows
     # are only guaranteed valid for the symmetrized polytope, so check
     # the facet classes through representatives instead)
-    from symilp.instances import _fit_facet, _join_facet_vertex_sets
+    from symilp.instances import _fit_facet
 
     k = len(verts)
     bary = tuple(sum(v[t] for v in verts) / k for t in range(d + 3))
-    for idx in _join_facet_vertex_sets(d):
+    for idx in join_facet_vertex_sets(d):
         row = _fit_facet(verts, idx, bary)
         for v in verts:
             assert dot(row[:-1], v) <= row[-1]
@@ -204,3 +216,74 @@ def test_wild_is_fully_symmetric():
 def test_wild_rejects_small_d():
     with pytest.raises(BadParams):
         gen_wild(2)
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_gen_wild_matches_the_facet_by_facet_reference(d):
+    inst, ref = gen_wild(d), reference_gen_wild(d)
+    assert (inst.rows, inst.c, inst.name) == (ref.rows, ref.c, ref.name)
+    assert orbit_row_count(wild_facets(d)) == inst.m
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_gen_wild_fits_seven_facets(d, monkeypatch):
+    calls = []
+    fit = instances._fit_facet
+
+    def counting(*args):
+        calls.append(args[1])
+        return fit(*args)
+
+    monkeypatch.setattr(instances, "_fit_facet", counting)
+    gen_wild(d)
+    assert len(calls) == 7  # six hexagon edges and the all-plus cross facet
+
+
+@pytest.mark.parametrize("d,m", [(3, 1020), (6, 18288), (8, 130900), (10, 885768)])
+def test_wild_row_count_is_a_sum_of_multinomials(d, m):
+    base = wild_facets(d)
+    assert base.m == 6 + d + 1  # the cross facets by their number of minus signs
+    assert orbit_row_count(base) == m
+
+
+def _no_expansion(*args):
+    raise AssertionError("rows expanded past the budget")
+
+
+def test_wild_row_budget_refuses_before_expanding(monkeypatch):
+    monkeypatch.setattr(instances, "symmetrize", _no_expansion)
+    monkeypatch.setattr(instances, "multiset_permutations", _no_expansion)
+    assert orbit_row_count(wild_facets(16)) == 190_537_092 > WILD_ROW_BUDGET
+    with pytest.raises(BadParams, match="190,537,092 rows"):
+        gen_wild(16)
+
+
+def test_facet_check_wants_exactly_the_tight_vertices():
+    verts = ((Fraction(1, 2), 0), (0, Fraction(1, 2)), (0, 0))
+    row = (2, 2, 1)  # x + y <= 1/2 on the first two vertices
+    _check_facets(verts, [(row, [0, 1])])
+    with pytest.raises(DegenerateFacet, match="tight"):
+        _check_facets(verts, [(row, [0])])
+    with pytest.raises(DegenerateFacet, match="convex position"):
+        _check_facets(verts, [((2, 2, 0), [2])])
+
+
+@st.composite
+def htc_params(draw, max_n=60):
+    """Any HtcParams with n <= max_n and lambda's denominator up to 4n."""
+    n = draw(st.integers(3, max_n))
+    r = draw(st.integers(2, n - 1))
+    den = draw(st.integers(2, 4 * n))
+    lo = r * den // n + 1  # the least numerator above r/n
+    assume(lo < den)
+    return HtcParams(n, r, Fraction(draw(st.integers(lo, den - 1)), den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(htc_params())
+# lambda = 2/3: the deletion family (2, 3r + 2 - 2n | 2r) has gcd 2 for even r
+@example(HtcParams(9, 4, Fraction(2, 3)))
+@example(HtcParams(60, 22, Fraction(2, 3)))
+def test_htc_matches_the_normalize_reference(p):
+    inst, ref = gen_hypertruncated_cube(p), reference_htc(p)
+    assert (inst.rows, inst.c, inst.name) == (ref.rows, ref.c, ref.name)

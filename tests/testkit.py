@@ -4,6 +4,7 @@ Layer centers, core-point distances, the core representative, the core
 point scan over expanded rows, the representative oracle, basis
 orbit barycenters, group enumeration, the fixed space and orbit average by
 matrices and enumeration, the hypertruncated cube's vertices, the
+facet-by-facet wild and htc generators, the
 split-column simplex, rank and linear solving by Gauss-Jordan
 elimination over Fraction, signed-permutation inverses, the row loop of
 the symmetry check and the round-based automorphism search: each restates
@@ -15,17 +16,22 @@ instances closed under a group, for the property tests.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import floor, lcm
 from operator import getitem
 
 from hypothesis import strategies as st
 
-from symilp.errors import ResultCheckFailed, SearchBudgetExceeded, UnboundedRelaxation
-from symilp.instances import HtcParams
+from symilp.errors import (
+    DegenerateFacet,
+    ResultCheckFailed,
+    SearchBudgetExceeded,
+    UnboundedRelaxation,
+)
+from symilp.instances import HtcParams, _fit_facet, distorted_join_vrep, symmetrize
 from symilp.layers import CoprimeDirection
 from symilp.lpcore import _eliminate, solve_lp_on_line
-from symilp.model import INFEASIBLE, OPTIMAL, UNBOUNDED, Outcome, normalize
+from symilp.model import INFEASIBLE, OPTIMAL, UNBOUNDED, ILPInstance, Outcome, from_canonical, normalize
 from symilp.ratlin import kernel_basis
 from symilp.symmetry import (
     BasisOrbit,
@@ -62,6 +68,74 @@ def htc_vertices(p: HtcParams):
             verts.append(tuple(v))
     verts.append((p.lam,) * n)
     return verts
+
+
+def reference_htc(p: HtcParams) -> ILPInstance:
+    """The 4n raw htc rows, one family after another, through normalize."""
+    n, r = p.n, p.r
+    num, den = p.lam.numerator, p.lam.denominator
+    rows = []
+    for i in range(n):
+        row = [0] * (n + 1)
+        row[i] = 1
+        row[n] = 1
+        rows.append(tuple(row))
+        row = [0] * (n + 1)
+        row[i] = -1
+        rows.append(tuple(row))
+    special = num * (1 - n) + r * den
+    for i in range(n):
+        row = [num] * (n + 1)
+        row[i] = special
+        row[n] = r * num
+        rows.append(tuple(row))
+    special = den * (1 - r) + num * (n - 1)
+    for i in range(n):
+        row = [den - num] * (n + 1)
+        row[i] = special
+        row[n] = num * (n - r)
+        rows.append(tuple(row))
+    return normalize(rows, [1] * n, name=f"htc-n{n}-r{r}-l{num}_{den}")
+
+
+def join_facet_vertex_sets(d: int):
+    """Index sets of the 6 + 2^d facets of the join, combinatorially.
+
+    A facet is (hexagon edge) * (whole cross polytope) or (whole hexagon) *
+    (cross polytope facet); cross polytope facets are the 2^d sign
+    patterns.
+    """
+    hex_idx = list(range(6))
+    cross_idx = {}
+    pos = 6
+    for i in range(d):
+        for s in (1, -1):
+            cross_idx[(i, s)] = pos
+            pos += 1
+    sets = []
+    for k in range(6):
+        sets.append([hex_idx[k], hex_idx[(k + 1) % 6]] + list(range(6, 6 + 2 * d)))
+    for signs in product((1, -1), repeat=d):
+        sets.append(hex_idx + [cross_idx[(i, signs[i])] for i in range(d)])
+    return sets
+
+
+def reference_gen_wild(d: int) -> ILPInstance:
+    """The wild instance with every one of its 6 + 2^d facets fitted, each
+    checked against every vertex in Fractions, then symmetrized."""
+    n = d + 3
+    verts = distorted_join_vrep(d)
+    k = len(verts)
+    barycenter = tuple(sum(v[t] for v in verts) / k for t in range(n))
+    facet_rows = []
+    for idx_set in join_facet_vertex_sets(d):
+        row = _fit_facet(verts, idx_set, barycenter)
+        for v in verts:
+            if sum(av * xv for av, xv in zip(row, v)) > row[-1]:
+                raise DegenerateFacet("rounding broke the join's convex position")
+        facet_rows.append(row)
+    out = symmetrize(from_canonical(facet_rows, [1] * n, name=f"wild-d{d}-facets"))
+    return ILPInstance(out.rows, out.c, name=f"wild-d{d}")
 
 
 def core_distance_sq(n: int, k: int) -> Fraction:
