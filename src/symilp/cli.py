@@ -46,7 +46,6 @@ class RunReport(NamedTuple):
     lp_s: float
     ip_s: float
     layers_scanned: int
-    feasibility_checks: int
     point: tuple | None
 
 
@@ -148,7 +147,7 @@ def cmd_reduce(args) -> int:
     return EXIT_OPTIMAL
 
 
-def _run(inst, method, assume_transitive=False, box=None) -> RunReport:
+def _run(inst, method, box=None) -> RunReport:
     """Solve one instance, check the point, and build its report row.
 
     ``lp_s`` is the scans' LP on the line; ``ip_s`` is the rest of the solve.
@@ -156,9 +155,9 @@ def _run(inst, method, assume_transitive=False, box=None) -> RunReport:
     trace = {}
     t0 = time.perf_counter()
     if method == "corepoint":
-        out = corepoint.solve_core_point(inst, assume_transitive=assume_transitive, trace=trace)
+        out = corepoint.solve_core_point(inst, trace=trace)
     elif method == "layers":
-        out = layers.solve_by_layers(inst, assume_transitive=assume_transitive, trace=trace)
+        out = layers.solve_by_layers(inst, trace=trace)
     else:
         out = model.brute_force_ilp(inst, box=box)
     elapsed = time.perf_counter() - t0
@@ -167,14 +166,14 @@ def _run(inst, method, assume_transitive=False, box=None) -> RunReport:
     lp_s = trace.get("lp_s", 0.0)
     return RunReport(
         inst.name, method, out.status, out.value, inst.m, inst.n, lp_s, elapsed - lp_s,
-        trace.get("layers_scanned", 0), trace.get("feasibility_checks", 0), out.point,
+        trace.get("layers_scanned", 0), out.point,
     )
 
 
 def cmd_solve(args) -> int:
     inst = model.read_instance(args.file)
     box = _parse_box(args.box, inst.n) if args.box else None
-    report = _run(inst, args.method, args.assume_transitivity, box)
+    report = _run(inst, args.method, box)
     _emit_reports([report], args.output)
     if report.status == model.OPTIMAL and inst.n <= POINT_ELIDE_N:
         _print_point(report.point)
@@ -193,7 +192,7 @@ def _parse_range(text):
     return list(range(lo, hi + 1, step))
 
 
-def bench_rows(family, sizes, assume_transitivity=False):
+def bench_rows(family, sizes):
     """Generate-and-solve loop; LP-on-line and IP times reported apart."""
     reports = []
     for size in sizes:
@@ -202,13 +201,13 @@ def bench_rows(family, sizes, assume_transitivity=False):
             inst = instances.gen_hypertruncated_cube(p)
         else:
             inst = instances.gen_wild(size)
-        reports.append(_run(inst, "corepoint", assume_transitivity))
+        reports.append(_run(inst, "corepoint"))
     return reports
 
 
 def cmd_bench(args) -> int:
     sizes = _parse_range(args.range)
-    reports = bench_rows(args.family, sizes, args.assume_transitivity)
+    reports = bench_rows(args.family, sizes)
     _emit_reports(reports, args.output)
     return EXIT_OPTIMAL
 
@@ -225,17 +224,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the global flags are accepted both before and after the subcommand;
+    # the global flag is accepted both before and after the subcommand;
     # SUPPRESS keeps a late subparser from clobbering an early value
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "csv"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--assume-transitivity", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="skip the symmetry certificate: the core point scan then "
-                        "assumes Sym(n), or Alt(n) with n >= 4, and the layer scan "
-                        "assumes a transitive group; on rows with less symmetry an "
-                        "'optimal' answer can be below the optimum")
 
     ap = _Parser(prog="symilp", parents=[common])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -293,15 +286,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # global flags default here, not in the parser: argparse would push a
+        # --output defaults here, not in the parser: argparse would push a
         # parser-level default through the shared parent action and let the
-        # subparser pass clobber values given before the subcommand
-        for dest, default in (
-            ("output", "text"),
-            ("assume_transitivity", False),
-        ):
-            if not hasattr(args, dest):
-                setattr(args, dest, default)
+        # subparser pass clobber a value given before the subcommand
+        args.output = getattr(args, "output", "text")
         return _COMMANDS[args.command](args)
     except InfeasibleZeroRow as exc:  # a row, read or orbit-summed, reads 0 <= b with b < 0
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -32,11 +32,7 @@ def core_points(n: int, k: int) -> list:
     return pts
 
 
-def solve_core_point(
-    inst: ILPInstance,
-    assume_transitive: bool = False,
-    trace: dict | None = None,
-) -> Outcome:
+def solve_core_point(inst: ILPInstance, trace: dict | None = None) -> Outcome:
     """Core point scan for ILP(A, b, 1): at most n feasibility checks.
 
     Each check tests the representative (q+1,...,q+1,q,...,q), d raised
@@ -46,18 +42,14 @@ def solve_core_point(
     exact; on any rows it bounds every row, so a returned point is feasible.
     Cost: one sort per row to build the classes, O(n) set-up per class,
     then O(1) per class and check.
-    ``trace`` receives ``lp_s``, ``row_classes`` and ``feasibility_checks``,
-    and the certificate's ``certificate`` and ``certificate_s`` unless
-    ``assume_transitive``.
-    ``assume_transitive`` skips the certificate and trusts Sym(n), or Alt(n)
-    with n >= 4, not mere transitivity: on rows that only the n-cycle fixes
-    the scan can report a layer below the optimum as optimal.
+    ``trace`` receives ``certificate``, ``certificate_s``, ``lp_s``,
+    ``row_classes`` and ``layers_scanned``, the number of checks.
     """
     n = inst.n
     # Alt(n) supplies the layer all-or-nothing property only from n = 4 up;
     # Alt(3) is the cyclic group and merely transitive.
     accepted = (FULL_SYMMETRIC, ALTERNATING) if n >= 4 else (FULL_SYMMETRIC,)
-    zeta = scan_prologue(inst, accepted, assume_transitive, "core point scan", trace)
+    zeta = scan_prologue(inst, accepted, "core point scan", trace)
     if zeta is None:
         return Outcome(INFEASIBLE)
     q = floor(zeta)
@@ -68,15 +60,14 @@ def solve_core_point(
     for key in inst.row_classes:
         top = list(accumulate(reversed(key[:-1]), initial=0))
         classes.append((top, key[-1] - q * top[-1]))
-    checks = 0
-    while d >= 0:
-        checks += 1
+    out = Outcome(INFEASIBLE)
+    scanned = 0
+    for d in range(d, -1, -1):
+        scanned += 1
         if all(top[d] <= room for top, room in classes):
-            if trace is not None:
-                trace["feasibility_checks"] = checks
             point = (q + 1,) * d + (q,) * (n - d)
-            return Outcome(OPTIMAL, point=point, value=Fraction(n * q + d))
-        d -= 1
+            out = Outcome(OPTIMAL, point=point, value=Fraction(n * q + d))
+            break
     if trace is not None:
-        trace["feasibility_checks"] = checks
-    return Outcome(INFEASIBLE)
+        trace["layers_scanned"] = scanned
+    return out

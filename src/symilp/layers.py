@@ -36,6 +36,8 @@ from .ratlin import scale_coprime
 from .symmetry import ALTERNATING, FULL_SYMMETRIC, NONE, TRANSITIVE_ONLY
 from .symmetry import basis_orbits, verify_symmetric_group_invariance
 
+LAYER_NODE_BUDGET = 10**7  # nodes one layer's enumeration may visit
+
 
 @dataclass(frozen=True)
 class CoprimeDirection:
@@ -103,14 +105,16 @@ def _layer_box(inst: ILPInstance, k: int):
         return None  # the slice misses P entirely
 
 
-def enumeration_oracle(inst: ILPInstance, k: int, max_points: int = 10**7):
-    """Default per-layer oracle: search integral points of P with sum k.
+def enumeration_oracle(inst: ILPInstance, k: int):
+    """The layer scan's oracle: search integral points of P with sum k.
 
     Depth-first over coordinates inside per-layer bounds, pruning on the
     reachable range of the remaining partial sum; the first feasible point
-    in lexicographic order is returned, else None.
+    in lexicographic order is returned, else None.  A search that visits
+    more than LAYER_NODE_BUDGET nodes raises BoxTooLarge.
     """
     n = inst.n
+    budget = LAYER_NODE_BUDGET
     box = _layer_box(inst, k)
     if box is None:
         return None
@@ -137,8 +141,8 @@ def enumeration_oracle(inst: ILPInstance, k: int, max_points: int = 10**7):
             stack.pop()
             continue
         visited += 1
-        if visited > max_points:
-            raise BoxTooLarge(f"layer enumeration exceeded {max_points} nodes")
+        if visited > budget:
+            raise BoxTooLarge(f"layer enumeration exceeded {budget} nodes")
         x[j] = v
         rem[j + 1] = rem[j] - v
         if j + 1 < n:
@@ -148,38 +152,34 @@ def enumeration_oracle(inst: ILPInstance, k: int, max_points: int = 10**7):
     return None
 
 
-def scan_prologue(
-    inst: ILPInstance, accepted, assume_transitive: bool, scan: str, trace: dict | None = None
-):
+def scan_prologue(inst: ILPInstance, accepted, scan: str, trace: dict | None = None):
     """The all-ones scans' common start: the gate, then the LP on the line.
 
-    The gate raises ObjectiveNotOnes unless c = 1, then, without
-    ``assume_transitive``, runs the certificate, which must reach one of the
-    ``accepted`` levels; if it finds none and TRANSITIVE_ONLY is accepted,
-    detection decides.  Returns zeta of the LP on the line, solved over one
-    row per row class, None if that LP is infeasible; an unbounded one
-    raises.  The certificate's tier and seconds go to ``trace["certificate"]``
-    and ``trace["certificate_s"]``, the LP's seconds to ``trace["lp_s"]``, its
-    pivots to ``trace["pivots_phase1"]`` and ``trace["pivots_phase2"]``, and
-    the number of row classes to ``trace["row_classes"]``.
+    The gate raises ObjectiveNotOnes unless c = 1, then runs the
+    certificate, which must reach one of the ``accepted`` levels; if it
+    finds none and TRANSITIVE_ONLY is accepted, detection decides.  Returns
+    zeta of the LP on the line, solved over one row per row class, None if
+    that LP is infeasible; an unbounded one raises.  The certificate's tier
+    and seconds go to ``trace["certificate"]`` and ``trace["certificate_s"]``,
+    the LP's seconds to ``trace["lp_s"]``, its pivots to
+    ``trace["pivots_phase1"]`` and ``trace["pivots_phase2"]``, and the number
+    of row classes to ``trace["row_classes"]``.
     """
     if any(cj != 1 for cj in inst.c):
         raise ObjectiveNotOnes(f"{scan} is defined for c = 1")
-    if not assume_transitive:
-        t0 = perf_counter()
-        level = verify_symmetric_group_invariance(inst)
-        if trace is not None:
-            trace["certificate"] = level
-            trace["certificate_s"] = perf_counter() - t0
-        if level == NONE and TRANSITIVE_ONLY in accepted:
-            G = symdetect.detect(inst, "reduced", trace=trace).group
-            if len({abs(v) for v in basis_orbits(G)[0].members}) == inst.n:  # e_1 reaches all n
-                level = TRANSITIVE_ONLY
-        if level not in accepted:
-            raise TransitivityNotEstablished(
-                f"certificate level {level!r}; {scan} needs one of "
-                f"{sorted(accepted)}; pass assume_transitive to override"
-            )
+    t0 = perf_counter()
+    level = verify_symmetric_group_invariance(inst)
+    if trace is not None:
+        trace["certificate"] = level
+        trace["certificate_s"] = perf_counter() - t0
+    if level == NONE and TRANSITIVE_ONLY in accepted:
+        G = symdetect.detect(inst, "reduced", trace=trace).group
+        if len({abs(v) for v in basis_orbits(G)[0].members}) == inst.n:  # e_1 reaches all n
+            level = TRANSITIVE_ONLY
+    if level not in accepted:
+        raise TransitivityNotEstablished(
+            f"certificate level {level!r}; {scan} needs one of {sorted(accepted)}"
+        )
     classes = inst.row_classes
     t0 = perf_counter()
     # (sum a | b) is constant on a class: one sorted row per class gives zeta
@@ -192,39 +192,30 @@ def scan_prologue(
     return zeta
 
 
-def solve_by_layers(
-    inst: ILPInstance,
-    oracle=None,
-    assume_transitive: bool = False,
-    trace: dict | None = None,
-) -> Outcome:
+def solve_by_layers(inst: ILPInstance, trace: dict | None = None) -> Outcome:
     """Layer-scan solver for ILP(A, b, 1) under a transitive symmetry group.
 
-    Scans k from floor(n*zeta) down to n*floor(zeta): the first layer with
-    a feasible integral point is optimal, and an exhausted scan certifies
-    infeasibility.  ``trace`` receives ``lp_s``, ``row_classes`` and
-    ``layers_scanned``, and the certificate's ``certificate`` and
-    ``certificate_s`` unless ``assume_transitive``.
+    Scans k from floor(n*zeta) down to n*floor(zeta), asking
+    enumeration_oracle for a point on each layer: the first layer with a
+    feasible integral point is optimal, and an exhausted scan certifies
+    infeasibility.  ``trace`` receives ``certificate``, ``certificate_s``,
+    ``lp_s``, ``row_classes`` and ``layers_scanned``.
     """
     n = inst.n
     transitive = (FULL_SYMMETRIC, ALTERNATING, TRANSITIVE_ONLY)  # any level but NONE
-    zeta = scan_prologue(inst, transitive, assume_transitive, "layer scan", trace)
+    zeta = scan_prologue(inst, transitive, "layer scan", trace)
     if zeta is None:
         return Outcome(INFEASIBLE)
-    if oracle is None:
-        oracle = enumeration_oracle
-    hi = floor(n * zeta)
-    lo = n * floor(zeta)
+    out = Outcome(INFEASIBLE)
     scanned = 0
-    for k in range(hi, lo - 1, -1):
+    for k in range(floor(n * zeta), n * floor(zeta) - 1, -1):
         scanned += 1
-        point = oracle(inst, k)
+        point = enumeration_oracle(inst, k)
         if point is not None:
             if sum(point) != k or not inst.is_feasible(point):
                 raise ResultCheckFailed(f"layer oracle returned a bad point for layer {k}")
-            if trace is not None:
-                trace["layers_scanned"] = scanned
-            return Outcome(OPTIMAL, point=tuple(point), value=Fraction(k))
+            out = Outcome(OPTIMAL, point=tuple(point), value=Fraction(k))
+            break
     if trace is not None:
         trace["layers_scanned"] = scanned
-    return Outcome(INFEASIBLE)
+    return out

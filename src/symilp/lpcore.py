@@ -46,7 +46,7 @@ class _Tableau:
 
     def __init__(self, inst: ILPInstance):
         m, n = inst.m, inst.n
-        self.m, self.n = m, n
+        self.n = n
         self.aux = n + m
         self.nonbasic = list(range(n))
         self.basis = list(range(n, n + m))

@@ -21,7 +21,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-DEFAULT_POINT_CAP = 10**8
+BOX_POINT_BUDGET = 10**8  # points brute_force_ilp may enumerate
 
 
 @dataclass(frozen=True)
@@ -177,13 +177,14 @@ def explicit_box(inst: ILPInstance):
     return list(zip(lo, hi))
 
 
-def brute_force_ilp(inst: ILPInstance, box=None, max_points: int = DEFAULT_POINT_CAP) -> Outcome:
+def brute_force_ilp(inst: ILPInstance, box=None) -> Outcome:
     """Exhaustive integral optimum over a finite box; the global test oracle.
 
     Ties are broken toward the lexicographically smallest point; values are
     compared as ints, with c scaled by the lcm of its denominators.  The box
     defaults to the bounds implied by single-variable rows, else to exact
-    per-coordinate LP bounds.
+    per-coordinate LP bounds.  A box of more than BOX_POINT_BUDGET points
+    raises BoxTooLarge.
     """
     if box is None:
         from .lpcore import integer_box  # deferred: lpcore imports model
@@ -194,11 +195,12 @@ def brute_force_ilp(inst: ILPInstance, box=None, max_points: int = DEFAULT_POINT
             return Outcome(INFEASIBLE)  # the relaxation is empty
     if len(box) != inst.n:
         raise ValueError("box length mismatch")
+    budget = BOX_POINT_BUDGET
     volume = 1
     for lo, hi in box:
         volume *= max(0, hi - lo + 1)
-        if volume > max_points:
-            raise BoxTooLarge(f"box volume exceeds cap {max_points}")
+        if volume > budget:
+            raise BoxTooLarge(f"box volume exceeds cap {budget}")
     best = None
     best_val = None
     rows = inst.rows

@@ -24,6 +24,8 @@ from .errors import ResultCheckFailed, SearchBudgetExceeded
 from .model import ILPInstance
 from .symmetry import GroupSpec, SignedPermutation, is_symmetry, orbit
 
+SEARCH_BUDGET = 100000  # refinements one automorphism search may make
+
 
 class LabeledGraph:
     __slots__ = ("labels", "adj", "tags")
@@ -150,7 +152,7 @@ def build_full_graph(inst: ILPInstance) -> LabeledGraph:
     return bd.graph()
 
 
-def automorphism_group(g: LabeledGraph, budget: int = 100000, trace: dict | None = None):
+def automorphism_group(g: LabeledGraph, trace: dict | None = None):
     """Generators (node mapping tuples) and exact order of the labeled
     automorphism group.
 
@@ -158,13 +160,15 @@ def automorphism_group(g: LabeledGraph, budget: int = 100000, trace: dict | None
     first nontrivial cell) is refined once.  At each depth, deepest first,
     the other vertices of that cell are refined against the path's split
     records; the first leaf below one that is an automorphism becomes a
-    generator, and each depth multiplies the order by its orbit size.  The
-    budget caps refinement calls (SearchBudgetExceeded); ``trace`` receives
-    ``refinements`` (the calls spent) and ``splits`` (the cells split).
+    generator, and each depth multiplies the order by its orbit size.
+    SEARCH_BUDGET caps refinement calls (SearchBudgetExceeded); ``trace``
+    receives ``refinements`` (the calls spent) and ``splits`` (the cells
+    split).
     """
     adj = g.adj
     n = g.n_nodes
     spent = splits = 0
+    budget = SEARCH_BUDGET
 
     def refine(colors, queue, expect=None):
         """The equitable refinement of colors (ids 0..k-1, equitable towards
@@ -324,18 +328,17 @@ def _translate(inst: ILPInstance, g: LabeledGraph, mapping: tuple):
     return SignedPermutation(image)
 
 
-def detect(
-    inst: ILPInstance, mode: str = "full", budget: int = 100000, trace: dict | None = None
-) -> Detection:
+def detect(inst: ILPInstance, mode: str = "full", trace: dict | None = None) -> Detection:
     """Detect instance symmetries through the chosen ILP graph.
 
-    Raises SearchBudgetExceeded when the automorphism search spends its
-    budget.  ``trace`` receives the search's ``refinements`` and ``splits``.
+    Raises SearchBudgetExceeded when the automorphism search spends
+    SEARCH_BUDGET.  ``trace`` receives the search's ``refinements`` and
+    ``splits``.
     """
     if mode not in ("reduced", "full"):
         raise ValueError("mode must be 'reduced' or 'full'")
     graph = build_reduced_graph(inst) if mode == "reduced" else build_full_graph(inst)
-    mappings, order = automorphism_group(graph, budget=budget, trace=trace)
+    mappings, order = automorphism_group(graph, trace=trace)
     gens = []
     for mapping in mappings:
         sp = _translate(inst, graph, mapping)

@@ -48,14 +48,13 @@ def test_generate_default_r(tmp_path):
 
 
 def test_solve_methods_agree(tmp_path, ex61_file, capsys):
-    for method, flags in (
-        ("brute", ["--box", "0:3"]),
-        ("layers", []),
-        ("corepoint", ["--assume-transitivity"]),
-    ):
+    for method, flags in (("brute", ["--box", "0:3"]), ("layers", [])):
         code = main(["solve", ex61_file, "--method", method] + flags)
         out = capsys.readouterr().out
         assert code == 0 and "optimal" in out and "point 1 1 1" in out
+    # the 3-cycle is transitive, not 2-transitive: the core point scan refuses
+    assert main(["solve", ex61_file, "--method", "corepoint"]) == 4
+    assert capsys.readouterr().err.startswith("refused: ")
 
 
 def test_an_empty_box_range_is_a_one_line_error(tmp_path, capsys):
@@ -85,11 +84,11 @@ def test_exit_codes(tmp_path, capsys):
 
     inf = tmp_path / "inf.ilp"
     inf.write_text("ILP v1\nvars 2\nobj 1 1\n1 1 <= -3\n-1 -1 <= 0\n1 0 <= 1\n0 1 <= 1\n")
-    assert main(["solve", str(inf), "--method", "layers", "--assume-transitivity"]) == 2
+    assert main(["solve", str(inf), "--method", "layers"]) == 2
 
     unb = tmp_path / "unb.ilp"
     unb.write_text("ILP v1\nvars 2\nobj 1 1\n-1 -1 <= 0\n")
-    assert main(["solve", str(unb), "--method", "corepoint", "--assume-transitivity"]) == 3
+    assert main(["solve", str(unb), "--method", "corepoint"]) == 3
 
     lone = tmp_path / "lone.ilp"
     lone.write_text("ILP v1\nvars 2\nobj 1 1\n1 2 <= 3\n")
@@ -97,10 +96,10 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_assume_transitivity_is_trusted_not_checked(tmp_path, capsys):
+def test_core_scan_refuses_rows_only_a_cycle_fixes(tmp_path, capsys):
     # the 4-cycle fixes these rows and Alt(4) does not: the core point scan
     # refuses them, and the layer scan, which needs only transitivity,
-    # finds the optimum 2 at which --assume-transitivity's scan falls short
+    # finds the optimum 2
     path = tmp_path / "c4.ilp"
     path.write_text(
         "ILP v1\nvars 4\nobj 1 1 1 1\n1 0 1 0 <= 1\n0 1 0 1 <= 1\n"
@@ -111,6 +110,17 @@ def test_assume_transitivity_is_trusted_not_checked(tmp_path, capsys):
     assert main(["--output", "csv", "solve", str(path), "--method", "layers"]) == 0
     header, row = list(csv.reader(io.StringIO(capsys.readouterr().out)))[:2]
     assert row[header.index("status")] == "optimal" and row[header.index("value")] == "2"
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve", "FILE"], ["bench", "htc", "--range", "8:8"]], ids=["solve", "bench"]
+)
+def test_there_is_no_trust_switch(ex61_file, capsys, argv):
+    # no flag skips the symmetry certificate
+    argv = [ex61_file if a == "FILE" else a for a in argv]
+    assert main(argv + ["--assume-transitivity"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -227,8 +237,8 @@ def test_spent_search_budget_is_a_refusal(tmp_path, ex61, v4, monkeypatch, capsy
     path = tmp_path / "inst.ilp"
     write_instance(inst, path)
 
-    def spent(g, budget, trace=None):
-        raise SearchBudgetExceeded(f"automorphism search over {budget} refinements")
+    def spent(g, trace=None):
+        raise SearchBudgetExceeded("automorphism search over its budget")
 
     monkeypatch.setattr(symdetect, "automorphism_group", spent)
     assert main(argv[:1] + [str(path)] + argv[1:]) == 4
@@ -314,7 +324,7 @@ def test_bench_htc_rows():
         assert r.status == "optimal"
         assert r.value == htc_r(r.n)
         assert r.m == 4 * r.n
-        assert 0 < r.feasibility_checks <= r.n
+        assert 0 < r.layers_scanned <= r.n
 
 
 def test_solve_wild_corepoint_no_override(tmp_path, capsys):
@@ -322,8 +332,8 @@ def test_solve_wild_corepoint_no_override(tmp_path, capsys):
 
     path = tmp_path / "wild3.ilp"
     write_instance(gen_wild(3), path)
-    # post-symmetrization the instance certifies full_symmetric, so the
-    # core point method runs without --assume-transitivity
+    # post-symmetrization the instance certifies full_symmetric, which the
+    # core point method needs
     assert main(["solve", str(path), "--method", "corepoint"]) == 0
     out = capsys.readouterr().out
     assert "optimal" in out

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from symilp import layers
 from symilp.corepoint import core_points, solve_core_point
 from symilp.errors import (
     ObjectiveNotOnes,
@@ -17,7 +19,7 @@ from symilp.instances import HtcParams, gen_hypertruncated_cube, htc_r
 from symilp.layers import solve_by_layers
 from symilp.lpcore import solve_lp_on_line
 from symilp.model import brute_force_ilp, normalize
-from symilp.symmetry import alt_generators, orbit
+from symilp.symmetry import FULL_SYMMETRIC, alt_generators, orbit
 from corpus import random_symmetric_instance
 from testkit import CoreRepresentative, core_distance_check, reference_core_scan, representative_oracle
 
@@ -94,14 +96,19 @@ def test_solve_core_point_htc6(htc6):
     assert out.status == "optimal"
     assert out.value == 2
     assert out.point == (1, 1, 0, 0, 0, 0)
-    assert trace["feasibility_checks"] == 2  # d scans 3, 2
+    assert trace["layers_scanned"] == 2  # d scans 3, 2
 
 
-def test_solve_core_point_ex61_needs_override(ex61):
+def test_solve_core_point_refuses_ex61(ex61):
+    # the 3-cycle is transitive, not 2-transitive: the layer scan solves ex61
     with pytest.raises(TransitivityNotEstablished):
         solve_core_point(ex61)
-    out = solve_core_point(ex61, assume_transitive=True)
-    assert out.status == "optimal" and out.value == 3 and out.point == (1, 1, 1)
+    assert solve_by_layers(ex61).value == 3
+
+
+def test_solve_core_point_has_no_trust_switch(htc6):
+    with pytest.raises(TypeError):
+        solve_core_point(htc6, assume_transitive=True)
 
 
 @pytest.mark.parametrize("name", ["v4", "cyc4"])
@@ -115,10 +122,10 @@ def test_core_point_scan_refuses_without_detection(name, request, detect_calls):
 def test_solve_core_point_refusals(htc6):
     other = normalize(htc6.rows, [2] + [1] * 5)
     with pytest.raises(ObjectiveNotOnes):
-        solve_core_point(other, assume_transitive=True)
+        solve_core_point(other)
     unb = normalize([(-1, -1, 0)], [1, 1])
     with pytest.raises(UnboundedRelaxation):
-        solve_core_point(unb, assume_transitive=True)
+        solve_core_point(unb)
 
 
 def test_both_scans_trace_the_row_classes(htc6, ex61):
@@ -189,7 +196,7 @@ def test_class_scan_matches_the_expanded_row_scan(seed, kind):
         inst = alternating_instance(seeds[: rng.randint(1, 2)], n)
     trace = {}
     out = solve_core_point(inst, trace=trace)
-    assert (out, trace.get("feasibility_checks", 0)) == reference_core_scan(inst)
+    assert (out, trace.get("layers_scanned", 0)) == reference_core_scan(inst)
 
 
 def test_class_scan_on_an_alternating_instance():
@@ -198,14 +205,15 @@ def test_class_scan_on_an_alternating_instance():
     trace = {}
     out = solve_core_point(inst, trace=trace)
     assert trace["certificate"] == "alternating"
-    assert (out, trace["feasibility_checks"]) == reference_core_scan(inst)
+    assert (out, trace["layers_scanned"]) == reference_core_scan(inst)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_class_scan_is_safe_on_any_rows(seed):
-    # under assume_transitive the class bound may stop the scan lower than
-    # the expanded rows, never higher, and its point is always feasible
+    # with the certificate forced to Sym(n), the class bound may stop the
+    # scan lower than the expanded rows, never higher, and its point is
+    # always feasible
     rng = random.Random(seed)
     n = rng.randint(2, 5)
     rows = [(1,) * n + (2 * n,)]
@@ -214,8 +222,13 @@ def test_class_scan_is_safe_on_any_rows(seed):
         if any(a):
             rows.append(a + (rng.randint(-2, 2 * n),))
     inst = normalize(rows, [1] * n)
+    # hypothesis refuses function-scoped fixtures such as monkeypatch
+    certify = mock.patch.object(
+        layers, "verify_symmetric_group_invariance", return_value=FULL_SYMMETRIC
+    )
     try:
-        out = solve_core_point(inst, assume_transitive=True)
+        with certify:
+            out = solve_core_point(inst)
     except UnboundedRelaxation:
         with pytest.raises(UnboundedRelaxation):
             reference_core_scan(inst)
@@ -232,16 +245,17 @@ def test_solve_core_point_infeasible_band():
     trace = {}
     out = solve_core_point(inst, trace=trace)
     assert out.status == "infeasible"
-    assert trace["feasibility_checks"] == 2
+    assert trace["layers_scanned"] == 2
 
 
 def test_solve_core_point_lp_infeasible():
     inst = normalize([(1, 1, -3), (-1, -1, 0), (1, 0, 1), (0, 1, 1)], [1, 1])
-    assert solve_core_point(inst, assume_transitive=True).status == "infeasible"
+    assert solve_core_point(inst).status == "infeasible"
 
 
-def test_representative_oracle_bridges_layers(htc6):
-    out = solve_by_layers(htc6, oracle=representative_oracle)
+def test_representative_oracle_bridges_layers(htc6, monkeypatch):
+    monkeypatch.setattr(layers, "enumeration_oracle", representative_oracle)
+    out = solve_by_layers(htc6)
     assert out.status == "optimal" and out.value == 2
     assert out.point == (1, 1, 0, 0, 0, 0)
 
@@ -296,7 +310,7 @@ def test_wild_d10_scan():
     trace = {}
     out = solve_core_point(inst, trace=trace)
     assert out.status == "optimal"
-    assert trace["feasibility_checks"] <= 13
+    assert trace["layers_scanned"] <= 13
     assert inst.is_feasible(out.point)
     _, zeta = solve_lp_on_line(inst)
     k_star = int(out.value)
@@ -338,5 +352,5 @@ def test_ilp_solvers_agree_on_random_symmetric_instances(seed):
     assert core.value == by_layers.value == brute.value
     for out in (core, by_layers, brute):
         assert out.point is None or inst.is_feasible(out.point)
-    assert core_trace.get("feasibility_checks", 0) <= inst.n
+    assert core_trace.get("layers_scanned", 0) <= inst.n
     assert layer_trace.get("layers_scanned", 0) <= inst.n

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symilp import symdetect
+from symilp import layers, symdetect
 from symilp.corepoint import solve_core_point
 from symilp.errors import (
     BoxTooLarge,
@@ -146,29 +146,30 @@ def test_solve_by_layers_infeasible_scan():
 
 def test_solve_by_layers_lp_infeasible():
     inst = normalize([(1, 1, -3), (-1, -1, 0), (2, 0, 1), (0, 2, 1)], [1, 1])
-    out = solve_by_layers(inst, assume_transitive=True)
+    out = solve_by_layers(inst)
     assert out.status == "infeasible"
 
 
-def test_solve_by_layers_rejects_a_wrong_point(ex61):
+def test_solve_by_layers_rejects_a_wrong_point(ex61, monkeypatch):
     # the scan starts at layer 3: (3, 0, 0) is on it but violates
     # 2x1 + x3 <= 3, and (1, 1, 0) lies on layer 2
     for bad in ((3, 0, 0), (1, 1, 0)):
+        monkeypatch.setattr(layers, "enumeration_oracle", lambda inst, k, bad=bad: bad)
         with pytest.raises(ResultCheckFailed):
-            solve_by_layers(ex61, oracle=lambda inst, k, bad=bad: bad)
+            solve_by_layers(ex61)
 
 
 def test_solve_by_layers_refusals(ex61):
     other = normalize(ex61.rows, [1, 2, 1])
     with pytest.raises(ObjectiveNotOnes):
         solve_by_layers(other)
+    # only the identity fixes lone: both scans refuse, and no scan from the
+    # symmetric line optimum (1, 1) may report its layer 2 below the optimum 3
     lone = normalize([(1, 2, 3), (-1, 0, 0), (0, -1, 0)], [1, 1])
-    with pytest.raises(TransitivityNotEstablished):
-        solve_by_layers(lone)
-    # the override scans from the symmetric line optimum; on non-transitive
-    # input that is only the mechanics, not a correctness guarantee
-    out = solve_by_layers(lone, assume_transitive=True)
-    assert out.status == "optimal" and out.value == 2 and out.point == (1, 1)
+    for scan in (solve_by_layers, solve_core_point):
+        with pytest.raises(TransitivityNotEstablished):
+            scan(lone)
+    assert brute_force_ilp(lone) == Outcome("optimal", point=(3, 0), value=Fraction(3))
 
 
 def test_layer_scan_detects_a_group_without_generator_certificate(v4, detect_calls):
@@ -199,17 +200,13 @@ def test_scans_trace_the_certificate(htc6, cyc4):
     trace = {}
     solve_by_layers(cyc4, trace=trace)
     assert trace["certificate"] == "transitive_only"
-    for scan, inst in ((solve_core_point, htc6), (solve_by_layers, cyc4)):
-        trace = {}
-        scan(inst, assume_transitive=True, trace=trace)
-        assert "lp_s" in trace
-        assert "certificate" not in trace and "certificate_s" not in trace
+    assert trace["certificate_s"] >= 0
 
 
 def test_solve_by_layers_unbounded():
     inst = normalize([(-1, -1, 0)], [1, 1])
     with pytest.raises(UnboundedRelaxation):
-        solve_by_layers(inst, assume_transitive=True)
+        solve_by_layers(inst)
 
 
 def test_enumeration_oracle_layer_slice(ex61):
@@ -263,9 +260,9 @@ def _recursive_search(inst, k, box):
     return dfs(0, k), visited
 
 
-def test_enumeration_oracle_matches_the_recursive_search():
+def test_enumeration_oracle_matches_the_recursive_search(monkeypatch):
     # same first point in lexicographic order and the same node count, so
-    # max_points trips at the same place
+    # LAYER_NODE_BUDGET trips at the same place
     rng = random.Random(7)
     for _ in range(12):
         n = rng.randint(2, 5)
@@ -282,10 +279,12 @@ def test_enumeration_oracle_matches_the_recursive_search():
         inst = normalize(rows, [1] * n)
         for k in range(3 * n + 1):
             point, nodes = _recursive_search(inst, k, _layer_box(inst, k))
-            assert enumeration_oracle(inst, k, max_points=nodes) == point
+            monkeypatch.setattr(layers, "LAYER_NODE_BUDGET", nodes)
+            assert enumeration_oracle(inst, k) == point
             if nodes:
+                monkeypatch.setattr(layers, "LAYER_NODE_BUDGET", nodes - 1)
                 with pytest.raises(BoxTooLarge):
-                    enumeration_oracle(inst, k, max_points=nodes - 1)
+                    enumeration_oracle(inst, k)
 
 
 def test_solve_by_layers_in_high_dimension():
@@ -301,7 +300,6 @@ def test_solve_by_layers_in_high_dimension():
         rows.append(tuple(e))
     rows.append((1,) * n + (3,))
     inst = normalize(rows, [1] * n)
-    for assume in (False, True):
-        out = solve_by_layers(inst, assume_transitive=assume)
-        assert out.status == "optimal" and out.value == 3
-        assert out.point == (0,) * (n - 3) + (1, 1, 1)
+    out = solve_by_layers(inst)
+    assert out.status == "optimal" and out.value == 3
+    assert out.point == (0,) * (n - 3) + (1, 1, 1)

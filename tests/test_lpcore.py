@@ -359,7 +359,7 @@ def test_phase1_pivots_out_a_degenerate_auxiliary(monkeypatch):
         status = run(t)
         if t.aux in t.basis:
             row = t.rows[t.basis.index(t.aux)]
-            slacks = range(t.n, t.n + t.m)
+            slacks = range(t.n, t.aux)  # the auxiliary is n + m
             hits.append(any(row[k] for k, v in enumerate(t.nonbasic) if v in slacks))
         return status
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from symilp import model
 from symilp.errors import BoxTooLarge, EmptySystem, InfeasibleZeroRow, SymilpError
 from symilp.model import (
     ILPInstance,
@@ -107,10 +108,12 @@ def test_brute_force_empty_relaxation_is_infeasible():
     assert brute_force_ilp(inst).status == "infeasible"
 
 
-def test_brute_force_cap():
+def test_brute_force_cap(monkeypatch):
     inst = normalize([(1, 0, 1), (0, 1, 1)], [1, 1])
+    monkeypatch.setattr(model, "BOX_POINT_BUDGET", 100)
     with pytest.raises(BoxTooLarge):
-        brute_force_ilp(inst, box=[(0, 1000)] * 2, max_points=100)
+        brute_force_ilp(inst, box=[(0, 1000)] * 2)
+    assert brute_force_ilp(inst, box=[(0, 9)] * 2).value == 2
 
 
 def test_brute_force_tie_lexicographic():

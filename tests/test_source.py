@@ -19,10 +19,8 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
-def test_public_functions_take_no_private_parameters():
-    # a "_name" parameter on a public function is a back door around the
-    # solve pipeline; stages report through ``trace`` instead
-    found = []
+def public_parameters():
+    """(file:function, parameter name) for every public function in src."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -31,7 +29,20 @@ def test_public_functions_take_no_private_parameters():
                 continue
             a = node.args
             params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
-            found += [f"{path.name}:{node.name}({p.arg})" for p in params if p.arg.startswith("_")]
+            yield from ((f"{path.name}:{node.name}", p.arg) for p in params)
+
+
+def test_public_functions_take_no_private_parameters():
+    # a "_name" parameter on a public function is a back door around the
+    # solve pipeline; stages report through ``trace`` instead
+    found = [f"{where}({name})" for where, name in public_parameters() if name.startswith("_")]
+    assert found == []
+
+
+def test_public_functions_take_no_trust_switch():
+    # an "assume..." parameter skips the symmetry certificate, and the scans
+    # are exact only under the group it certifies
+    found = [f"{where}({name})" for where, name in public_parameters() if name.startswith("assume")]
     assert found == []
 
 

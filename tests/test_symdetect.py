@@ -235,14 +235,15 @@ def test_detect_full_hyperoctahedral():
     assert red.order == 6
 
 
-def test_spent_budget_raises(ex61):
+def test_spent_budget_raises(ex61, monkeypatch):
     big = gen_hypertruncated_cube(HtcParams(8, 3, Fraction(1, 2)))
+    monkeypatch.setattr(symdetect, "SEARCH_BUDGET", 2)
     for inst in (ex61, big):
         for mode, build in (("full", build_full_graph), ("reduced", build_reduced_graph)):
+            with pytest.raises(SearchBudgetExceeded, match="over 2 refinements"):
+                automorphism_group(build(inst))
             with pytest.raises(SearchBudgetExceeded):
-                automorphism_group(build(inst), budget=2)
-            with pytest.raises(SearchBudgetExceeded):
-                detect(inst, mode, budget=2)
+                detect(inst, mode)
 
 
 def _assert_automorphisms(g, gens):
@@ -385,7 +386,7 @@ def _swap_nodes(graph, a, b):
 def test_detect_rejects_a_mapping_that_is_no_symmetry(ex61, monkeypatch):
     # the transposition (1 2) does not fix the cyclic instance
     bad = _swap_nodes(build_reduced_graph(ex61), ("col", 0), ("col", 1))
-    monkeypatch.setattr(symdetect, "automorphism_group", lambda g, budget, trace=None: ([bad], 2))
+    monkeypatch.setattr(symdetect, "automorphism_group", lambda g, trace=None: ([bad], 2))
     with pytest.raises(ResultCheckFailed):
         detect(ex61, "reduced")
 
@@ -393,6 +394,6 @@ def test_detect_rejects_a_mapping_that_is_no_symmetry(ex61, monkeypatch):
 def test_detect_rejects_incoherent_twins(ex61, monkeypatch):
     # column 1 stays put while its twin moves to column 2's twin
     bad = _swap_nodes(build_full_graph(ex61), ("colhat", 0), ("colhat", 1))
-    monkeypatch.setattr(symdetect, "automorphism_group", lambda g, budget, trace=None: ([bad], 2))
+    monkeypatch.setattr(symdetect, "automorphism_group", lambda g, trace=None: ([bad], 2))
     with pytest.raises(ResultCheckFailed):
         detect(ex61, "full")

@@ -199,8 +199,8 @@ def reference_core_scan(inst):
 def representative_oracle(inst, k: int):
     """Per-layer oracle testing only the canonical core point.
 
-    Sound under the (floor(n/2)+1)-transitivity hypothesis; plugs into
-    solve_by_layers as the bridge between the two solvers.
+    Sound under the (floor(n/2)+1)-transitivity hypothesis; patched in as
+    layers.enumeration_oracle, it bridges the two solvers.
     """
     n = inst.n
     q, d = divmod(k, n)
