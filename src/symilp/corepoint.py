@@ -42,8 +42,8 @@ def solve_core_point(inst: ILPInstance, trace: dict | None = None) -> Outcome:
     exact; on any rows it bounds every row, so a returned point is feasible.
     Cost: one sort per row to build the classes, O(n) set-up per class,
     then O(1) per class and check.
-    ``trace`` receives ``certificate``, ``certificate_s``, ``lp_s``,
-    ``row_classes`` and ``layers_scanned``, the number of checks.
+    ``trace`` receives ``classes_s``, ``row_classes``, ``certificate``,
+    ``certificate_s``, ``lp_s`` and ``layers_scanned``, the number of checks.
     """
     n = inst.n
     # Alt(n) supplies the layer all-or-nothing property only from n = 4 up;

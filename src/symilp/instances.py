@@ -18,7 +18,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import BadParams, DegenerateFacet
-from .model import ILPInstance, from_canonical
+from .model import ILPInstance
 from .ratlin import kernel_basis
 from .symmetry import distinct_permutations
 
@@ -85,7 +85,7 @@ def gen_hypertruncated_cube(p: HtcParams) -> ILPInstance:
             row[i] = special
             rows.append(tuple(row))
             row[i] = background
-    return from_canonical(rows, [ONE] * n, name=f"htc-n{n}-r{r}-l{num}_{den}")
+    return ILPInstance(rows, [ONE] * n, name=f"htc-n{n}-r{r}-l{num}_{den}")
 
 
 def round3(x: Fraction) -> Fraction:
@@ -210,14 +210,15 @@ def symmetrize(inst: ILPInstance) -> ILPInstance:
     """Close the row set under all coefficient permutations of Sym(n).
 
     Each row class (``ILPInstance.row_classes``) is one orbit, expanded
-    exactly once; the result is canonical, deduplicated and Sym(n)-invariant.
+    exactly once as an ascending run; the constructor merges the runs, and
+    the result is Sym(n)-invariant.
     """
     rows = []
     for key in inst.row_classes:
         rhs = key[-1:]
         for perm in multiset_permutations(key[:-1]):
             rows.append(perm + rhs)
-    return from_canonical(rows, inst.c, name=f"{inst.name}#sym")
+    return ILPInstance(rows, inst.c, name=f"{inst.name}#sym")
 
 
 def orbit_row_count(inst: ILPInstance) -> int:
@@ -270,7 +271,7 @@ def wild_facets(d: int) -> ILPInstance:
         row = plus[:2] + tuple(-v for v in plus[2 : 2 + p]) + plus[2 + p :]
         facets.append((row, list(range(6)) + [6 + 2 * i + (i < p) for i in range(d)]))
     _check_facets(verts, facets)
-    return from_canonical([row for row, _ in facets], [ONE] * n, name=f"wild-d{d}-facets")
+    return ILPInstance([row for row, _ in facets], [ONE] * n, name=f"wild-d{d}-facets")
 
 
 def gen_wild(d: int) -> ILPInstance:

@@ -29,7 +29,6 @@ from .model import (
     OPTIMAL,
     UNBOUNDED,
     explicit_box,
-    normalize,
     satisfies_rows,
 )
 from .ratlin import scale_coprime
@@ -93,12 +92,10 @@ def _layer_box(inst: ILPInstance, k: int):
     box = explicit_box(inst)
     if box is not None:
         return box
-    ones = (1,) * inst.n
-    sliced = normalize(
-        list(inst.rows) + [ones + (k,), tuple(-1 for _ in ones) + (-k,)],
-        inst.c,
-        name=f"{inst.name}#layer{k}",
-    )
+    # inst.rows are canonical and the two +-1 rows coprime: nothing to rescale
+    n = inst.n
+    slab = ((1,) * n + (k,), (-1,) * n + (-k,))
+    sliced = ILPInstance(inst.rows + slab, inst.c, name=f"{inst.name}#layer{k}")
     try:
         return integer_box(sliced)
     except InfeasibleRegion:
@@ -159,19 +156,24 @@ def scan_prologue(inst: ILPInstance, accepted, scan: str, trace: dict | None = N
     certificate, which must reach one of the ``accepted`` levels; if it
     finds none and TRANSITIVE_ONLY is accepted, detection decides.  Returns
     zeta of the LP on the line, solved over one row per row class, None if
-    that LP is infeasible; an unbounded one raises.  The certificate's tier
-    and seconds go to ``trace["certificate"]`` and ``trace["certificate_s"]``,
-    the LP's seconds to ``trace["lp_s"]``, its pivots to
-    ``trace["pivots_phase1"]`` and ``trace["pivots_phase2"]``, and the number
-    of row classes to ``trace["row_classes"]``.
+    that LP is infeasible; an unbounded one raises.  The seconds that build
+    the row classes go to ``trace["classes_s"]``, their number to
+    ``trace["row_classes"]``; the certificate's tier and seconds, which then
+    time the count alone, to ``trace["certificate"]`` and
+    ``trace["certificate_s"]``; the LP's seconds to ``trace["lp_s"]`` and its
+    pivots to ``trace["pivots_phase1"]`` and ``trace["pivots_phase2"]``.
     """
     if any(cj != 1 for cj in inst.c):
         raise ObjectiveNotOnes(f"{scan} is defined for c = 1")
     t0 = perf_counter()
+    classes = inst.row_classes
+    t1 = perf_counter()
     level = verify_symmetric_group_invariance(inst)
     if trace is not None:
+        trace["classes_s"] = t1 - t0
+        trace["row_classes"] = len(classes)
         trace["certificate"] = level
-        trace["certificate_s"] = perf_counter() - t0
+        trace["certificate_s"] = perf_counter() - t1
     if level == NONE and TRANSITIVE_ONLY in accepted:
         G = symdetect.detect(inst, "reduced", trace=trace).group
         if len({abs(v) for v in basis_orbits(G)[0].members}) == inst.n:  # e_1 reaches all n
@@ -180,13 +182,11 @@ def scan_prologue(inst: ILPInstance, accepted, scan: str, trace: dict | None = N
         raise TransitivityNotEstablished(
             f"certificate level {level!r}; {scan} needs one of {sorted(accepted)}"
         )
-    classes = inst.row_classes
     t0 = perf_counter()
     # (sum a | b) is constant on a class: one sorted row per class gives zeta
-    status, zeta = solve_lp_on_line(ILPInstance(sorted(classes), inst.c, name=inst.name), trace)
+    status, zeta = solve_lp_on_line(ILPInstance(classes, inst.c, name=inst.name), trace)
     if trace is not None:
         trace["lp_s"] = perf_counter() - t0
-        trace["row_classes"] = len(classes)
     if status == UNBOUNDED:
         raise UnboundedRelaxation(inst.name or "relaxation unbounded along 1")
     return zeta
@@ -198,8 +198,8 @@ def solve_by_layers(inst: ILPInstance, trace: dict | None = None) -> Outcome:
     Scans k from floor(n*zeta) down to n*floor(zeta), asking
     enumeration_oracle for a point on each layer: the first layer with a
     feasible integral point is optimal, and an exhausted scan certifies
-    infeasibility.  ``trace`` receives ``certificate``, ``certificate_s``,
-    ``lp_s``, ``row_classes`` and ``layers_scanned``.
+    infeasibility.  ``trace`` receives ``classes_s``, ``row_classes``,
+    ``certificate``, ``certificate_s``, ``lp_s`` and ``layers_scanned``.
     """
     n = inst.n
     transitive = (FULL_SYMMETRIC, ALTERNATING, TRANSITIVE_ONLY)  # any level but NONE

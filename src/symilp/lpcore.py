@@ -241,6 +241,7 @@ def solve_lp(inst: ILPInstance, basis=None, trace: dict | None = None) -> Outcom
                 raise ValueError(f"basis vector of length {len(f)} for n = {inst.n}")
         c = tuple(sum(map(mul, inst.c, f)) for f in basis)
         cols = [_basis_column(inst.rows, f) for f in basis]
+        # m projected rows collapse onto few: drop repeats before normalize scales each
         rows = set(zip(*cols, map(itemgetter(-1), inst.rows)))
         try:
             lp = normalize(rows, c, name=f"{inst.name}#span")

@@ -1,18 +1,17 @@
 """Instance data model: max c^t x subject to Ax <= b.
 
-Rows are stored canonically: each (a | b) row is scaled by the unique
-positive rational making its entries coprime integers, duplicates are
-removed, and the rows are kept in lexicographic order.  A row is a flat
-``(a_1, ..., a_n, b)`` tuple of ints; the objective c is a tuple of exact
-rationals.
+A row is a flat ``(a_1, ..., a_n, b)`` tuple of ints; the objective c is a
+tuple of exact rationals.  The ILPInstance constructor sorts the rows and
+drops repeats, so they are strictly ascending; normalize scales each row
+onto coprime integers and drops or refuses zero rows.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import ceil, lcm
-from operator import mul
+from operator import lt, mul, ne
 
 from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion, InfeasibleZeroRow
 from .ratlin import parse_rational, scale_coprime
@@ -34,7 +33,12 @@ class Outcome:
 
 
 class ILPInstance:
-    """Normalized inequality system with a maximization objective."""
+    """Inequality system Ax <= b with a maximization objective.
+
+    The one owner of the row order: rows already strictly ascending are kept
+    as they are, checked in one C-level pass; any others are sorted and their
+    adjacent repeats dropped.  No row is scaled here (that is normalize).
+    """
 
     __slots__ = ("name", "n", "rows", "c", "_rowset", "_classes")
 
@@ -42,12 +46,18 @@ class ILPInstance:
         rows = tuple(rows)
         if not rows:
             raise EmptySystem("instance has no rows")
+        if not all(map(lt, rows, rows[1:])):
+            # Timsort merges the ascending runs a generator emits
+            rows = sorted(rows)
+            if not all(map(lt, rows, rows[1:])):  # drop adjacent repeats
+                rest = rows[1:]
+                rows = [rows[0], *compress(rest, map(ne, rest, rows))]
+            rows = tuple(rows)
         self.n = len(rows[0]) - 1
         if self.n < 1:
             raise ValueError("need at least one variable")
-        for r in rows:
-            if len(r) != self.n + 1:
-                raise ValueError("ragged row")
+        if set(map(len, rows)) != {self.n + 1}:
+            raise ValueError("ragged row")
         self.rows = rows
         self.c = tuple(Fraction(x) for x in c)
         if len(self.c) != self.n:
@@ -62,19 +72,20 @@ class ILPInstance:
 
     @property
     def row_set(self) -> frozenset:
+        """The rows as a frozenset, built on first use, for membership tests."""
         if self._rowset is None:
             self._rowset = frozenset(self.rows)
         return self._rowset
 
     @property
     def row_classes(self) -> Counter:
-        """Distinct rows counted by class, keyed by ``tuple(sorted(a)) + (b,)``.
+        """Rows counted by class, keyed by ``tuple(sorted(a)) + (b,)``.
 
         A class holds the rows that permute each other's coefficients and
-        share b: a union of Sym(n)-orbits of rows.  A repeated row counts once.
+        share b: a union of Sym(n)-orbits of rows.  Each distinct row counts once.
         """
         if self._classes is None:
-            self._classes = Counter((*sorted(row[:-1]), row[-1]) for row in self.row_set)
+            self._classes = Counter((*sorted(row[:-1]), row[-1]) for row in self.rows)
         return self._classes
 
     def is_feasible(self, x) -> bool:
@@ -123,31 +134,17 @@ def normalize(raw_rows, c, name="") -> ILPInstance:
     """Build an ILPInstance from raw rational (a | b) rows.
 
     Scales every row to coprime integers, drops zero rows with nonnegative
-    right hand side, rejects zero rows with negative right hand side, and
-    sorts the distinct rows lexicographically.
+    right hand side and rejects zero rows with negative right hand side; the
+    constructor then sorts the rows and drops repeats.
     """
-    seen = set()
-    for raw in raw_rows:
-        row = scale_coprime(raw)
-        if not any(row[:-1]):
-            if row[-1] < 0:
-                raise InfeasibleZeroRow(f"0 <= {row[-1]} in {name or 'system'}")
-            continue
-        seen.add(row)
-    if not seen:
+    rows = []
+    for row in map(scale_coprime, raw_rows):
+        if any(row[:-1]):
+            rows.append(row)
+        elif row[-1] < 0:
+            raise InfeasibleZeroRow(f"0 <= {row[-1]} in {name or 'system'}")
+    if not rows:
         raise EmptySystem(f"no nontrivial rows in {name or 'system'}")
-    return ILPInstance(sorted(seen), c, name=name)
-
-
-def from_canonical(rows, c, name="") -> ILPInstance:
-    """Trusted constructor for rows already in canonical coprime-int form.
-
-    Sorts and checks pairwise distinctness; skips the per-row scaling.
-    """
-    rows = sorted(rows)
-    for r, s in zip(rows, rows[1:]):
-        if r == s:
-            raise ValueError("duplicate canonical row")
     return ILPInstance(rows, c, name=name)
 
 

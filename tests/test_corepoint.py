@@ -133,6 +133,7 @@ def test_both_scans_trace_the_row_classes(htc6, ex61):
         trace = {}
         scan(inst, trace=trace)
         assert trace["row_classes"] == len(inst.row_classes)
+        assert trace["classes_s"] >= 0 and trace["certificate_s"] >= 0
     assert len(htc6.row_classes) == 4  # the htc's four facet families
     assert len(ex61.row_classes) == 1
 

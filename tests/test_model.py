@@ -51,6 +51,24 @@ def test_row_classes_count_distinct_rows():
     assert inst.row_classes is inst.row_classes
 
 
+canonical_rows = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)).map(scale_coprime),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_rows, st.randoms(use_true_random=False))
+def test_constructor_sorts_and_drops_repeats(rows, rng):
+    shuffled = rows + rng.sample(rows, rng.randint(0, len(rows)))
+    rng.shuffle(shuffled)
+    inst = ILPInstance(shuffled, [1, 1])
+    canonical = tuple(sorted(set(rows)))
+    assert inst.rows == canonical and inst.m == len(set(rows))
+    assert ILPInstance(canonical, [1, 1]).rows is canonical  # kept, not copied
+
+
 def test_is_feasible_ex61(ex61):
     assert ex61.is_feasible((1, 1, 1))
     assert not ex61.is_feasible((2, 2, 2))

@@ -28,11 +28,11 @@ from symilp.errors import (
     SearchBudgetExceeded,
     UnboundedRelaxation,
 )
-from symilp.instances import HtcParams, _fit_facet, distorted_join_vrep, symmetrize
+from symilp.instances import HtcParams, _fit_facet, distorted_join_vrep, multiset_permutations
 from symilp.layers import CoprimeDirection
 from symilp.lpcore import _eliminate, solve_lp_on_line
-from symilp.model import INFEASIBLE, OPTIMAL, UNBOUNDED, ILPInstance, Outcome, from_canonical, normalize
-from symilp.ratlin import kernel_basis
+from symilp.model import INFEASIBLE, OPTIMAL, UNBOUNDED, ILPInstance, Outcome, normalize
+from symilp.ratlin import kernel_basis, scale_coprime
 from symilp.symmetry import (
     BasisOrbit,
     GroupSpec,
@@ -71,7 +71,8 @@ def htc_vertices(p: HtcParams):
 
 
 def reference_htc(p: HtcParams) -> ILPInstance:
-    """The 4n raw htc rows, one family after another, through normalize."""
+    """The 4n raw htc rows, one family after another, scaled coprime and put
+    in order through a set: the rule the constructor's sort and dedup keep."""
     n, r = p.n, p.r
     num, den = p.lam.numerator, p.lam.denominator
     rows = []
@@ -95,7 +96,8 @@ def reference_htc(p: HtcParams) -> ILPInstance:
         row[i] = special
         row[n] = num * (n - r)
         rows.append(tuple(row))
-    return normalize(rows, [1] * n, name=f"htc-n{n}-r{r}-l{num}_{den}")
+    rows = sorted({scale_coprime(row) for row in rows})
+    return ILPInstance(rows, [1] * n, name=f"htc-n{n}-r{r}-l{num}_{den}")
 
 
 def join_facet_vertex_sets(d: int):
@@ -122,7 +124,8 @@ def join_facet_vertex_sets(d: int):
 
 def reference_gen_wild(d: int) -> ILPInstance:
     """The wild instance with every one of its 6 + 2^d facets fitted, each
-    checked against every vertex in Fractions, then symmetrized."""
+    checked against every vertex in Fractions, then closed under Sym(n)
+    through a set of every facet's permutations, sorted."""
     n = d + 3
     verts = distorted_join_vrep(d)
     k = len(verts)
@@ -134,8 +137,8 @@ def reference_gen_wild(d: int) -> ILPInstance:
             if sum(av * xv for av, xv in zip(row, v)) > row[-1]:
                 raise DegenerateFacet("rounding broke the join's convex position")
         facet_rows.append(row)
-    out = symmetrize(from_canonical(facet_rows, [1] * n, name=f"wild-d{d}-facets"))
-    return ILPInstance(out.rows, out.c, name=f"wild-d{d}")
+    rows = {perm + row[-1:] for row in facet_rows for perm in multiset_permutations(row[:-1])}
+    return ILPInstance(sorted(rows), [1] * n, name=f"wild-d{d}")
 
 
 def core_distance_sq(n: int, k: int) -> Fraction:
