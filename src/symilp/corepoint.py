@@ -37,7 +37,8 @@ def solve_core_point(inst: ILPInstance, trace: dict | None = None) -> Outcome:
 
     Each check tests the representative (q+1,...,q+1,q,...,q), d raised
     entries, against the row classes: the most a row of a class reaches
-    there is q*sum(a) plus the d largest entries of a.  Under Sym(n), or
+    there is q*sum(a) plus the d largest entries of a, so ``top[d] <= room``
+    is model.classes_admit at the representative.  Under Sym(n), or
     Alt(n) with n >= 4, some row of the class reaches it, so the check is
     exact; on any rows it bounds every row, so a returned point is feasible.
     Cost: one sort per row to build the classes, O(n) set-up per class,

@@ -6,12 +6,13 @@ drops repeats, so they are strictly ascending; normalize scales each row
 onto coprime integers and drops or refuses zero rows.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
 from math import ceil, lcm
-from operator import lt, mul, ne
+from operator import itemgetter, lt, mul, ne
 
 from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion, InfeasibleZeroRow
 from .ratlin import parse_rational, scale_coprime
@@ -83,17 +84,28 @@ class ILPInstance:
 
         A class holds the rows that permute each other's coefficients and
         share b: a union of Sym(n)-orbits of rows.  Each distinct row counts once.
+        Built in C-level passes: each whole row, b included, is sorted and
+        counted with its b, then one b is taken out of each distinct key.
         """
         if self._classes is None:
-            self._classes = Counter((*sorted(row[:-1]), row[-1]) for row in self.rows)
+            rows = self.rows
+            counts = Counter(zip(map(itemgetter(-1), rows), map(tuple, map(sorted, rows))))
+            classes = Counter()
+            for (b, full), members in counts.items():
+                i = bisect_left(full, b)
+                classes[(*full[:i], *full[i + 1:], b)] = members
+            self._classes = classes
         return self._classes
 
     def is_feasible(self, x) -> bool:
-        """Exact check of Ax <= b for a rational point; O(mn) integer work.
+        """Exact check of Ax <= b for a rational point, in ints.
 
-        The point is scaled by the lcm of its denominators, so every row is
-        tested in ints.  Other numbers (floats) are taken at their exact
-        rational value.
+        The point is scaled by the lcm of its denominators; other numbers
+        (floats) are taken at their exact rational value.  Once row_classes
+        is built (a scan builds it), classes_admit is tried first, at
+        O(classes*n) after one sort; when it does not hold, or no classes
+        are built yet, every row is tested, at O(mn).  The classes are
+        never built here: that costs more than one pass over the rows.
         """
         if len(x) != self.n:
             raise ValueError("point length mismatch")
@@ -103,6 +115,8 @@ class ILPInstance:
             x = [Fraction(v) for v in x]
             den = lcm(*(v.denominator for v in x))
         xs = [v.numerator * (den // v.denominator) for v in x]
+        if self._classes is not None and classes_admit(self._classes, xs, den):
+            return True
         return satisfies_rows(self.rows, xs, den)
 
     def __eq__(self, other):
@@ -128,6 +142,19 @@ def satisfies_rows(rows, xs, den=1) -> bool:
         if sum(map(mul, row, xs)) > row[-1] * den:
             return False
     return True
+
+
+def classes_admit(classes, xs, den=1) -> bool:
+    """Whether xs / den satisfies every row of every class, by one test per class.
+
+    ``classes`` are keys ``tuple(sorted(a)) + (b,)``.  Over all the
+    permutations of a, the largest a.xs is sorted(a).sorted(xs) (the
+    rearrangement inequality), so passing it proves each row of the class,
+    symmetric or not.  On rows closed under Sym(n) a failure is a violated
+    row; on other rows it proves nothing.  O(classes*n) after one sort.
+    """
+    s = sorted(xs)
+    return all(sum(map(mul, key, s)) <= key[-1] * den for key in classes)
 
 
 def normalize(raw_rows, c, name="") -> ILPInstance:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from symilp import instances, layers, model, symdetect
+from symilp import corepoint, instances, layers, model, symdetect
 from symilp.cli import bench_rows, main
 from symilp.errors import SearchBudgetExceeded
 from symilp.model import Outcome, read_instance, write_instance
@@ -214,6 +214,16 @@ def test_solve_rejects_a_wrong_point(ex61_file, monkeypatch, capsys):
         lambda inst, box=None: Outcome("optimal", point=(2, 2, 2), value=6),
     )
     assert main(["solve", ex61_file, "--method", "brute", "--box", "0:3"]) == 1
+    assert "infeasible point" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_wrong_point_after_the_classes(ex61_file, monkeypatch, capsys):
+    def wrong(inst, trace=None):
+        inst.row_classes  # a scan builds the classes before it answers
+        return Outcome("optimal", point=(2, 2, 2), value=6)
+
+    monkeypatch.setattr(corepoint, "solve_core_point", wrong)
+    assert main(["solve", ex61_file]) == 1
     assert "infeasible point" in capsys.readouterr().err
 
 

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symilp import layers
+from symilp import layers, model
 from symilp.corepoint import core_points, solve_core_point
 from symilp.errors import (
     ObjectiveNotOnes,
     TransitivityNotEstablished,
     UnboundedRelaxation,
 )
-from symilp.instances import HtcParams, gen_hypertruncated_cube, htc_r
+from symilp.instances import HtcParams, gen_hypertruncated_cube, gen_wild, htc_r
 from symilp.layers import solve_by_layers
 from symilp.lpcore import solve_lp_on_line
 from symilp.model import brute_force_ilp, normalize
@@ -136,6 +136,27 @@ def test_both_scans_trace_the_row_classes(htc6, ex61):
         assert trace["classes_s"] >= 0 and trace["certificate_s"] >= 0
     assert len(htc6.row_classes) == 4  # the htc's four facet families
     assert len(ex61.row_classes) == 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: gen_hypertruncated_cube(HtcParams(50, htc_r(50), Fraction(1, 2))), lambda: gen_wild(4)],
+    ids=["htc50", "wild4"],
+)
+def test_point_check_after_a_scan_reads_no_rows(make, monkeypatch):
+    inst = make()
+    out = solve_core_point(inst)
+    calls = []
+    scan = model.satisfies_rows
+
+    def counting(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(model, "satisfies_rows", counting)
+    assert inst.is_feasible(out.point) and calls == []  # the row classes decide
+    above = (out.point[0] + 1,) + out.point[1:]  # an integral point one layer up
+    assert not inst.is_feasible(above) and len(calls) == 1  # the rows decide
 
 
 def test_both_scans_trace_the_line_lp_pivots():

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -9,6 +11,7 @@ from symilp.errors import BoxTooLarge, EmptySystem, InfeasibleZeroRow, SymilpErr
 from symilp.model import (
     ILPInstance,
     brute_force_ilp,
+    classes_admit,
     explicit_box,
     normalize,
     read_instance,
@@ -16,6 +19,7 @@ from symilp.model import (
     write_instance,
 )
 from symilp.ratlin import parse_rational, scale_coprime
+from testkit import reference_row_classes
 
 
 def test_normalize_scales_to_coprime():
@@ -49,6 +53,76 @@ def test_row_classes_count_distinct_rows():
     inst = ILPInstance([(1, 2, 3), (2, 1, 3), (1, 2, 3), (2, 1, 4)], [1, 1])
     assert inst.row_classes == {(1, 2, 3): 2, (1, 2, 4): 1}
     assert inst.row_classes is inst.row_classes
+
+
+@st.composite
+def loose_rows(draw, n):
+    """One (a | b) row, entries in -3..3, closed under no group; b is
+    sometimes one of a's coefficients, or all of them."""
+    a = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("free", "some", "all")))
+    if kind == "all":
+        a = [a[0]] * n
+    b = draw(st.integers(-4, 3)) if kind == "free" else draw(st.sampled_from(a))
+    return (*a, b)
+
+
+@st.composite
+def loose_systems(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(loose_rows(n), min_size=1, max_size=8))
+    # permuted copies of some rows make classes of more than one row
+    rng = draw(st.randoms(use_true_random=False))
+    for row in rng.sample(rows, rng.randint(0, len(rows))):
+        a = list(row[:-1])
+        rng.shuffle(a)
+        rows.append((*a, row[-1]))
+    return rows, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(loose_systems())
+@example(([(1, 2, 3), (2, 1, 3), (3, 3, 3), (-2, 1, -2), (1, -2, -2), (0, 2, 0)], 2))
+def test_row_classes_match_the_per_row_count(case):
+    rows, n = case
+    inst = ILPInstance(rows, [1] * n)
+    got, want = inst.row_classes, reference_row_classes(inst)
+    assert type(got) is Counter
+    assert list(got.items()) == list(want.items())  # keys, counts and order
+
+
+def scaled(point):
+    """The integer numerators of a rational point over their common denominator."""
+    den = lcm(*(Fraction(v).denominator for v in point))
+    return [int(Fraction(v) * den) for v in point], den
+
+
+points = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def systems_and_points(draw):
+    rows, n = draw(loose_systems())
+    point = draw(st.lists(points, min_size=n, max_size=n))
+    return rows, n, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems_and_points())
+# x1 <= 0 holds at (0, 1), but its class bound sorted(a).sorted(x) = 1 does not
+@example(([(1, 0, 0)], 2, [0, 1]))
+@example(([(1, 0, 0), (0, -1, 0)], 2, [Fraction(-1, 2), Fraction(3, 4)]))
+def test_is_feasible_matches_the_row_scan(case):
+    rows, n, point = case
+    xs, den = scaled(point)
+    expected = satisfies_rows(rows, xs, den)
+    cold = ILPInstance(rows, [1] * n)
+    assert cold.is_feasible(point) == expected
+    assert cold._classes is None  # the check never builds the classes
+    warm = ILPInstance(rows, [1] * n)
+    admitted = classes_admit(warm.row_classes, xs, den)
+    assert warm.is_feasible(point) == expected
+    assert expected or not admitted  # the class test is sufficient
 
 
 canonical_rows = st.lists(

@@ -7,7 +7,8 @@ matrices and enumeration, the hypertruncated cube's vertices, the
 facet-by-facet wild and htc generators, the
 split-column simplex, rank and linear solving by Gauss-Jordan
 elimination over Fraction, signed-permutation inverses, the row loop of
-the symmetry check and the round-based automorphism search: each restates
+the symmetry check, the per-row row-class count and the round-based
+automorphism search: each restates
 a definition of the paper directly, or keeps an earlier implementation, so
 the tests can check the solvers against it.  ``symmetric_lps`` draws
 instances closed under a group, for the property tests.
@@ -311,6 +312,12 @@ def reference_is_symmetry(inst, g) -> bool:
     if g.apply_to_row(inst.c) != inst.c:
         return False
     return all(_act(g, row) in inst.row_set for row in inst.rows)
+
+
+def reference_row_classes(inst) -> Counter:
+    """The per-row generator that first built ``ILPInstance.row_classes``:
+    each row's key is ``tuple(sorted(a)) + (b,)``, counted in row order."""
+    return Counter((*sorted(row[:-1]), row[-1]) for row in inst.rows)
 
 
 class _SplitTableau:
