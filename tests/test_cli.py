@@ -349,6 +349,23 @@ def test_solve_wild_corepoint_no_override(tmp_path, capsys):
     assert "optimal" in out
 
 
+def test_layer_scan_matches_the_core_point_scan_on_wild_d4(tmp_path, capsys):
+    path = tmp_path / "wild4.ilp"
+    assert main(["generate", "wild", "--d", "4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    answers = {}
+    for method in ("corepoint", "layers"):
+        assert main(["solve", str(path), "--method", method]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        head, row = lines[0].split(), lines[1].split()
+        point = [ln for ln in lines if ln.startswith("point ")]
+        answers[method] = (row[head.index("status")], row[head.index("value")], point)
+    assert answers["layers"][:2] == answers["corepoint"][:2] == ("optimal", "1")
+    # the same orbit: the layer scan prints its first point in lexicographic order
+    assert answers["corepoint"][2] == ["point 1 0 0 0 0 0 0"]
+    assert answers["layers"][2] == ["point 0 0 0 0 0 0 1"]
+
+
 def test_bench_cli_csv(capsys):
     assert main(["--output", "csv", "bench", "htc", "--range", "30:50:10"]) == 0
     out = capsys.readouterr().out

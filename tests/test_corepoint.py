@@ -19,9 +19,16 @@ from symilp.instances import HtcParams, gen_hypertruncated_cube, gen_wild, htc_r
 from symilp.layers import solve_by_layers
 from symilp.lpcore import solve_lp_on_line
 from symilp.model import brute_force_ilp, normalize
-from symilp.symmetry import FULL_SYMMETRIC, alt_generators, orbit
+from symilp.symmetry import FULL_SYMMETRIC, alt_generators
 from corpus import random_symmetric_instance
-from testkit import CoreRepresentative, core_distance_check, reference_core_scan, representative_oracle
+from testkit import (
+    CoreRepresentative,
+    certified_instance,
+    closed_instance,
+    core_distance_check,
+    reference_core_scan,
+    representative_oracle,
+)
 
 
 def test_core_points_examples():
@@ -192,30 +199,10 @@ def test_core_point_scan_in_one_variable(pairs, lo):
     assert out == brute_force_ilp(inst)
 
 
-def alternating_instance(seeds, n: int):
-    """The Alt(n)-closure of the seed rows, in the box 0 <= x <= 2, c = 1."""
-    rows = orbit(seeds, alt_generators(n), lambda g, row: g.apply_to_row(row) + row[-1:])
-    for i in range(n):
-        e = tuple(int(i == j) for j in range(n))
-        rows |= {e + (2,), tuple(-v for v in e) + (0,)}
-    return normalize(rows, [1] * n, name=f"alt{n}")
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["sym", "alt4", "alt5"]))
 def test_class_scan_matches_the_expanded_row_scan(seed, kind):
-    rng = random.Random(seed)
-    if kind == "sym":
-        inst = random_symmetric_instance(rng, seed)
-    else:
-        n = int(kind[-1])
-        seeds = []
-        while len(seeds) < 2:
-            # distinct entries make the Alt(n)-orbit half the Sym(n)-orbit
-            a = rng.choice([rng.sample(range(-2, n + 2), n), [rng.randint(-2, 3) for _ in range(n)]])
-            if any(a):
-                seeds.append((*a, rng.randint(-2, 2 * n)))
-        inst = alternating_instance(seeds[: rng.randint(1, 2)], n)
+    inst = certified_instance(random.Random(seed), kind, seed)
     trace = {}
     out = solve_core_point(inst, trace=trace)
     assert (out, trace.get("layers_scanned", 0)) == reference_core_scan(inst)
@@ -223,7 +210,7 @@ def test_class_scan_matches_the_expanded_row_scan(seed, kind):
 
 def test_class_scan_on_an_alternating_instance():
     # the Alt(4)-orbit of x2 + 2x3 + 3x4 <= 4 is half its Sym(4)-orbit
-    inst = alternating_instance([(0, 1, 2, 3, 4)], 4)
+    inst = closed_instance([(0, 1, 2, 3, 4)], alt_generators(4), 4)
     trace = {}
     out = solve_core_point(inst, trace=trace)
     assert trace["certificate"] == "alternating"

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symilp import layers, symdetect
+from symilp import layers, lpcore, model, symdetect
 from symilp.corepoint import solve_core_point
 from symilp.errors import (
     BoxTooLarge,
@@ -24,10 +25,12 @@ from symilp.layers import (
     layer_witness,
     solve_by_layers,
 )
-from symilp.model import Outcome, brute_force_ilp, normalize, satisfies_rows
+from symilp.instances import gen_wild
+from symilp.lpcore import solve_lp_on_line
+from symilp.model import ILPInstance, Outcome, brute_force_ilp, explicit_box, normalize, satisfies_rows
 from symilp.ratlin import dot
-from symilp.symmetry import verify_symmetric_group_invariance
-from testkit import Layer, layer_center
+from symilp.symmetry import ALTERNATING, FULL_SYMMETRIC, NONE, verify_symmetric_group_invariance
+from testkit import Layer, certified_instance, layer_center, reference_layer_box
 
 ONES3 = coprime_direction((1, 1, 1))
 
@@ -192,6 +195,27 @@ def test_cyclic_layer_scan_runs_no_detection(cyc4, monkeypatch):
     assert out == Outcome("optimal", point=(1, 1, 1, 1), value=Fraction(4))
 
 
+@pytest.fixture
+def tableau_columns(monkeypatch):
+    """The column count of every simplex tableau built in the test."""
+    columns = []
+    tableau = lpcore._Tableau.__init__
+
+    def counting(self, lp):
+        columns.append(lp.n)
+        tableau(self, lp)
+
+    monkeypatch.setattr(lpcore._Tableau, "__init__", counting)
+    return columns
+
+
+def test_cyclic_layer_box_takes_two_lps(cyc4, tableau_columns):
+    # under the n-cycle every coordinate has x_1's bounds: 2 LPs, not 2n
+    assert _layer_box(cyc4, 4) == [(1, 1)] * 4
+    assert tableau_columns == [4, 4]
+    assert reference_layer_box(cyc4, 4) == [(1, 1)] * 4
+
+
 def test_scans_trace_the_certificate(htc6, cyc4):
     trace = {}
     solve_core_point(htc6, trace=trace)
@@ -303,3 +327,87 @@ def test_solve_by_layers_in_high_dimension():
     out = solve_by_layers(inst)
     assert out.status == "optimal" and out.value == 3
     assert out.point == (0,) * (n - 3) + (1, 1, 1)
+
+
+def scan_layers(inst):
+    """Every k from n*floor(zeta) - 1 to floor(n*zeta) + 1; -1, 0 and 1 when
+    the line LP has no optimum."""
+    n = inst.n
+    zeta = solve_lp_on_line(inst)[1]
+    if zeta is None:
+        return range(-1, 2)
+    return range(n * floor(zeta) - 1, floor(n * zeta) + 2)
+
+
+def box_or_open(box_of, inst, k):
+    try:
+        return box_of(inst, k)
+    except BoxTooLarge:
+        return "open"
+
+
+KINDS = st.sampled_from(["sym", "alt4", "alt5", "cycle"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), KINDS)
+def test_layer_box_equals_the_expanded_slice_box(seed, kind):
+    # the box of x_1 over Fix(Stab(1)), or over the slice under the other
+    # transitive tiers, is the integer box of the whole slice, or None when
+    # the slice is empty; under those other tiers a complete explicit box
+    # is taken first, as it costs less than the two LPs
+    inst = certified_instance(random.Random(seed), kind, seed)
+    level = verify_symmetric_group_invariance(inst)
+    assert level != NONE
+    explicit = explicit_box(inst)
+    if level == FULL_SYMMETRIC or (level == ALTERNATING and inst.n >= 4):
+        explicit = None
+    for k in scan_layers(inst):
+        want = explicit or box_or_open(reference_layer_box, inst, k)
+        assert box_or_open(_layer_box, inst, k) == want, k
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), KINDS)
+def test_orbit_pruning_keeps_the_point_and_visits_no_more_nodes(seed, kind):
+    inst = certified_instance(random.Random(seed), kind, seed)
+    assert verify_symmetric_group_invariance(inst) != NONE
+    for k in scan_layers(inst):
+        box = box_or_open(_layer_box, inst, k)
+        if box is None or box == "open":
+            continue
+        point, nodes = _recursive_search(inst, k, box)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(layers, "LAYER_NODE_BUDGET", nodes)
+            assert enumeration_oracle(inst, k) == point, k
+
+
+def test_wild_layer_scan_reads_no_expanded_rows(tableau_columns, monkeypatch):
+    # after the line LP every LP has at most 2 columns, and neither the
+    # layer boxes nor the point checks read the 1,020 expanded rows
+    inst = gen_wild(3)
+    columns, boxes, widths = tableau_columns, [], []
+
+    def counting_box(lp):
+        boxes.append(lp.name)
+        return model.explicit_box(lp)
+
+    satisfies = model.satisfies_rows
+
+    def counting_satisfies(rows, xs, den=1):
+        widths.append(len(rows[0]))
+        return satisfies(rows, xs, den)
+
+    monkeypatch.setattr(layers, "explicit_box", counting_box)
+    for module in (model, layers):
+        monkeypatch.setattr(module, "satisfies_rows", counting_satisfies)
+    trace = {}
+    out = solve_by_layers(inst, trace=trace)
+    assert columns[0] == 1 and len(columns) > 1 and max(columns[1:]) <= 2
+    assert boxes == []
+    assert widths and max(widths) <= 3  # the rows of the 2-variable LPs
+    core = solve_core_point(ILPInstance(inst.rows, inst.c, name=inst.name))
+    assert (out.status, out.value) == (core.status, core.value) == ("optimal", 1)
+    # the first point in lexicographic order, an orbit-mate of the core point
+    assert out.point == (0, 0, 0, 0, 0, 1) and sorted(out.point) == sorted(core.point)
+    assert trace["layers_scanned"] == 3

@@ -61,3 +61,16 @@ def test_symmetry_does_not_import_symdetect():
         if any("symdetect" in name.split(".") for name in names):
             found.append(node.lineno)
     assert found == []
+
+
+def test_layers_imports_nothing_private_from_lpcore():
+    # the layer boxes solve their LPs through the public entry points
+    path = SRC / "layers.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "lpcore":
+            found += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "lpcore" and node.attr.startswith("_"):
+                found.append(node.attr)
+    assert found == []

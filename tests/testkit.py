@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use.
 
 Layer centers, core-point distances, the core representative, the core
-point scan over expanded rows, the representative oracle, basis
+point scan over expanded rows, the representative oracle, the layer box
+over the expanded slice, basis
 orbit barycenters, group enumeration, the fixed space and orbit average by
 matrices and enumeration, the hypertruncated cube's vertices, the
 facet-by-facet wild and htc generators, the
@@ -10,8 +11,9 @@ elimination over Fraction, signed-permutation inverses, the row loop of
 the symmetry check, the per-row row-class count and the round-based
 automorphism search: each restates
 a definition of the paper directly, or keeps an earlier implementation, so
-the tests can check the solvers against it.  ``symmetric_lps`` draws
-instances closed under a group, for the property tests.
+the tests can check the solvers against it.  ``symmetric_lps`` and
+``certified_instance`` draw instances closed under a group, for the
+property tests.
 """
 
 from collections import Counter
@@ -23,21 +25,25 @@ from operator import getitem
 
 from hypothesis import strategies as st
 
+from corpus import random_symmetric_instance
+
 from symilp.errors import (
     DegenerateFacet,
+    InfeasibleRegion,
     ResultCheckFailed,
     SearchBudgetExceeded,
     UnboundedRelaxation,
 )
 from symilp.instances import HtcParams, _fit_facet, distorted_join_vrep, multiset_permutations
 from symilp.layers import CoprimeDirection
-from symilp.lpcore import _eliminate, solve_lp_on_line
+from symilp.lpcore import _eliminate, integer_box, solve_lp_on_line
 from symilp.model import INFEASIBLE, OPTIMAL, UNBOUNDED, ILPInstance, Outcome, normalize
 from symilp.ratlin import kernel_basis, scale_coprime
 from symilp.symmetry import (
     BasisOrbit,
     GroupSpec,
     SignedPermutation,
+    alt_generators,
     full_cycle,
     orbit,
     sym_generators,
@@ -210,6 +216,58 @@ def representative_oracle(inst, k: int):
     q, d = divmod(k, n)
     x = CoreRepresentative(q, d, n).point()
     return x if inst.is_feasible(x) else None
+
+
+def reference_layer_box(inst, k: int):
+    """integer_box of the expanded slice P /\\ {sum x = k}: 2n LPs in n
+    variables over every row, None when the slice is empty."""
+    n = inst.n
+    slab = ((1,) * n + (k,), (-1,) * n + (-k,))
+    try:
+        return integer_box(ILPInstance(inst.rows + slab, inst.c))
+    except InfeasibleRegion:
+        return None
+
+
+def closed_instance(seeds, gens, n: int, box: bool = True, name: str = ""):
+    """The closure of the seed rows under gens, c = 1, in the box 0 <= x <= 2
+    unless ``box`` is False."""
+    rows = orbit(seeds, gens, _act)
+    if box:
+        for i in range(n):
+            e = tuple(int(i == j) for j in range(n))
+            rows |= {e + (2,), tuple(-v for v in e) + (0,)}
+    return normalize(rows, [1] * n, name=name)
+
+
+def certified_instance(rng, kind: str, index: int = 0):
+    """A c = 1 instance drawn from rng: ``random_symmetric_instance`` for
+    "sym", the closure of one or two random rows under Alt(4) or Alt(5)
+    ("alt4", "alt5") or under the n-cycle for n in 3..6 ("cycle"), inside
+    the box 0 <= x <= 2.  A cycle closure keeps the box one time in four,
+    only x >= 0 two times in four (bounded slices with no explicit box),
+    and no bound one time in four."""
+    if kind == "sym":
+        return random_symmetric_instance(rng, index)
+    if kind == "cycle":
+        n = rng.randint(3, 6)
+        gens = (full_cycle(n),)
+    else:
+        n = int(kind[-1])
+        gens = alt_generators(n)
+    seeds = []
+    while len(seeds) < 2:
+        # distinct entries make the Alt(n)-orbit half the Sym(n)-orbit
+        a = rng.choice([rng.sample(range(-2, n + 2), n), [rng.randint(-2, 3) for _ in range(n)]])
+        if any(a):
+            seeds.append((*a, rng.randint(-2, 2 * n)))
+    seeds = seeds[: rng.randint(1, 2)]
+    if kind != "cycle":
+        return closed_instance(seeds, gens, n, name=kind)
+    bounds = rng.choice(["box", "lower", "lower", "none"])
+    if bounds == "lower":
+        seeds.append((-1,) + (0,) * n)  # its orbit is x >= 0
+    return closed_instance(seeds, gens, n, bounds == "box", name=f"cycle{n}")
 
 
 def orbit_barycenter(o: BasisOrbit, n: int) -> tuple:
