@@ -9,7 +9,7 @@ asking a per-layer feasibility oracle for an integral point.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import ceil, floor
+from math import floor
 from time import perf_counter
 
 from . import symdetect
@@ -23,7 +23,7 @@ from .errors import (
     UnboundedRelaxation,
     ZeroObjective,
 )
-from .lpcore import integer_box, solve_lp, solve_lp_on_line
+from .lpcore import integer_box, solve_lp_on_line
 from .model import (
     ILPInstance,
     Outcome,
@@ -86,61 +86,40 @@ def layer_witness(d: CoprimeDirection, k: int) -> tuple:
     return tuple(k * c for c in coeffs)
 
 
-def _layer_box(inst: ILPInstance, k: int):
+def _slice_box(inst: ILPInstance, k: int, level: str):
     """Integer coordinate bounds valid on P(A,b) /\\ {sum x = k}, None if empty.
 
-    Runs the certificate, then takes the box _slice_box gives under its level.
-    """
-    return _slice_box(inst, k, verify_symmetric_group_invariance(inst))
-
-
-def _slice_box(inst: ILPInstance, k: int, level: str):
-    """The layer box under a certificate level.
-
-    Under a transitive G the slice is G-invariant, so every coordinate has
-    x_1's bounds, and Stab(1) fixes both objectives +-x_1: their LPs may run
-    over Fix(Stab(1)).  Under Sym(n), and Alt(n) from n = 4, that space is
-    spanned by e_1 and 1 - e_1, where a class with key a gives one row
-    (v, sum(a) - v | b) per distinct value v of a: two LPs in 2 variables
-    that never read the rows, and never looser than the explicit box.
-    Otherwise explicit single-variable rows are used when they bound every
-    coordinate, as they cost less than the LPs; failing that, exact LP
-    bounds are computed on the slice (often bounded even when P is not):
-    the two of x_1 under the other transitive tiers, all 2n with no
-    certificate.  An open side raises BoxTooLarge.
+    ``level`` is the certificate's tier.  Under Sym(n), and Alt(n) from
+    n = 4, the slice is G-invariant, so every coordinate has x_1's bounds,
+    and Stab(1) fixes both objectives +-x_1: their LPs may run over
+    Fix(Stab(1)) = span(e_1, 1 - e_1), where a class with key a gives one
+    row (v, sum(a) - v | b) per distinct value v of a.  That box is an LP
+    in 2 variables that never reads the rows, and never looser than the
+    explicit box.  Otherwise explicit single-variable rows are used when
+    they bound every coordinate; failing that, exact LP bounds are computed
+    on the slice (often bounded even when P is not).  An open side raises
+    BoxTooLarge.
     """
     n = inst.n
     name = f"{inst.name}#layer{k}"
     if level == FULL_SYMMETRIC or (level == ALTERNATING and n >= 4):
+        if n == 1:  # the slice is the one point k, and 1 - e_1 is zero
+            return [(k, k)] if classes_admit(inst.row_classes, (k,)) else None
         rows = [(v, sum(key[:-1]) - v, key[-1]) for key in inst.row_classes for v in set(key[:-1])]
         rows += [(1, n - 1, k), (-1, 1 - n, -k)]
         try:
-            return _first_coordinate_box(normalize(rows, (1, 0), name=name), n)
-        except InfeasibleZeroRow:
-            return None  # a class is 0 <= b < 0 on the span
+            return [integer_box(normalize(rows, (1, 0), name=name))[0]] * n
+        except (InfeasibleZeroRow, InfeasibleRegion):
+            return None  # a class is 0 <= b < 0 on the span, or the slice is empty
     box = explicit_box(inst)
     if box is not None:
         return box
     # inst.rows are canonical and the two +-1 rows coprime: nothing to rescale
-    sliced = inst.rows + ((1,) * n + (k,), (-1,) * n + (-k,))
-    if level != NONE:
-        return _first_coordinate_box(ILPInstance(sliced, (1,) + (0,) * (n - 1), name=name), n)
+    slab = ((1,) * n + (k,), (-1,) * n + (-k,))
     try:
-        return integer_box(ILPInstance(sliced, inst.c, name=name))
+        return integer_box(ILPInstance(inst.rows + slab, inst.c, name=name))
     except InfeasibleRegion:
         return None  # the slice misses P entirely
-
-
-def _first_coordinate_box(lp: ILPInstance, n: int):
-    """[(ceil min y_1, floor max y_1)] * n over lp, whose objective is e_1;
-    None when lp is empty."""
-    up = solve_lp(lp)
-    if up.status == INFEASIBLE:
-        return None
-    down = solve_lp(ILPInstance(lp.rows, [-cj for cj in lp.c], name=lp.name))
-    if UNBOUNDED in (up.status, down.status):
-        raise BoxTooLarge(f"{lp.name} is unbounded; no finite box")
-    return [(ceil(-down.value), floor(up.value))] * n
 
 
 def enumeration_oracle(inst: ILPInstance, k: int):
@@ -149,15 +128,13 @@ def enumeration_oracle(inst: ILPInstance, k: int):
     Depth-first over coordinates inside the layer box, pruning on the
     reachable range of the remaining partial sum; the first feasible point
     in lexicographic order is returned, else None.  Under a certified
-    transitive G the slice is G-invariant, so it holds a point iff it holds
-    an orbit representative: under Sym(n) only nondecreasing points are
-    enumerated, under the other tiers only those with x_1 = min x.  The
-    lexicographically first feasible point is such a representative, so the
-    answer does not change (Margot, "Pruning by isomorphism in
-    branch-and-cut", 2002; Ostrowski et al., "Orbital branching", 2011).
-    Under Sym(n) every row class is a whole orbit, so classes_admit is the
-    exact check of a point.  A search that visits more than
-    LAYER_NODE_BUDGET nodes raises BoxTooLarge.
+    Sym(n) the slice is invariant, so it holds a point iff it holds a
+    nondecreasing one, and only those are enumerated; the lexicographically
+    first feasible point is nondecreasing, so the answer does not change
+    (Margot, "Pruning by isomorphism in branch-and-cut", 2002; Ostrowski et
+    al., "Orbital branching", 2011).  Every row class is then a whole orbit,
+    so classes_admit is the exact check of a point.  A search that visits
+    more than LAYER_NODE_BUDGET nodes raises BoxTooLarge.
     """
     n = inst.n
     budget = LAYER_NODE_BUDGET
@@ -186,12 +163,6 @@ def enumeration_oracle(inst: ILPInstance, k: int):
             if j:
                 lo = max(lo, x[j - 1])
             top = r // (n - j)
-        elif level != NONE:  # x[0] = min x
-            if j:
-                lo = max(lo, x[0])
-                top = r - (n - j - 1) * lo
-            else:
-                top = r // n
         return iter(range(max(lo, r - suffix_hi[j + 1]), min(hi, top) + 1))
 
     # one value iterator per coordinate fixed so far, instead of recursion

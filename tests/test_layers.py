@@ -18,7 +18,6 @@ from symilp.errors import (
 )
 from symilp.layers import (
     CoprimeDirection,
-    _layer_box,
     coprime_direction,
     enumeration_oracle,
     layer_number,
@@ -30,7 +29,7 @@ from symilp.lpcore import solve_lp_on_line
 from symilp.model import ILPInstance, Outcome, brute_force_ilp, explicit_box, normalize, satisfies_rows
 from symilp.ratlin import dot
 from symilp.symmetry import ALTERNATING, FULL_SYMMETRIC, NONE, verify_symmetric_group_invariance
-from testkit import Layer, certified_instance, layer_center, reference_layer_box
+from testkit import Layer, certified_instance, layer_box, layer_center, reference_layer_box
 
 ONES3 = coprime_direction((1, 1, 1))
 
@@ -209,13 +208,6 @@ def tableau_columns(monkeypatch):
     return columns
 
 
-def test_cyclic_layer_box_takes_two_lps(cyc4, tableau_columns):
-    # under the n-cycle every coordinate has x_1's bounds: 2 LPs, not 2n
-    assert _layer_box(cyc4, 4) == [(1, 1)] * 4
-    assert tableau_columns == [4, 4]
-    assert reference_layer_box(cyc4, 4) == [(1, 1)] * 4
-
-
 def test_scans_trace_the_certificate(htc6, cyc4):
     trace = {}
     solve_core_point(htc6, trace=trace)
@@ -302,7 +294,7 @@ def test_enumeration_oracle_matches_the_recursive_search(monkeypatch):
             rows.append(tuple(rng.randint(-3, 3) for _ in range(n)) + (rng.randint(0, 6),))
         inst = normalize(rows, [1] * n)
         for k in range(3 * n + 1):
-            point, nodes = _recursive_search(inst, k, _layer_box(inst, k))
+            point, nodes = _recursive_search(inst, k, layer_box(inst, k))
             monkeypatch.setattr(layers, "LAYER_NODE_BUDGET", nodes)
             assert enumeration_oracle(inst, k) == point
             if nodes:
@@ -352,10 +344,9 @@ KINDS = st.sampled_from(["sym", "alt4", "alt5", "cycle"])
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**32 - 1), KINDS)
 def test_layer_box_equals_the_expanded_slice_box(seed, kind):
-    # the box of x_1 over Fix(Stab(1)), or over the slice under the other
-    # transitive tiers, is the integer box of the whole slice, or None when
-    # the slice is empty; under those other tiers a complete explicit box
-    # is taken first, as it costs less than the two LPs
+    # the box of x_1 over Fix(Stab(1)) is the integer box of the whole
+    # slice, or None when the slice is empty; under the other tiers a
+    # complete explicit box is taken first, as it costs less than the LPs
     inst = certified_instance(random.Random(seed), kind, seed)
     level = verify_symmetric_group_invariance(inst)
     assert level != NONE
@@ -364,7 +355,16 @@ def test_layer_box_equals_the_expanded_slice_box(seed, kind):
         explicit = None
     for k in scan_layers(inst):
         want = explicit or box_or_open(reference_layer_box, inst, k)
-        assert box_or_open(_layer_box, inst, k) == want, k
+        assert box_or_open(layer_box, inst, k) == want, k
+
+
+def test_one_variable_layer_box_is_the_point():
+    # with n = 1 the column 1 - e_1 is zero and the slice is the point k
+    inst = normalize([(1, 3), (-1, 0), (2, 5)], [1])
+    assert verify_symmetric_group_invariance(inst) == FULL_SYMMETRIC
+    for k in range(-1, 5):
+        assert layer_box(inst, k) == reference_layer_box(inst, k), k
+    assert solve_by_layers(inst) == Outcome("optimal", point=(2,), value=Fraction(2))
 
 
 @settings(max_examples=120, deadline=None)
@@ -373,7 +373,7 @@ def test_orbit_pruning_keeps_the_point_and_visits_no_more_nodes(seed, kind):
     inst = certified_instance(random.Random(seed), kind, seed)
     assert verify_symmetric_group_invariance(inst) != NONE
     for k in scan_layers(inst):
-        box = box_or_open(_layer_box, inst, k)
+        box = box_or_open(layer_box, inst, k)
         if box is None or box == "open":
             continue
         point, nodes = _recursive_search(inst, k, box)

@@ -35,7 +35,7 @@ from symilp.errors import (
     UnboundedRelaxation,
 )
 from symilp.instances import HtcParams, _fit_facet, distorted_join_vrep, multiset_permutations
-from symilp.layers import CoprimeDirection
+from symilp.layers import CoprimeDirection, _slice_box
 from symilp.lpcore import _eliminate, integer_box, solve_lp_on_line
 from symilp.model import INFEASIBLE, OPTIMAL, UNBOUNDED, ILPInstance, Outcome, normalize
 from symilp.ratlin import kernel_basis, scale_coprime
@@ -47,6 +47,7 @@ from symilp.symmetry import (
     full_cycle,
     orbit,
     sym_generators,
+    verify_symmetric_group_invariance,
 )
 
 
@@ -216,6 +217,11 @@ def representative_oracle(inst, k: int):
     q, d = divmod(k, n)
     x = CoreRepresentative(q, d, n).point()
     return x if inst.is_feasible(x) else None
+
+
+def layer_box(inst, k: int):
+    """The layer scan's box of layer k under the instance's certificate."""
+    return _slice_box(inst, k, verify_symmetric_group_invariance(inst))
 
 
 def reference_layer_box(inst, k: int):
