@@ -171,8 +171,11 @@ def _run(inst, method, box=None) -> RunReport:
 
 
 def cmd_solve(args) -> int:
+    if args.box is not None and args.method != "brute":
+        # the scans bound their own layers and would drop the box unread
+        raise ValueError(f"--box applies to --method brute only, not {args.method}")
     inst = model.read_instance(args.file)
-    box = _parse_box(args.box, inst.n) if args.box else None
+    box = None if args.box is None else _parse_box(args.box, inst.n)
     report = _run(inst, args.method, box)
     _emit_reports([report], args.output)
     if report.status == model.OPTIMAL and inst.n <= POINT_ELIDE_N:

@@ -1,8 +1,10 @@
 """Exact rational linear programming over Ax <= b with free variables.
 
 Two-phase simplex on an integer tableau with one column per variable: each
-free x_j is pivoted into the basis before phase 1 and never leaves
-(Chvatal 1983), so the ratio tests and phase 1 see only the slack rows.
+free x_j is pivoted into the basis before phase 1, by a ratio test over the
+slack rows with b_i >= 0, and never leaves (Chvatal 1983).  So the ratio
+tests and phase 1 see only the slack rows, and phase 1 makes no pivot when
+b >= 0.
 Infeasibility is handled with a single auxiliary variable, and Bland's
 smallest-index rule is used in both phases so termination is guaranteed on
 the heavily degenerate symmetric instances this toolkit produces.  Bland's
@@ -15,7 +17,8 @@ the absolute determinant of the current basis, so each entry is a
 subdeterminant of the input and every pivot division is exact (Bareiss).
 The objective row is kept over D times the lcm of the objective's
 denominators.  Ratios are compared by cross-multiplication; Fractions are
-built only for the returned point and value.  There are no tolerances.
+built only for the returned point and value: the result checks read the
+integer numerators over D.  There are no tolerances.
 solve_lp, the one LP entry point, also solves over x = F y for a basis F of
 a fixed space; the LP on the line is the case F = (1, ..., 1).
 """
@@ -38,10 +41,11 @@ class _Tableau:
     Variable ids: 0..n-1 structurals, n..n+m-1 slacks, n+m the phase-1
     auxiliary.  Row i reads D * y_basis[i] = rows[i][-1] + sum_k rows[i][k] *
     y_nonbasic[k], and the objective row obj reads D * scale * z the same
-    way.  Each structural enters on its first slack row with a nonzero
-    entry; one with none moves along a line inside the region, so it stays
-    nonbasic at 0 with its column zero on every slack row.  ``pivots``
-    counts the pivots made after those entries.
+    way.  Each structural enters by entry_row's ratio test, which keeps a
+    feasible start feasible; one with no nonzero slack entry moves along a
+    line inside the region, so it stays nonbasic at 0 with its column zero
+    on every slack row.  ``pivots`` counts the pivots made after those
+    entries.
     """
 
     def __init__(self, inst: ILPInstance):
@@ -56,10 +60,30 @@ class _Tableau:
         self.obj = [0] * (n + 1)
         self.pivots = 0
         for j in range(n):
-            l = next((i for i, r in enumerate(self.rows) if r[j] and self.basis[i] >= n), None)
+            l = self.entry_row(j)
             if l is not None:
                 self.pivot(j, l)
         self.pivots = 0  # the entries above are not counted
+
+    def entry_row(self, j: int):
+        """The slack row on which the free x_j enters, or None.
+
+        Among the slack rows with r_j != 0 and rhs >= 0, the one whose limit
+        rhs / |r_j| on x_j is least, compared by cross-multiplication with
+        ties toward the smaller row: every row with rhs >= 0 keeps it after
+        the pivot.  With no such row, the first slack row with r_j != 0.
+        """
+        basis, n, rows = self.basis, self.n, self.rows
+        best = first = None
+        for i in compress(count(), map(itemgetter(j), rows)):
+            if basis[i] < n:
+                continue
+            if first is None:
+                first = i
+            b, a = rows[i][-1], abs(rows[i][j])
+            if b >= 0 and (best is None or b * best_a < best_b * a):
+                best, best_b, best_a = i, b, a
+        return first if best is None else best
 
     def pivot(self, e: int, l: int) -> None:
         """Enter nonbasic position e, leave basic row l."""
@@ -69,9 +93,11 @@ class _Tableau:
         ap = abs(p)
         sp = 1 if p > 0 else -1
         nz = [(k, w) for k, w in enumerate(pr) if w and k != e]
-        for i, r in enumerate(rows):
+        # over an unchanged D, a row with a zero in column e stays as it is
+        touched = compress(count(), map(itemgetter(e), rows)) if ap == D else range(len(rows))
+        for i in touched:
             if i != l:
-                rows[i] = _eliminate(r, nz, e, ap, sp, D)
+                rows[i] = _eliminate(rows[i], nz, e, ap, sp, D)
         self.obj = _eliminate(self.obj, nz, e, ap, sp, D)
         new = [-w for w in pr] if p > 0 else pr[:]
         new[e] = sp * D
@@ -176,21 +202,30 @@ def _phase1(t: _Tableau) -> bool:
     return True
 
 
-def _maximize(t: _Tableau, inst: ILPInstance, c) -> Outcome:
+def _numerators(t: _Tableau) -> list:
+    """D * x_j for each structural: its row's rhs if basic, else 0."""
+    vals = dict(zip(t.basis, map(itemgetter(-1), t.rows)))
+    return [vals.get(j, 0) for j in range(t.n)]
+
+
+def _maximize(t: _Tableau, inst: ILPInstance, c):
     """max c^t x from the feasible tableau t of inst, which stays feasible.
 
-    c is scaled to integers by the lcm of its denominators, and the objective
-    row is kept over D times that scale like every other row.  A nonbasic
-    structural with a nonzero entry there is a free line that improves c, so
-    the LP is unbounded.  An optimal point is checked feasible and worth its
-    value.
+    Returns the optimal value, whose point is _numerators(t) over t.D, or
+    None when the LP is unbounded.  c (ints or Fractions) is scaled to integers
+    by the lcm of its denominators, and the objective row is kept over D
+    times that scale like every other row.  A nonbasic structural with a
+    nonzero entry there is a free line that improves c, so the LP is
+    unbounded.  The optimum is checked in ints: the numerators over D must
+    satisfy inst (ILPInstance.admits), and the scaled c times them must be
+    the objective row's value.
     """
-    scale = lcm(*(Fraction(cj).denominator for cj in c))
+    scale = lcm(*(cj.denominator for cj in c))
+    ws = [cj.numerator * (scale // cj.denominator) for cj in c]
     obj = [0] * (len(t.nonbasic) + 1)
     pos = {v: k for k, v in enumerate(t.nonbasic)}
     row_of = {v: i for i, v in enumerate(t.basis)}
-    for j, cj in enumerate(c):
-        w = int(cj * scale)
+    for j, w in enumerate(ws):
         if j in pos:
             obj[pos[j]] += w * t.D
         elif w:
@@ -200,15 +235,13 @@ def _maximize(t: _Tableau, inst: ILPInstance, c) -> Outcome:
     t.obj = obj
     t.scale = scale
     if any(obj[pos[j]] for j in range(t.n) if j in pos) or t.run() == UNBOUNDED:
-        return Outcome(UNBOUNDED)
-    vals = {v: r[-1] for v, r in zip(t.basis, t.rows)}
-    point = tuple(Fraction(vals.get(j, 0), t.D) for j in range(t.n))
-    value = Fraction(t.obj[-1], t.D * scale)
-    if not inst.is_feasible(point):
+        return None
+    xs = _numerators(t)
+    if not inst.admits(xs, t.D):
         raise ResultCheckFailed(f"simplex: infeasible point for {inst.name or 'instance'}")
-    if sum(map(mul, c, point)) != value:
+    if sum(map(mul, ws, xs)) != t.obj[-1]:
         raise ResultCheckFailed(f"simplex: value mismatch for {inst.name or 'instance'}")
-    return Outcome(OPTIMAL, point=point, value=value)
+    return Fraction(t.obj[-1], t.D * scale)
 
 
 def _basis_column(rows, f):
@@ -254,10 +287,14 @@ def solve_lp(inst: ILPInstance, basis=None, trace: dict | None = None) -> Outcom
     t = _Tableau(lp)
     feasible = _phase1(t)
     phase1 = t.pivots
-    out = _maximize(t, lp, lp.c) if feasible else Outcome(INFEASIBLE)
-    if trace is not None:
-        trace["pivots_phase1"] = phase1
-        trace["pivots_phase2"] = t.pivots - phase1
+    out = Outcome(INFEASIBLE)
+    if feasible:
+        value = _maximize(t, lp, lp.c)
+        out = Outcome(UNBOUNDED)
+        if value is not None:
+            point = tuple(Fraction(x, t.D) for x in _numerators(t))
+            out = Outcome(OPTIMAL, point=point, value=value)
+    _trace_pivots(trace, t, phase1)
     if out.status == OPTIMAL and basis is not None:
         point = tuple(sum(map(mul, out.point, col)) for col in zip(*basis))
         out = Outcome(OPTIMAL, point=point, value=out.value)
@@ -276,38 +313,47 @@ def solve_lp_on_line(inst: ILPInstance, trace: dict | None = None):
     return (out.status, out.point[0] if out.status == OPTIMAL else None)
 
 
-def coordinate_bounds(inst: ILPInstance):
+def _trace_pivots(trace, t: _Tableau, phase1: int) -> None:
+    if trace is not None:
+        trace["pivots_phase1"] = phase1
+        trace["pivots_phase2"] = t.pivots - phase1
+
+
+def coordinate_bounds(inst: ILPInstance, trace: dict | None = None):
     """Exact [min x_i, max x_i] over the feasible region: one phase 1, then
     2n phase-2 runs on the same tableau.
 
     Unbounded directions are reported as None.  Raises InfeasibleRegion on
-    an empty feasible set.
+    an empty feasible set.  ``trace`` receives ``pivots_phase1``, of the one
+    phase 1, and ``pivots_phase2``, summed over the 2n runs, as in solve_lp.
     """
     n = inst.n
     t = _Tableau(inst)
     if not _phase1(t):
+        _trace_pivots(trace, t, t.pivots)
         raise InfeasibleRegion(inst.name or "empty feasible region")
+    phase1 = t.pivots
     out = []
     for j in range(n):
         e = [0] * n
         e[j] = 1
-        up = _maximize(t, inst, e)
+        hi = _maximize(t, inst, e)
         e[j] = -1
         down = _maximize(t, inst, e)
-        hi = up.value if up.status == OPTIMAL else None
-        lo = -down.value if down.status == OPTIMAL else None
-        out.append((lo, hi))
+        out.append((None if down is None else -down, hi))
+    _trace_pivots(trace, t, phase1)
     return out
 
 
-def integer_box(inst: ILPInstance):
+def integer_box(inst: ILPInstance, trace: dict | None = None):
     """(ceil lo, floor hi) for each pair of coordinate_bounds.
 
     Raises BoxTooLarge when a side is open, and InfeasibleRegion, as
-    coordinate_bounds does, when the feasible region is empty.
+    coordinate_bounds does, when the feasible region is empty.  ``trace``
+    goes to coordinate_bounds.
     """
     box = []
-    for lo, hi in coordinate_bounds(inst):
+    for lo, hi in coordinate_bounds(inst, trace=trace):
         if lo is None or hi is None:
             raise BoxTooLarge(f"{inst.name or 'feasible region'} is unbounded; no finite box")
         box.append((ceil(lo), floor(hi)))

@@ -114,7 +114,14 @@ class ILPInstance:
         except AttributeError:
             x = [Fraction(v) for v in x]
             den = lcm(*(v.denominator for v in x))
-        xs = [v.numerator * (den // v.denominator) for v in x]
+        return self.admits([v.numerator * (den // v.denominator) for v in x], den)
+
+    def admits(self, xs, den=1) -> bool:
+        """Whether the integer point xs / den (den > 0) satisfies Ax <= b.
+
+        is_feasible's body in ints: classes_admit first when row_classes is
+        built, then satisfies_rows over every row.
+        """
         if self._classes is not None and classes_admit(self._classes, xs, den):
             return True
         return satisfies_rows(self.rows, xs, den)

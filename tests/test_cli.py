@@ -66,8 +66,24 @@ def test_an_empty_box_range_is_a_one_line_error(tmp_path, capsys):
     assert err.startswith("error: ") and "1:0" in err and err.count("\n") == 1
     assert main(["solve", str(path), "--method", "brute", "--box", "0:1,1:0"]) == 1
     capsys.readouterr()
+    # an empty --box is refused, not read as no box
+    assert main(["solve", str(path), "--method", "brute", "--box", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert main(["solve", str(path), "--method", "brute", "--box", "0:1"]) == 0
     assert "optimal" in capsys.readouterr().out
+
+
+def test_box_with_a_scan_is_a_one_line_error(tmp_path, htc6, capsys):
+    # the scans would ignore the box and print a point outside it
+    htc6_file = str(tmp_path / "htc6.ilp")
+    write_instance(htc6, htc6_file)
+    for method in ("corepoint", "layers"):
+        assert main(["solve", htc6_file, "--method", method, "--box", "5:5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--box" in err and err.count("\n") == 1
+    assert main(["solve", htc6_file, "--box", "5:5"]) == 1  # corepoint by default
+    capsys.readouterr()
+    assert main(["solve", htc6_file, "--method", "brute", "--box", "0:1"]) == 0
 
 
 def test_lp_command(ex61_file, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from symilp import cli, lpcore
+from symilp import cli, lpcore, model
 from symilp.errors import (
     BoxTooLarge,
     InfeasibleRegion,
@@ -16,7 +16,8 @@ from symilp.errors import (
     SearchBudgetExceeded,
 )
 from symilp.lpcore import coordinate_bounds, integer_box, solve_lp, solve_lp_on_line
-from symilp.model import normalize, write_instance
+from symilp.instances import HtcParams, gen_hypertruncated_cube, htc_r
+from symilp.model import ILPInstance, normalize, write_instance
 from symilp.ratlin import dot, kernel_basis
 from symilp.reduction import solve_symmetric_lp
 from symilp.symmetry import fixed_space
@@ -364,10 +365,11 @@ def test_phase1_pivots_out_a_degenerate_auxiliary(monkeypatch):
         return status
 
     monkeypatch.setattr(lpcore._Tableau, "run", spy)
-    # x = 1 from x >= 1/2, x >= 1 and x <= 1: x enters on x >= 1/2, the
-    # auxiliary on x >= 1, and the ratio test then ties the auxiliary with
-    # the slack of x <= 1, which Bland's rule lets leave first
-    inst = normalize([(-2, -1), (-1, -1), (1, 1)], [1])
+    # x = 1 from x >= 1, x >= 0 and x <= 1: x enters on x >= 0, the row
+    # with b >= 0 that bounds it first, which leaves x >= 1 violated; the
+    # auxiliary enters on x >= 1, and the ratio test then ties the auxiliary
+    # with the slack of x <= 1, which Bland's rule lets leave first
+    inst = normalize([(-1, -1), (-1, 0), (1, 1)], [1])
     out = solve_lp(inst)
     assert out.status == "optimal" and out.value == 1 and out.point == (1,)
     assert hits == [True]
@@ -446,11 +448,22 @@ def test_coordinate_bounds_runs_phase1_once(monkeypatch):
     ran = []
     monkeypatch.setattr(lpcore, "_Tableau", Tableau)
     monkeypatch.setattr(lpcore, "_phase1", lambda t: ran.append(t) or phase1(t))
-    # x in [1, 2], y in [1/2, 3/2], x + y <= 5/2: the origin is infeasible
+    # x in [1, 2], y in [1/2, 3/2], x + y <= 5/2: the origin is infeasible,
+    # but x enters on x <= 2 and y on x + y <= 5/2, which leaves every row
+    # feasible, so the one phase 1 makes no pivot
     inst = normalize([(1, 0, 2), (-1, 0, -1), (0, 2, 3), (0, -2, -1), (2, 2, 5)], [1, 1])
-    assert coordinate_bounds(inst) == [(1, 2), (Fraction(1, 2), Fraction(3, 2))]
+    trace = {}
+    assert coordinate_bounds(inst, trace=trace) == [(1, 2), (Fraction(1, 2), Fraction(3, 2))]
     assert len(built) == len(ran) == 1
+    assert trace == {"pivots_phase1": 0, "pivots_phase2": 2}  # summed over the 2n = 4 runs
     assert coordinate_bounds(inst) == reference_bounds(inst)
+    # 2x - 2y <= -1 stays violated after the entries, so the one phase 1
+    # pivots; integer_box passes its trace on
+    inst = normalize([(-1, 0, 1), (1, -2, 1), (2, -2, -1), (2, 1, 0)], [1, 1])
+    trace = {}
+    assert integer_box(inst, trace=trace) == [(-1, -1), (0, 2)]
+    assert len(built) == len(ran) == 3
+    assert trace == {"pivots_phase1": 2, "pivots_phase2": 3}
 
 
 def test_simplex_refuses_past_its_pivot_budget(monkeypatch, tmp_path, capsys):
@@ -561,3 +574,42 @@ def test_a_free_line_in_the_region():
     assert out.status == "optimal" and out.value == 1 and inst.is_feasible(out.point)
     assert solve_lp(normalize(inst.rows, [1, 0])).status == "unbounded"
     assert coordinate_bounds(inst) == [(None, None)] * 2
+
+
+# --- the entry rule: each free x_j enters by a ratio test over rows with b >= 0
+
+
+def test_htc_needs_no_phase1():
+    # b >= 0 on every row, so the entries keep x = 0 feasible: each x_j
+    # enters on its own bound row x_j >= 0 (ratio 0), not on a dense row
+    inst = gen_hypertruncated_cube(HtcParams(40, htc_r(40), Fraction(1, 2)))
+    trace = {}
+    out = solve_lp(inst, trace=trace)
+    assert out.status == "optimal" and out.value == 20
+    assert trace["pivots_phase1"] == 0 and trace["pivots_phase2"] > 0
+
+
+def _nonnegative_b(inst):
+    return normalize([r[:-1] + (abs(r[-1]),) for r in inst.rows], inst.c, name=inst.name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bounded_lps(), free_lps()).map(_nonnegative_b))
+def test_entries_keep_a_feasible_start(inst):
+    t = lpcore._Tableau(inst)
+    assert all(r[-1] >= 0 for r, v in zip(t.rows, t.basis) if v >= inst.n)
+    trace = {}
+    assert solve_lp(inst, trace=trace).status != "infeasible"  # x = 0 is feasible
+    assert trace["pivots_phase1"] == 0
+
+
+def test_the_point_check_tries_the_row_classes_first(htc6, monkeypatch):
+    calls = []
+    admit, scan = model.classes_admit, model.satisfies_rows
+    monkeypatch.setattr(model, "classes_admit", lambda *a: calls.append("classes") or admit(*a))
+    monkeypatch.setattr(model, "satisfies_rows", lambda *a: calls.append("rows") or scan(*a))
+    inst = ILPInstance(htc6.rows, htc6.c, name=htc6.name)
+    assert len(inst.row_classes) == 4
+    out = solve_lp(inst)
+    assert out.status == "optimal" and out.value == 3
+    assert calls == ["classes"]  # the htc is closed under Sym(n): no row is scanned
