@@ -76,18 +76,20 @@ def _print_point(point, stream=None):
 
 
 def _parse_box(text, n):
-    parts = text.split(",")
     pairs = []
-    for part in parts:
+    for part in text.split(","):
         lo, _, hi = part.partition(":")
-        lo, hi = int(lo), int(hi)
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise ValueError(f"--box range {part!r} is not lo:hi with integer ends") from None
         if lo > hi:
-            raise ValueError(f"box range {part} is empty")
+            raise ValueError(f"--box range {part} is empty")
         pairs.append((lo, hi))
     if len(pairs) == 1:
         pairs = pairs * n
     if len(pairs) != n:
-        raise ValueError(f"box needs 1 or {n} lo:hi pairs")
+        raise ValueError(f"--box needs 1 or {n} lo:hi pairs")
     return pairs
 
 

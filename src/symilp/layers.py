@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import partial
 from math import floor
 from time import perf_counter
+from typing import NamedTuple
 
 from . import symdetect
 from .errors import (
@@ -36,7 +37,7 @@ from .model import (
     satisfies_rows,
 )
 from .ratlin import scale_coprime
-from .symmetry import ALTERNATING, FULL_SYMMETRIC, NONE, TRANSITIVE_ONLY
+from .symmetry import ALTERNATING, FULL_SYMMETRIC, NONE
 from .symmetry import basis_orbits, verify_symmetric_group_invariance
 
 LAYER_NODE_BUDGET = 10**7  # nodes one layer's enumeration may visit
@@ -86,23 +87,45 @@ def layer_witness(d: CoprimeDirection, k: int) -> tuple:
     return tuple(k * c for c in coeffs)
 
 
-def _slice_box(inst: ILPInstance, k: int, level: str):
+class ScanPlan(NamedTuple):
+    """What the certificate's ``tier`` lets the all-ones scans do on ``inst``.
+
+    ``stab1``: Sym(n), or Alt(n) from n = 4 (Alt(3) is merely transitive).
+    A layer's box may then be solved over Fix(Stab(1)), and one core point
+    decides a layer.  ``sorted_points``: Sym(n).  Every row class is then a
+    whole orbit, so only nondecreasing points need enumerating, and
+    classes_admit checks a point exactly.
+    """
+
+    inst: ILPInstance
+    tier: str
+    stab1: bool
+    sorted_points: bool
+
+
+def scan_plan(inst: ILPInstance) -> ScanPlan:
+    """The scan plan of ``inst``, from one run of the certificate: the one
+    place that turns a tier into what the scans may do.  It never refuses;
+    under NONE the plan allows nothing beyond the rows."""
+    tier = verify_symmetric_group_invariance(inst)
+    full = tier == FULL_SYMMETRIC
+    return ScanPlan(inst, tier, full or (tier == ALTERNATING and inst.n >= 4), full)
+
+
+def _slice_box(plan: ScanPlan, k: int):
     """Integer coordinate bounds valid on P(A,b) /\\ {sum x = k}, None if empty.
 
-    ``level`` is the certificate's tier.  Under Sym(n), and Alt(n) from
-    n = 4, the slice is G-invariant, so every coordinate has x_1's bounds,
-    and Stab(1) fixes both objectives +-x_1: their LPs may run over
-    Fix(Stab(1)) = span(e_1, 1 - e_1), where a class with key a gives one
-    row (v, sum(a) - v | b) per distinct value v of a.  That box is an LP
-    in 2 variables that never reads the rows, and never looser than the
-    explicit box.  Otherwise explicit single-variable rows are used when
-    they bound every coordinate; failing that, exact LP bounds are computed
-    on the slice (often bounded even when P is not).  An open side raises
-    BoxTooLarge.
+    Under ``plan.stab1`` the slice is G-invariant, so every coordinate has
+    x_1's bounds, whose LPs run over Fix(Stab(1)) = span(e_1, 1 - e_1): a
+    class with key a gives one row (v, sum(a) - v | b) per distinct value v
+    of a, and no row is read.  Otherwise explicit single-variable rows are
+    used when they bound every coordinate; failing that, exact LP bounds on
+    the slice.  An open side raises BoxTooLarge.
     """
+    inst = plan.inst
     n = inst.n
     name = f"{inst.name}#layer{k}"
-    if level == FULL_SYMMETRIC or (level == ALTERNATING and n >= 4):
+    if plan.stab1:
         if n == 1:  # the slice is the one point k, and 1 - e_1 is zero
             return [(k, k)] if classes_admit(inst.row_classes, (k,)) else None
         rows = [(v, sum(key[:-1]) - v, key[-1]) for key in inst.row_classes for v in set(key[:-1])]
@@ -122,24 +145,21 @@ def _slice_box(inst: ILPInstance, k: int, level: str):
         return None  # the slice misses P entirely
 
 
-def enumeration_oracle(inst: ILPInstance, k: int):
+def enumeration_oracle(plan: ScanPlan, k: int):
     """The layer scan's oracle: search integral points of P with sum k.
 
     Depth-first over coordinates inside the layer box, pruning on the
     reachable range of the remaining partial sum; the first feasible point
-    in lexicographic order is returned, else None.  Under a certified
-    Sym(n) the slice is invariant, so it holds a point iff it holds a
-    nondecreasing one, and only those are enumerated; the lexicographically
-    first feasible point is nondecreasing, so the answer does not change
-    (Margot, "Pruning by isomorphism in branch-and-cut", 2002; Ostrowski et
-    al., "Orbital branching", 2011).  Every row class is then a whole orbit,
-    so classes_admit is the exact check of a point.  A search that visits
-    more than LAYER_NODE_BUDGET nodes raises BoxTooLarge.
+    in lexicographic order is returned, else None.  Under
+    ``plan.sorted_points`` that point is nondecreasing, and only such points
+    are enumerated (Margot, "Pruning by isomorphism in branch-and-cut",
+    2002).  A search that visits more than LAYER_NODE_BUDGET nodes raises
+    BoxTooLarge.
     """
+    inst = plan.inst
     n = inst.n
     budget = LAYER_NODE_BUDGET
-    level = verify_symmetric_group_invariance(inst)
-    box = _slice_box(inst, k, level)
+    box = _slice_box(plan, k)
     if box is None:
         return None
     suffix_lo = [0] * (n + 1)
@@ -147,7 +167,8 @@ def enumeration_oracle(inst: ILPInstance, k: int):
     for j in range(n - 1, -1, -1):
         suffix_lo[j] = suffix_lo[j + 1] + box[j][0]
         suffix_hi[j] = suffix_hi[j + 1] + box[j][1]
-    if level == FULL_SYMMETRIC:
+    ordered = plan.sorted_points
+    if ordered:
         admits = partial(classes_admit, inst.row_classes)
     else:
         admits = partial(satisfies_rows, inst.rows)
@@ -159,7 +180,7 @@ def enumeration_oracle(inst: ILPInstance, k: int):
         lo, hi = box[j]
         r = rem[j]
         top = r - suffix_lo[j + 1]
-        if level == FULL_SYMMETRIC:  # x[j - 1] <= x[j] <= every later coordinate
+        if ordered:  # x[j - 1] <= x[j] <= every later coordinate
             if j:
                 lo = max(lo, x[j - 1])
             top = r // (n - j)
@@ -185,73 +206,60 @@ def enumeration_oracle(inst: ILPInstance, k: int):
     return None
 
 
-def scan_prologue(inst: ILPInstance, accepted, scan: str, trace: dict | None = None):
-    """The all-ones scans' common start: the gate, then the LP on the line.
+def scan_down(inst: ILPInstance, trace: dict | None = None, core_test=None) -> Outcome:
+    """The all-ones scans: k runs from floor(n*zeta) down to n*floor(zeta),
+    zeta from the LP on the line, and the first layer with a point is optimal.
 
-    The gate raises ObjectiveNotOnes unless c = 1, then runs the
-    certificate, which must reach one of the ``accepted`` levels; if it
-    finds none and TRANSITIVE_ONLY is accepted, detection decides.  Returns
-    zeta of the LP on the line, solved over one row per row class, None if
-    that LP is infeasible; an unbounded one raises.  The seconds that build
-    the row classes go to ``trace["classes_s"]``, their number to
-    ``trace["row_classes"]``; the certificate's tier and seconds, which then
-    time the count alone, to ``trace["certificate"]`` and
-    ``trace["certificate_s"]``; the LP's seconds to ``trace["lp_s"]`` and its
-    pivots to ``trace["pivots_phase1"]`` and ``trace["pivots_phase2"]``.
+    The core point scan passes ``core_test``, which makes its per-layer test
+    from the plan, and needs ``plan.stab1``.  Without it, enumeration_oracle
+    tests each layer under any tier but NONE, or else under a detected group
+    that moves coordinate 1 to all n.  Refusals come before the LP.  ``trace``
+    receives ``classes_s``, ``row_classes``, ``certificate``,
+    ``certificate_s`` (the certificate alone), ``lp_s``, ``pivots_phase1``,
+    ``pivots_phase2`` and ``layers_scanned``.
     """
+    scan = "layer scan" if core_test is None else "core point scan"
     if any(cj != 1 for cj in inst.c):
         raise ObjectiveNotOnes(f"{scan} is defined for c = 1")
+    trace = {} if trace is None else trace
     t0 = perf_counter()
     classes = inst.row_classes
     t1 = perf_counter()
-    level = verify_symmetric_group_invariance(inst)
-    if trace is not None:
-        trace["classes_s"] = t1 - t0
-        trace["row_classes"] = len(classes)
-        trace["certificate"] = level
-        trace["certificate_s"] = perf_counter() - t1
-    if level == NONE and TRANSITIVE_ONLY in accepted:
-        G = symdetect.detect(inst, "reduced", trace=trace).group
-        if len({abs(v) for v in basis_orbits(G)[0].members}) == inst.n:  # e_1 reaches all n
-            level = TRANSITIVE_ONLY
-    if level not in accepted:
-        raise TransitivityNotEstablished(
-            f"certificate level {level!r}; {scan} needs one of {sorted(accepted)}"
-        )
+    plan = scan_plan(inst)
+    trace["classes_s"] = t1 - t0
+    trace["row_classes"] = len(classes)
+    trace["certificate"] = plan.tier
+    trace["certificate_s"] = perf_counter() - t1
+    if core_test is not None:
+        accepted, needs = plan.stab1, "Sym(n), or Alt(n) with n >= 4"
+    else:
+        accepted, needs = plan.tier != NONE, "a transitive group"
+        if not accepted:
+            G = symdetect.detect(inst, "reduced", trace=trace).group
+            accepted = len({abs(v) for v in basis_orbits(G)[0].members}) == inst.n  # e_1 reaches all n
+    if not accepted:
+        raise TransitivityNotEstablished(f"certificate level {plan.tier!r}; {scan} needs {needs}")
+    test = partial(enumeration_oracle, plan) if core_test is None else core_test(plan)
     t0 = perf_counter()
     # (sum a | b) is constant on a class: one sorted row per class gives zeta
     status, zeta = solve_lp_on_line(ILPInstance(classes, inst.c, name=inst.name), trace)
-    if trace is not None:
-        trace["lp_s"] = perf_counter() - t0
+    trace["lp_s"] = perf_counter() - t0
     if status == UNBOUNDED:
         raise UnboundedRelaxation(inst.name or "relaxation unbounded along 1")
-    return zeta
+    n = inst.n
+    layers = range(floor(n * zeta), n * floor(zeta) - 1, -1) if zeta is not None else ()
+    trace["layers_scanned"] = 0
+    for k in layers:
+        trace["layers_scanned"] += 1
+        point = test(k)
+        if point is not None:
+            if sum(point) != k or not inst.is_feasible(point):
+                raise ResultCheckFailed(f"{scan} returned a bad point for layer {k}")
+            return Outcome(OPTIMAL, point=tuple(point), value=Fraction(k))
+    return Outcome(INFEASIBLE)
 
 
 def solve_by_layers(inst: ILPInstance, trace: dict | None = None) -> Outcome:
-    """Layer-scan solver for ILP(A, b, 1) under a transitive symmetry group.
-
-    Scans k from floor(n*zeta) down to n*floor(zeta), asking
-    enumeration_oracle for a point on each layer: the first layer with a
-    feasible integral point is optimal, and an exhausted scan certifies
-    infeasibility.  ``trace`` receives ``classes_s``, ``row_classes``,
-    ``certificate``, ``certificate_s``, ``lp_s`` and ``layers_scanned``.
-    """
-    n = inst.n
-    transitive = (FULL_SYMMETRIC, ALTERNATING, TRANSITIVE_ONLY)  # any level but NONE
-    zeta = scan_prologue(inst, transitive, "layer scan", trace)
-    if zeta is None:
-        return Outcome(INFEASIBLE)
-    out = Outcome(INFEASIBLE)
-    scanned = 0
-    for k in range(floor(n * zeta), n * floor(zeta) - 1, -1):
-        scanned += 1
-        point = enumeration_oracle(inst, k)
-        if point is not None:
-            if sum(point) != k or not inst.is_feasible(point):
-                raise ResultCheckFailed(f"layer oracle returned a bad point for layer {k}")
-            out = Outcome(OPTIMAL, point=tuple(point), value=Fraction(k))
-            break
-    if trace is not None:
-        trace["layers_scanned"] = scanned
-    return out
+    """Layer-scan solver for ILP(A, b, 1) under a transitive symmetry group:
+    scan_down with enumeration_oracle as the test of each layer."""
+    return scan_down(inst, trace)

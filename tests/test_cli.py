@@ -73,6 +73,19 @@ def test_an_empty_box_range_is_a_one_line_error(tmp_path, capsys):
     assert "optimal" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "box, bad",
+    [("", "''"), ("a:b", "'a:b'"), ("5", "'5'"), ("0:1,x", "'x'")],
+    ids=["empty", "letters", "no-hi", "second"],
+)
+def test_a_malformed_box_names_the_flag_and_the_range(tmp_path, capsys, box, bad):
+    path = tmp_path / "half.ilp"
+    path.write_text("ILP v1\nvars 2\nobj 1 1\n1 1 <= 1\n")
+    assert main(["solve", str(path), "--method", "brute", "--box", box]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --box range ") and bad in err and err.count("\n") == 1
+
+
 def test_box_with_a_scan_is_a_one_line_error(tmp_path, htc6, capsys):
     # the scans would ignore the box and print a point outside it
     htc6_file = str(tmp_path / "htc6.ilp")

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symilp import layers, model
+from symilp import corepoint, layers, model
 from symilp.corepoint import core_points, solve_core_point
 from symilp.errors import (
     ObjectiveNotOnes,
+    ResultCheckFailed,
     TransitivityNotEstablished,
     UnboundedRelaxation,
 )
 from symilp.instances import HtcParams, gen_hypertruncated_cube, gen_wild, htc_r
-from symilp.layers import solve_by_layers
+from symilp.layers import scan_plan, solve_by_layers
 from symilp.lpcore import solve_lp_on_line
 from symilp.model import brute_force_ilp, normalize
 from symilp.symmetry import FULL_SYMMETRIC, alt_generators
@@ -262,6 +263,15 @@ def test_solve_core_point_lp_infeasible():
     assert solve_core_point(inst).status == "infeasible"
 
 
+def test_solve_core_point_rejects_a_wrong_point(htc6, monkeypatch):
+    # the scan starts at layer 3, above the optimum 2: (1, 1, 1, 0, 0, 0) is
+    # on it but infeasible, and (2, 0, 0, 0, 0, 0) lies on layer 2
+    for bad in ((1, 1, 1, 0, 0, 0), (2, 0, 0, 0, 0, 0)):
+        monkeypatch.setattr(corepoint, "_representative_test", lambda plan, bad=bad: lambda k: bad)
+        with pytest.raises(ResultCheckFailed):
+            solve_core_point(htc6)
+
+
 def test_representative_oracle_bridges_layers(htc6, monkeypatch):
     monkeypatch.setattr(layers, "enumeration_oracle", representative_oracle)
     out = solve_by_layers(htc6)
@@ -323,8 +333,9 @@ def test_wild_d10_scan():
     assert inst.is_feasible(out.point)
     _, zeta = solve_lp_on_line(inst)
     k_star = int(out.value)
+    plan = scan_plan(inst)
     for k in range(k_star + 1, floor(inst.n * zeta) + 1):
-        assert representative_oracle(inst, k) is None
+        assert representative_oracle(plan, k) is None
 
 
 def test_all_or_nothing_per_layer(corpus):

@@ -22,13 +22,14 @@ from symilp.layers import (
     enumeration_oracle,
     layer_number,
     layer_witness,
+    scan_plan,
     solve_by_layers,
 )
 from symilp.instances import gen_wild
 from symilp.lpcore import solve_lp_on_line
 from symilp.model import ILPInstance, Outcome, brute_force_ilp, explicit_box, normalize, satisfies_rows
 from symilp.ratlin import dot
-from symilp.symmetry import ALTERNATING, FULL_SYMMETRIC, NONE, verify_symmetric_group_invariance
+from symilp.symmetry import FULL_SYMMETRIC, NONE, verify_symmetric_group_invariance
 from testkit import Layer, certified_instance, layer_box, layer_center, reference_layer_box
 
 ONES3 = coprime_direction((1, 1, 1))
@@ -194,6 +195,42 @@ def test_cyclic_layer_scan_runs_no_detection(cyc4, monkeypatch):
     assert out == Outcome("optimal", point=(1, 1, 1, 1), value=Fraction(4))
 
 
+def cycle_band():
+    """The 4-cycle orbit of x1 + 2x2 <= 4 with x >= 0: the layer scan finds
+    layer 5 empty and stops on layer 4."""
+    rows, row = [], (1, 2, 0, 0)
+    for i in range(4):
+        rows += [row + (4,), tuple(-int(i == j) for j in range(4)) + (0,)]
+        row = row[-1:] + row[:-1]
+    return normalize(rows, [1] * 4, name="cycleband")
+
+
+def halfband():
+    return normalize([(2, 2, 3), (-2, -2, -3), (1, 0, 2), (0, 1, 2), (-1, 0, 2), (0, -1, 2)], [1, 1])
+
+
+@pytest.mark.parametrize(
+    "scan, make", [(solve_by_layers, cycle_band), (solve_by_layers, halfband), (solve_core_point, halfband)]
+)
+def test_one_certificate_per_solve(scan, make, monkeypatch):
+    # the scan plan carries the tier to every layer
+    inst = make()
+    calls = []
+    certify = layers.verify_symmetric_group_invariance
+
+    def counting(inst):
+        calls.append(inst)
+        return certify(inst)
+
+    monkeypatch.setattr(layers, "verify_symmetric_group_invariance", counting)
+    trace = {}
+    out = scan(inst, trace=trace)
+    assert trace["layers_scanned"] >= 2
+    assert len(calls) == 1
+    ref = brute_force_ilp(inst)
+    assert (out.status, out.value) == (ref.status, ref.value)
+
+
 @pytest.fixture
 def tableau_columns(monkeypatch):
     """The column count of every simplex tableau built in the test."""
@@ -228,8 +265,9 @@ def test_solve_by_layers_unbounded():
 def test_enumeration_oracle_layer_slice(ex61):
     # the k=3 slice of the cyclic instance is the single point (1,1,1),
     # even though every coordinate is unbounded over P itself
-    assert enumeration_oracle(ex61, 3) == (1, 1, 1)
-    assert enumeration_oracle(ex61, 4) is None
+    plan = scan_plan(ex61)
+    assert enumeration_oracle(plan, 3) == (1, 1, 1)
+    assert enumeration_oracle(plan, 4) is None
 
 
 def test_layers_agree_with_brute(corpus):
@@ -293,14 +331,15 @@ def test_enumeration_oracle_matches_the_recursive_search(monkeypatch):
         for _ in range(3):
             rows.append(tuple(rng.randint(-3, 3) for _ in range(n)) + (rng.randint(0, 6),))
         inst = normalize(rows, [1] * n)
+        plan = scan_plan(inst)
         for k in range(3 * n + 1):
-            point, nodes = _recursive_search(inst, k, layer_box(inst, k))
+            point, nodes = _recursive_search(inst, k, layer_box(plan, k))
             monkeypatch.setattr(layers, "LAYER_NODE_BUDGET", nodes)
-            assert enumeration_oracle(inst, k) == point
+            assert enumeration_oracle(plan, k) == point
             if nodes:
                 monkeypatch.setattr(layers, "LAYER_NODE_BUDGET", nodes - 1)
                 with pytest.raises(BoxTooLarge):
-                    enumeration_oracle(inst, k)
+                    enumeration_oracle(plan, k)
 
 
 def test_solve_by_layers_in_high_dimension():
@@ -331,9 +370,9 @@ def scan_layers(inst):
     return range(n * floor(zeta) - 1, floor(n * zeta) + 2)
 
 
-def box_or_open(box_of, inst, k):
+def box_or_open(box_of, inst_or_plan, k):
     try:
-        return box_of(inst, k)
+        return box_of(inst_or_plan, k)
     except BoxTooLarge:
         return "open"
 
@@ -348,22 +387,21 @@ def test_layer_box_equals_the_expanded_slice_box(seed, kind):
     # slice, or None when the slice is empty; under the other tiers a
     # complete explicit box is taken first, as it costs less than the LPs
     inst = certified_instance(random.Random(seed), kind, seed)
-    level = verify_symmetric_group_invariance(inst)
-    assert level != NONE
-    explicit = explicit_box(inst)
-    if level == FULL_SYMMETRIC or (level == ALTERNATING and inst.n >= 4):
-        explicit = None
+    plan = scan_plan(inst)
+    assert plan.tier != NONE
+    explicit = None if plan.stab1 else explicit_box(inst)
     for k in scan_layers(inst):
         want = explicit or box_or_open(reference_layer_box, inst, k)
-        assert box_or_open(layer_box, inst, k) == want, k
+        assert box_or_open(layer_box, plan, k) == want, k
 
 
 def test_one_variable_layer_box_is_the_point():
     # with n = 1 the column 1 - e_1 is zero and the slice is the point k
     inst = normalize([(1, 3), (-1, 0), (2, 5)], [1])
-    assert verify_symmetric_group_invariance(inst) == FULL_SYMMETRIC
+    plan = scan_plan(inst)
+    assert plan.tier == FULL_SYMMETRIC
     for k in range(-1, 5):
-        assert layer_box(inst, k) == reference_layer_box(inst, k), k
+        assert layer_box(plan, k) == reference_layer_box(inst, k), k
     assert solve_by_layers(inst) == Outcome("optimal", point=(2,), value=Fraction(2))
 
 
@@ -371,15 +409,16 @@ def test_one_variable_layer_box_is_the_point():
 @given(st.integers(0, 2**32 - 1), KINDS)
 def test_orbit_pruning_keeps_the_point_and_visits_no_more_nodes(seed, kind):
     inst = certified_instance(random.Random(seed), kind, seed)
-    assert verify_symmetric_group_invariance(inst) != NONE
+    plan = scan_plan(inst)
+    assert plan.tier != NONE
     for k in scan_layers(inst):
-        box = box_or_open(layer_box, inst, k)
+        box = box_or_open(layer_box, plan, k)
         if box is None or box == "open":
             continue
         point, nodes = _recursive_search(inst, k, box)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(layers, "LAYER_NODE_BUDGET", nodes)
-            assert enumeration_oracle(inst, k) == point, k
+            assert enumeration_oracle(plan, k) == point, k
 
 
 def test_wild_layer_scan_reads_no_expanded_rows(tableau_columns, monkeypatch):

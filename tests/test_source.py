@@ -74,3 +74,56 @@ def test_layers_imports_nothing_private_from_lpcore():
             if node.value.id == "lpcore" and node.attr.startswith("_"):
                 found.append(node.attr)
     assert found == []
+
+
+TIER_NAMES = {"FULL_SYMMETRIC", "ALTERNATING", "TRANSITIVE_ONLY", "NONE"}
+# the certificate names a tier, scan_plan turns it into what the scans may
+# do, and the scan gate asks only whether any tier was certified
+TIER_READERS = {
+    "symmetry.py:verify_symmetric_group_invariance",
+    "layers.py:scan_plan",
+    "layers.py:scan_down",
+}
+
+
+def tier_reads(node, tiers, where=""):
+    """(function, line) for every read of a tier name, and every comparison
+    with a tier's string, below ``node``; ``where`` is the enclosing
+    top-level function."""
+    for child in ast.iter_child_nodes(node):
+        inside = child.name if not where and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id in TIER_NAMES:
+            yield inside, child.lineno
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load) and child.attr in TIER_NAMES:
+            yield inside, child.lineno
+        elif isinstance(child, ast.Compare):
+            if any(isinstance(c, ast.Constant) and c.value in tiers for c in ast.walk(child)):
+                yield inside, child.lineno
+        yield from tier_reads(child, tiers, inside)
+
+
+def test_tiers_are_read_only_by_the_certificate_and_the_scan_plan():
+    from symilp import symmetry
+
+    tiers = {getattr(symmetry, name) for name in TIER_NAMES}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for where, line in tier_reads(ast.parse(path.read_text(), filename=str(path)), tiers):
+            if f"{path.name}:{where}" not in TIER_READERS:
+                found.append(f"{path.name}:{line} ({where or 'module'})")
+    assert found == []
+
+
+def test_every_traced_boundary_exists():
+    # perfbench reads a boundary whose function is renamed or removed as
+    # null, so a metric would silently drop out of the benchmark
+    import importlib
+    import importlib.util
+
+    for path in sorted(SRC.glob("*.py")):
+        importlib.import_module("symilp" if path.stem == "__init__" else f"symilp.{path.stem}")
+    tracing_py = SRC.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing_py)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.Tracer().missing == set()

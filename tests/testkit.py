@@ -47,7 +47,6 @@ from symilp.symmetry import (
     full_cycle,
     orbit,
     sym_generators,
-    verify_symmetric_group_invariance,
 )
 
 
@@ -207,21 +206,20 @@ def reference_core_scan(inst):
     return Outcome(INFEASIBLE), checks
 
 
-def representative_oracle(inst, k: int):
+def representative_oracle(plan, k: int):
     """Per-layer oracle testing only the canonical core point.
 
     Sound under the (floor(n/2)+1)-transitivity hypothesis; patched in as
     layers.enumeration_oracle, it bridges the two solvers.
     """
+    inst = plan.inst
     n = inst.n
     q, d = divmod(k, n)
     x = CoreRepresentative(q, d, n).point()
     return x if inst.is_feasible(x) else None
 
 
-def layer_box(inst, k: int):
-    """The layer scan's box of layer k under the instance's certificate."""
-    return _slice_box(inst, k, verify_symmetric_group_invariance(inst))
+layer_box = _slice_box  # the layer scan's box of layer k under a scan plan
 
 
 def reference_layer_box(inst, k: int):
