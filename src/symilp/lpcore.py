@@ -12,13 +12,14 @@ rule can still take exponentially many pivots (Avis and Chvatal 1978), so
 a run that needs more than PIVOT_BUDGET of them raises SearchBudgetExceeded.
 
 The tableau is fraction-free (integer pivoting, as in Edmonds 1967 and in
-Avis's lrs).  Every row holds Python ints over one shared denominator D,
-the absolute determinant of the current basis, so each entry is a
-subdeterminant of the input and every pivot division is exact (Bareiss).
-The objective row is kept over D times the lcm of the objective's
-denominators.  Ratios are compared by cross-multiplication; Fractions are
-built only for the returned point and value: the result checks read the
-integer numerators over D.  There are no tolerances.
+Avis's lrs) and stored by columns, each over its own denominator: the
+absolute determinant of the basis at the pivot that last rewrote it.  A
+pivot rewrites only the columns with a nonzero in its row, the pivot row
+being sparse where the entering column is dense; every division is exact
+(Bareiss), and no float, tolerance or gcd is used, as in the exact LP of
+Applegate, Cook, Dash and Espinoza (2007).  Ratios are compared on the
+numerators of one column; Fractions are built only for the returned point
+and value: the result checks read the integer numerators.
 solve_lp, the one LP entry point, also solves over x = F y for a basis F of
 a fixed space; the LP on the line is the case F = (1, ..., 1).
 """
@@ -26,7 +27,7 @@ a fixed space; the LP on the line is the case F = (1, ..., 1).
 from fractions import Fraction
 from itertools import compress, count, repeat
 from math import ceil, floor, lcm
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, neg
 
 from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion, InfeasibleZeroRow
 from .errors import ObjectiveNotOnes, ResultCheckFailed, SearchBudgetExceeded
@@ -36,34 +37,48 @@ PIVOT_BUDGET = 100000  # pivots one simplex run may make
 
 
 class _Tableau:
-    """Integer simplex dictionary for max c^t x, Ax + s = b, s >= 0, x free.
+    """Column-major integer simplex dictionary for max c^t x, Ax + s = b,
+    s >= 0, x free.
 
     Variable ids: 0..n-1 structurals, n..n+m-1 slacks, n+m the phase-1
-    auxiliary.  Row i reads D * y_basis[i] = rows[i][-1] + sum_k rows[i][k] *
-    y_nonbasic[k], and the objective row obj reads D * scale * z the same
-    way.  Each structural enters by entry_row's ratio test, which keeps a
-    feasible start feasible; one with no nonzero slack entry moves along a
-    line inside the region, so it stays nonbasic at 0 with its column zero
-    on every slack row.  ``pivots`` counts the pivots made after those
-    entries.
+    auxiliary.  cols[k] holds m + 1 ints, one per basic row and the
+    objective row last, for nonbasic position k, and cols[-1] is the rhs:
+    row i reads y_basis[i] = cols[-1][i] / den[-1] + sum_k cols[k][i] /
+    den[k] * y_nonbasic[k], and the objective row reads scale * z the same
+    way.  den[k] > 0 is the absolute determinant of the basis when column k
+    was last rewritten, and D that of the current basis.  By the Bareiss
+    invariant every entry of the dictionary times D is a subdeterminant of
+    the input, so lifting a column to D and the pivot's update both divide
+    exactly, and each numerator is bounded by Hadamard's bound.  Each
+    structural enters by entry_row's ratio test, which keeps a feasible
+    start feasible; one with no nonzero slack entry moves along a line
+    inside the region, so it stays nonbasic at 0 with its column zero on
+    every slack row.  ``pivots`` counts the pivots made after those entries.
     """
 
     def __init__(self, inst: ILPInstance):
         m, n = inst.m, inst.n
-        self.n = n
+        self.m, self.n = m, n
         self.aux = n + m
         self.nonbasic = list(range(n))
         self.basis = list(range(n, n + m))
-        self.rows = [[-a for a in row[:-1]] + [row[-1]] for row in inst.rows]
+        *cols, rhs = zip(*inst.rows)
+        self.cols = [[-a for a in col] + [0] for col in cols] + [[*rhs, 0]]
+        self.den = [1] * (n + 1)
         self.D = 1
         self.scale = 1
-        self.obj = [0] * (n + 1)
         self.pivots = 0
         for j in range(n):
             l = self.entry_row(j)
             if l is not None:
                 self.pivot(j, l)
         self.pivots = 0  # the entries above are not counted
+
+    def row(self, i: int) -> list:
+        """Row i of the dictionary (i = m the objective row, over scale too)
+        as Fractions, the rhs last."""
+        scale = self.scale if i == self.m else 1
+        return [Fraction(col[i], d * scale) for col, d in zip(self.cols, self.den)]
 
     def entry_row(self, j: int):
         """The slack row on which the free x_j enters, or None.
@@ -73,63 +88,70 @@ class _Tableau:
         ties toward the smaller row: every row with rhs >= 0 keeps it after
         the pivot.  With no such row, the first slack row with r_j != 0.
         """
-        basis, n, rows = self.basis, self.n, self.rows
+        basis, n, col, rhs = self.basis, self.n, self.cols[j], self.cols[-1]
         best = first = None
-        for i in compress(count(), map(itemgetter(j), rows)):
+        for i in compress(range(self.m), col):
             if basis[i] < n:
                 continue
             if first is None:
                 first = i
-            b, a = rows[i][-1], abs(rows[i][j])
+            b, a = rhs[i], abs(col[i])
             if b >= 0 and (best is None or b * best_a < best_b * a):
                 best, best_b, best_a = i, b, a
         return first if best is None else best
 
     def pivot(self, e: int, l: int) -> None:
-        """Enter nonbasic position e, leave basic row l."""
-        rows, D = self.rows, self.D
-        pr = rows[l]
-        p = pr[e]
+        """Enter nonbasic position e, leave basic row l.
+
+        Column e is lifted to D; each other column k with a nonzero w in
+        row l is lifted too and becomes (c * |p| - sign(p) * w * c_e) / D
+        over |p|, with -sign(p) * w in row l.  A column with a zero in row l
+        keeps its values and its list.  Column e becomes sign(p) * c_e over
+        |p|, with sign(p) * D in row l.
+        """
+        cols, den, D = self.cols, self.den, self.D
+        ce = cols[e] if den[e] == D else [v * D // den[e] for v in cols[e]]
+        p = ce[l]
         ap = abs(p)
         sp = 1 if p > 0 else -1
-        nz = [(k, w) for k, w in enumerate(pr) if w and k != e]
-        # over an unchanged D, a row with a zero in column e stays as it is
-        touched = compress(count(), map(itemgetter(e), rows)) if ap == D else range(len(rows))
-        for i in touched:
-            if i != l:
-                rows[i] = _eliminate(rows[i], nz, e, ap, sp, D)
-        self.obj = _eliminate(self.obj, nz, e, ap, sp, D)
-        new = [-w for w in pr] if p > 0 else pr[:]
-        new[e] = sp * D
-        rows[l] = new
-        self.D = ap
+        q = ap * D
+        for k in compress(range(len(cols)), map(itemgetter(l), cols)):
+            if k == e:
+                continue
+            c, dk = cols[k], den[k]
+            g = sp * (c[l] * D // dk)
+            # the lifted c * D / dk, times |p|, in one exact division
+            new = [(v * q // dk - g * f) // D for v, f in zip(c, ce)]
+            new[l] = -g
+            cols[k] = new
+            den[k] = ap
+        if p < 0:
+            ce = list(map(neg, ce))
+        ce[l] = sp * D
+        cols[e] = ce
+        den[e] = self.D = ap
         self.nonbasic[e], self.basis[l] = self.basis[l], self.nonbasic[e]
         self.pivots += 1
 
     def bland_entering(self):
-        best = None
-        best_var = None
-        obj = self.obj
-        for k in range(len(obj) - 1):
-            if obj[k] > 0:
-                v = self.nonbasic[k]
-                if best_var is None or v < best_var:
-                    best, best_var = k, v
-        return best
+        m, nonbasic = self.m, self.nonbasic
+        up = [k for k, col in zip(range(len(nonbasic)), self.cols) if col[m] > 0]
+        return min(up, key=nonbasic.__getitem__, default=None)
 
     def bland_leaving(self, e: int):
-        # the limit of row i is b_i / t_i with t_i = -a_ie > 0; compare
-        # b_i / t_i < b_best / t_best as b_i * t_best < b_best * t_i, and
-        # break ties toward the smaller basic variable; structurals never leave
-        basis, n = self.basis, self.n
+        # the limit of row i is b_i / t_i with t_i = -a_ie > 0, numerators
+        # over one denominator per column; compare b_i / t_i < b_best / t_best
+        # as b_i * t_best < b_best * t_i, and break ties toward the smaller
+        # basic variable; structurals never leave
+        basis, n, col, rhs = self.basis, self.n, self.cols[e], self.cols[-1]
         best_row = None
-        for i, r in enumerate(self.rows):
-            t = -r[e]
+        for i in compress(range(self.m), col):
+            t = -col[i]
             if t > 0 and basis[i] >= n and (
                 best_row is None
-                or (r[-1] * best_t, basis[i]) < (best_b * t, basis[best_row])
+                or (rhs[i] * best_t, basis[i]) < (best_b * t, basis[best_row])
             ):
-                best_row, best_b, best_t = i, r[-1], t
+                best_row, best_b, best_t = i, rhs[i], t
         return best_row
 
     def run(self) -> str:
@@ -145,45 +167,22 @@ class _Tableau:
             self.pivot(e, l)
 
 
-def _eliminate(r, nz, e, ap, sp, D):
-    """Row r after the pivot on p = sp * ap over denominator D.
-
-    r'_k = sign(p) * (r_k * p - r_e * pr_k) / D, exact by Bareiss, where nz
-    lists the pivot row's nonzero (k, pr_k) off column e; column e becomes
-    the leaving variable's, sign(p) * r_e.
-    """
-    f = r[e]
-    if ap != D:
-        new = [v * ap // D for v in r]
-    elif f:
-        new = r[:]
-    else:
-        return r
-    if f:
-        g = sp * f
-        for k, w in nz:
-            new[k] = (r[k] * ap - g * w) // D
-        new[e] = g
-    return new
-
-
 def _phase1(t: _Tableau) -> bool:
     """Drive the tableau to feasibility; False means infeasible."""
-    rows, n = t.rows, t.n
+    m, n, rhs = t.m, t.n, t.cols[-1]
     slack_rows = [i for i, v in enumerate(t.basis) if v >= n]
-    worst = min(slack_rows, key=lambda i: (rows[i][-1], t.basis[i]), default=None)
-    if worst is None or rows[worst][-1] >= 0:
+    worst = min(slack_rows, key=lambda i: (rhs[i], t.basis[i]), default=None)
+    if worst is None or rhs[worst] >= 0:
         return True
+    # the objective row is still zero after the entries: w = -aux over den 1
     pos = len(t.nonbasic)
     t.nonbasic.append(t.aux)
-    for r, v in zip(rows, t.basis):
-        r.insert(pos, t.D if v >= n else 0)
-    t.obj = [0] * (pos + 2)
-    t.obj[pos] = -t.D
+    t.cols.insert(pos, [int(v >= n) for v in t.basis] + [-1])
+    t.den.insert(pos, 1)
     t.pivot(pos, worst)
     if t.run() != OPTIMAL:
         raise ResultCheckFailed("phase 1: w = -aux <= 0 came out unbounded")
-    if t.obj[-1] < 0:
+    if t.cols[-1][m] < 0:
         return False
     if t.aux in t.basis:
         # Degenerate at zero: pivot the auxiliary out.  Its row is never all
@@ -191,57 +190,51 @@ def _phase1(t: _Tableau) -> bool:
         # the auxiliary's row of the inverse basis and u its input column.
         # r vanishes on the basic structurals' and slacks' columns and
         # r.u = 1, so r_i != 0 for some nonbasic slack i, whose column then
-        # holds -r_i * D.
+        # holds -r_i there.
         l = t.basis.index(t.aux)
-        e = next(k for k, v in enumerate(t.rows[l][:-1]) if v)
-        t.pivot(e, l)
+        t.pivot(next(compress(count(), t.row(l)[:-1])), l)
     p = t.nonbasic.index(t.aux)
-    del t.nonbasic[p]
-    for r in t.rows:
-        del r[p]
+    del t.nonbasic[p], t.cols[p], t.den[p]
     return True
 
 
 def _numerators(t: _Tableau) -> list:
-    """D * x_j for each structural: its row's rhs if basic, else 0."""
-    vals = dict(zip(t.basis, map(itemgetter(-1), t.rows)))
+    """den[-1] * x_j for each structural: its row's rhs if basic, else 0."""
+    vals = dict(zip(t.basis, t.cols[-1]))
     return [vals.get(j, 0) for j in range(t.n)]
 
 
 def _maximize(t: _Tableau, inst: ILPInstance, c):
     """max c^t x from the feasible tableau t of inst, which stays feasible.
 
-    Returns the optimal value, whose point is _numerators(t) over t.D, or
-    None when the LP is unbounded.  c (ints or Fractions) is scaled to integers
-    by the lcm of its denominators, and the objective row is kept over D
-    times that scale like every other row.  A nonbasic structural with a
-    nonzero entry there is a free line that improves c, so the LP is
-    unbounded.  The optimum is checked in ints: the numerators over D must
-    satisfy inst (ILPInstance.admits), and the scaled c times them must be
-    the objective row's value.
+    Returns the optimal value, whose point is _numerators(t) over t.den[-1],
+    or None when the LP is unbounded.  c (ints or Fractions) is scaled to
+    integers by the lcm of its denominators, and each column's objective
+    entry, over den[k] times that scale, is one dot product of the scaled c
+    with the column's entries on the basic structurals' rows, plus c_j *
+    den[k] where column k is the nonbasic x_j's.  A nonbasic structural
+    with a nonzero entry there is a free line that improves c, so the LP
+    is unbounded.  The optimum is checked in ints: the numerators over
+    den[-1] must satisfy inst (ILPInstance.admits), and the scaled c times
+    them must be the objective row's value.
     """
     scale = lcm(*(cj.denominator for cj in c))
     ws = [cj.numerator * (scale // cj.denominator) for cj in c]
-    obj = [0] * (len(t.nonbasic) + 1)
-    pos = {v: k for k, v in enumerate(t.nonbasic)}
-    row_of = {v: i for i, v in enumerate(t.basis)}
-    for j, w in enumerate(ws):
-        if j in pos:
-            obj[pos[j]] += w * t.D
-        elif w:
-            for k, a in enumerate(t.rows[row_of[j]]):
-                if a:
-                    obj[k] += w * a
-    t.obj = obj
+    m, n = t.m, t.n
+    basic = [(i, ws[v]) for i, v in enumerate(t.basis) if v < n and ws[v]]
+    rows = [i for i, _ in basic]
+    wb = [w for _, w in basic]
+    for col, v, d in zip(t.cols, t.nonbasic + [m + n], t.den):
+        col[m] = sum(map(mul, wb, map(col.__getitem__, rows))) + (ws[v] * d if v < n else 0)
     t.scale = scale
-    if any(obj[pos[j]] for j in range(t.n) if j in pos) or t.run() == UNBOUNDED:
+    if any(t.cols[k][m] for k, v in enumerate(t.nonbasic) if v < n) or t.run() == UNBOUNDED:
         return None
     xs = _numerators(t)
-    if not inst.admits(xs, t.D):
+    if not inst.admits(xs, t.den[-1]):
         raise ResultCheckFailed(f"simplex: infeasible point for {inst.name or 'instance'}")
-    if sum(map(mul, ws, xs)) != t.obj[-1]:
+    if sum(map(mul, ws, xs)) != t.cols[-1][m]:
         raise ResultCheckFailed(f"simplex: value mismatch for {inst.name or 'instance'}")
-    return Fraction(t.obj[-1], t.D * scale)
+    return Fraction(t.cols[-1][m], t.den[-1] * scale)
 
 
 def _basis_column(rows, f):
@@ -292,7 +285,7 @@ def solve_lp(inst: ILPInstance, basis=None, trace: dict | None = None) -> Outcom
         value = _maximize(t, lp, lp.c)
         out = Outcome(UNBOUNDED)
         if value is not None:
-            point = tuple(Fraction(x, t.D) for x in _numerators(t))
+            point = tuple(Fraction(x, t.den[-1]) for x in _numerators(t))
             out = Outcome(OPTIMAL, point=point, value=value)
     _trace_pivots(trace, t, phase1)
     if out.status == OPTIMAL and basis is not None:

@@ -1,6 +1,7 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,7 +22,7 @@ from symilp.model import ILPInstance, normalize, write_instance
 from symilp.ratlin import dot, kernel_basis
 from symilp.reduction import solve_symmetric_lp
 from symilp.symmetry import fixed_space
-from testkit import rank, reference_simplex, solve_linear, symmetric_lps
+from testkit import RowTableau, rank, reference_simplex, solve_linear, symmetric_lps
 
 
 def vertex_oracle_max(inst):
@@ -359,7 +360,7 @@ def test_phase1_pivots_out_a_degenerate_auxiliary(monkeypatch):
     def spy(t):
         status = run(t)
         if t.aux in t.basis:
-            row = t.rows[t.basis.index(t.aux)]
+            row = t.row(t.basis.index(t.aux))
             slacks = range(t.n, t.aux)  # the auxiliary is n + m
             hits.append(any(row[k] for k, v in enumerate(t.nonbasic) if v in slacks))
         return status
@@ -399,15 +400,19 @@ SQUARE = [(1, 0, 1), (0, 1, 1), (-1, 0, 0), (0, -1, 0)]
 
 
 def _corrupt_phase2(monkeypatch, dx, dz):
-    """After the first phase-2 run, move x_1 by dx and the objective value by dz."""
+    """After the first phase-2 run, move x_1 by dx and the objective value by
+    dz, on the rhs column over its denominator den[-1]."""
     run = lpcore._Tableau.run
     done = []
 
     def spy(t):
         status = run(t)
         if t.aux not in t.basis + t.nonbasic and not done:
-            t.rows[t.basis.index(0)][-1] += dx * t.D
-            t.obj[-1] += dz * t.D * t.scale
+            i, rhs, d = t.basis.index(0), t.cols[-1], t.den[-1]
+            x, z = t.row(i)[-1], t.row(t.m)[-1]
+            rhs[i] += dx * d
+            rhs[t.m] += dz * d * t.scale
+            assert (t.row(i)[-1], t.row(t.m)[-1]) == (x + dx, z + dz)
             done.append(t)
         return status
 
@@ -576,6 +581,130 @@ def test_a_free_line_in_the_region():
     assert coordinate_bounds(inst) == [(None, None)] * 2
 
 
+# --- pivot by pivot against the row-major tableau in testkit
+
+
+class _Replay:
+    """Replays every pivot of lpcore._Tableau on testkit.RowTableau, with
+    phase 1's auxiliary column and each objective row, and compares the two
+    dictionaries' true entries as Fractions before and after each pivot."""
+
+    def __init__(self, monkeypatch):
+        self.t = self.ref = None
+        self.events = Counter()
+        init, pivot, run, maximize = (
+            lpcore._Tableau.__init__, lpcore._Tableau.pivot, lpcore._Tableau.run, lpcore._maximize
+        )
+
+        def spy_init(t, inst):
+            self.t, self.ref = t, RowTableau.of(inst)
+            init(t, inst)
+
+        def spy_pivot(t, e, l):
+            self.sync()
+            pivot(t, e, l)
+            self.ref.pivot(e, l)
+            self.events["pivot"] += 1
+            self.check()
+
+        def spy_run(t):
+            self.sync()
+            return run(t)
+
+        def spy_maximize(t, inst, c):
+            self.sync()
+            scale = lcm(*(cj.denominator for cj in c))
+            self.ref.install_objective([(j, int(cj * scale)) for j, cj in enumerate(c)], scale)
+            self.events["objective"] += 1
+            value = maximize(t, inst, c)
+            self.check()
+            return value
+
+        monkeypatch.setattr(lpcore._Tableau, "__init__", spy_init)
+        monkeypatch.setattr(lpcore._Tableau, "pivot", spy_pivot)
+        monkeypatch.setattr(lpcore._Tableau, "run", spy_run)
+        monkeypatch.setattr(lpcore, "_maximize", spy_maximize)
+
+    def sync(self):
+        """Insert or drop the reference's auxiliary as the tableau did, then check."""
+        t, ref = self.t, self.ref
+        ours, theirs = t.aux in t.basis + t.nonbasic, t.aux in ref.basis + ref.nonbasic
+        if ours and not theirs:
+            ref.insert_aux(t.aux, t.n)
+            self.events["insert"] += 1
+        elif theirs and not ours:
+            ref.drop(t.aux)
+            self.events["drop"] += 1
+        self.check()
+
+    def check(self):
+        t, ref = self.t, self.ref
+        assert (t.basis, t.nonbasic, t.D) == (ref.basis, ref.nonbasic, ref.D)
+        for i in range(t.m + 1):
+            assert t.row(i) == ref.row(i)
+
+
+def _replayed(inst):
+    """solve_lp and coordinate_bounds on inst under a _Replay; its event counts."""
+    events = Counter()
+    for solve in (solve_lp, coordinate_bounds):
+        with pytest.MonkeyPatch.context() as mp:
+            replay = _Replay(mp)
+            try:
+                solve(inst)
+            except InfeasibleRegion:
+                pass
+            replay.sync()
+            events += replay.events
+    return events
+
+
+@example(normalize([(1, 0, 2), (-1, 0, -1), (0, 2, 3), (0, -2, -1), (2, 2, 5)], [1, 1]))
+@example(normalize([(-1, 0, 1), (1, -2, 1), (2, -2, -1), (2, 1, 0)], [1, 1]))
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(bounded_lps(), free_lps()))
+def test_pivots_match_the_row_major_reference(inst):
+    _replayed(inst)
+
+
+def test_phase1_matches_the_row_major_reference():
+    # phase 1 pivots, and ends once with the auxiliary basic at zero
+    events = Counter()
+    for inst in (
+        normalize([(-1, 0, 1), (1, -2, 1), (2, -2, -1), (2, 1, 0)], [1, 1]),
+        normalize([(-1, -1), (-1, 0), (1, 1)], [1]),
+        normalize([(1, -1), (-1, 0)], [1]),  # infeasible
+    ):
+        events += _replayed(inst)
+    assert events["insert"] == 6 and events["drop"] == 4
+
+
+@pytest.mark.parametrize("n", [6, 9, 14, 20])
+def test_htc_pivots_match_the_row_major_reference(n):
+    inst = gen_hypertruncated_cube(HtcParams(n, htc_r(n), Fraction(1, 2)))
+    events = _replayed(inst)
+    assert events["pivot"] > 2 * n and events["objective"] == 2 * n + 1
+
+
+def test_a_pivot_keeps_the_columns_with_a_zero_in_its_row(monkeypatch):
+    """A column with a zero in the pivot row is the same list after the pivot,
+    also at the pivots that change the determinant D."""
+    pivot = lpcore._Tableau.pivot
+    kept = []
+
+    def spy(t, e, l):
+        zero = [(k, col) for k, col in enumerate(t.cols) if k != e and not col[l]]
+        D = t.D
+        pivot(t, e, l)
+        assert all(t.cols[k] is col for k, col in zero)
+        kept.append((len(zero), t.D != D))
+
+    monkeypatch.setattr(lpcore._Tableau, "pivot", spy)
+    inst = gen_hypertruncated_cube(HtcParams(40, htc_r(40), Fraction(1, 2)))
+    assert solve_lp(inst).value == 20
+    assert sum(k for k, changed in kept if changed) > 10 * sum(changed for _, changed in kept)
+
+
 # --- the entry rule: each free x_j enters by a ratio test over rows with b >= 0
 
 
@@ -597,7 +726,7 @@ def _nonnegative_b(inst):
 @given(st.one_of(bounded_lps(), free_lps()).map(_nonnegative_b))
 def test_entries_keep_a_feasible_start(inst):
     t = lpcore._Tableau(inst)
-    assert all(r[-1] >= 0 for r, v in zip(t.rows, t.basis) if v >= inst.n)
+    assert all(b >= 0 for b, v in zip(t.cols[-1], t.basis) if v >= inst.n)
     trace = {}
     assert solve_lp(inst, trace=trace).status != "infeasible"  # x = 0 is feasible
     assert trace["pivots_phase1"] == 0

@@ -6,11 +6,12 @@ over the expanded slice, basis
 orbit barycenters, group enumeration, the fixed space and orbit average by
 matrices and enumeration, the hypertruncated cube's vertices, the
 facet-by-facet wild and htc generators, the
-split-column simplex, rank and linear solving by Gauss-Jordan
-elimination over Fraction, signed-permutation inverses, the row loop of
-the symmetry check, the per-row row-class count and the round-based
-automorphism search: each restates
-a definition of the paper directly, or keeps an earlier implementation, so
+row-major simplex tableau over one shared denominator, with its own
+Bareiss kernel, and the split-column simplex on it, rank and linear
+solving by Gauss-Jordan elimination over Fraction, signed-permutation
+inverses, the row loop of the symmetry check, the per-row row-class
+count and the round-based automorphism search: each restates a
+definition of the paper directly, or keeps an earlier implementation, so
 the tests can check the solvers against it.  ``symmetric_lps`` and
 ``certified_instance`` draw instances closed under a group, for the
 property tests.
@@ -36,7 +37,7 @@ from symilp.errors import (
 )
 from symilp.instances import HtcParams, _fit_facet, distorted_join_vrep, multiset_permutations
 from symilp.layers import CoprimeDirection, _slice_box
-from symilp.lpcore import _eliminate, integer_box, solve_lp_on_line
+from symilp.lpcore import integer_box, solve_lp_on_line
 from symilp.model import INFEASIBLE, OPTIMAL, UNBOUNDED, ILPInstance, Outcome, normalize
 from symilp.ratlin import kernel_basis, scale_coprime
 from symilp.symmetry import (
@@ -382,30 +383,49 @@ def reference_row_classes(inst) -> Counter:
     return Counter((*sorted(row[:-1]), row[-1]) for row in inst.rows)
 
 
-class _SplitTableau:
-    """The integer simplex with every free x_j split as y_2j - y_2j+1.
+def _eliminate(r, nz, e, ap, sp, D):
+    """Row r after the pivot on p = sp * ap over denominator D.
 
-    Variable ids: 0..2n-1 split structurals, 2n..2n+m-1 slacks, 2n+m the
-    phase-1 auxiliary; rows and the objective row read as in lpcore._Tableau,
-    whose pivot kernel it shares.  Every variable is nonnegative, so the
-    tableau starts at the origin and phase 1 relaxes every row.
+    r'_k = sign(p) * (r_k * p - r_e * pr_k) / D, exact by Bareiss, where nz
+    lists the pivot row's nonzero (k, pr_k) off column e; column e becomes
+    the leaving variable's, sign(p) * r_e.
+    """
+    f = r[e]
+    if ap != D:
+        new = [v * ap // D for v in r]
+    elif f:
+        new = r[:]
+    else:
+        return r
+    if f:
+        g = sp * f
+        for k, w in nz:
+            new[k] = (r[k] * ap - g * w) // D
+        new[e] = g
+    return new
+
+
+class RowTableau:
+    """The row-major integer simplex dictionary over one shared denominator.
+
+    Row i reads D * y_basis[i] = rows[i][-1] + sum_k rows[i][k] *
+    y_nonbasic[k], and the objective row obj reads D * scale * z the same
+    way, with D the absolute determinant of the current basis (Bareiss).
+    Every pivot rewrites every row through _eliminate, which rescales all of
+    them when D changes.  Variable ids as in lpcore._Tableau; ``of`` builds
+    its start with one unsplit column per free variable, before the entries.
     """
 
-    def __init__(self, inst):
-        m, n = inst.m, inst.n
-        self.m, self.n = m, n
-        self.aux = 2 * n + m
-        self.nonbasic = list(range(2 * n))
-        self.basis = [2 * n + i for i in range(m)]
-        self.rows = []
-        for row in inst.rows:
-            r = []
-            for a in row[:-1]:
-                r += [-a, a]
-            self.rows.append(r + [row[-1]])
+    def __init__(self, rows, nonbasic, basis):
+        self.rows, self.nonbasic, self.basis = rows, nonbasic, basis
         self.D = 1
         self.scale = 1
-        self.obj = [0] * (2 * n + 1)
+        self.obj = [0] * (len(nonbasic) + 1)
+
+    @classmethod
+    def of(cls, inst):
+        rows = [[-a for a in row[:-1]] + [row[-1]] for row in inst.rows]
+        return cls(rows, list(range(inst.n)), list(range(inst.n, inst.n + inst.m)))
 
     def pivot(self, e, l):
         rows, D = self.rows, self.D
@@ -423,6 +443,64 @@ class _SplitTableau:
         rows[l] = new
         self.D = ap
         self.nonbasic[e], self.basis[l] = self.basis[l], self.nonbasic[e]
+
+    def insert_aux(self, aux, first_slack):
+        """Add the auxiliary as the last nonbasic column, 1 on every slack
+        row and 0 on the others, with objective w = -aux."""
+        pos = len(self.nonbasic)
+        self.nonbasic.append(aux)
+        for r, v in zip(self.rows, self.basis):
+            r.insert(pos, self.D if v >= first_slack else 0)
+        self.obj = [0] * (pos + 2)
+        self.obj[pos] = -self.D
+
+    def drop(self, var):
+        """Delete the column of the nonbasic variable var."""
+        p = self.nonbasic.index(var)
+        del self.nonbasic[p], self.obj[p]
+        for r in self.rows:
+            del r[p]
+
+    def install_objective(self, weights, scale):
+        """The objective row of scale * sum w_v * y_v, for the (v, w_v) pairs."""
+        obj = [0] * (len(self.nonbasic) + 1)
+        pos = {v: k for k, v in enumerate(self.nonbasic)}
+        row_of = {v: i for i, v in enumerate(self.basis)}
+        for v, w in weights:
+            if v in pos:
+                obj[pos[v]] += w * self.D
+            else:
+                for k, a in enumerate(self.rows[row_of[v]]):
+                    obj[k] += w * a
+        self.obj = obj
+        self.scale = scale
+
+    def row(self, i):
+        """Row i as Fractions, i = m the objective row, the rhs last."""
+        if i == len(self.rows):
+            return [Fraction(v, self.D * self.scale) for v in self.obj]
+        return [Fraction(v, self.D) for v in self.rows[i]]
+
+
+class _SplitTableau(RowTableau):
+    """The row-major simplex with every free x_j split as y_2j - y_2j+1.
+
+    Variable ids: 0..2n-1 split structurals, 2n..2n+m-1 slacks, 2n+m the
+    phase-1 auxiliary.  Every variable is nonnegative, so the tableau starts
+    at the origin and phase 1 relaxes every row.
+    """
+
+    def __init__(self, inst):
+        m, n = inst.m, inst.n
+        self.m, self.n = m, n
+        self.aux = 2 * n + m
+        rows = []
+        for row in inst.rows:
+            r = []
+            for a in row[:-1]:
+                r += [-a, a]
+            rows.append(r + [row[-1]])
+        super().__init__(rows, list(range(2 * n)), [2 * n + i for i in range(m)])
 
     def run(self):
         """Bland's rule to the end: OPTIMAL or UNBOUNDED."""
@@ -448,13 +526,8 @@ class _SplitTableau:
         worst = min(range(self.m), key=lambda i: (rows[i][-1], self.basis[i]))
         if rows[worst][-1] >= 0:
             return True
-        pos = len(self.nonbasic)
-        self.nonbasic.append(self.aux)
-        for r in rows:
-            r.insert(pos, 1)
-        self.obj = [0] * (pos + 2)
-        self.obj[pos] = -1
-        self.pivot(pos, worst)
+        self.insert_aux(self.aux, 0)
+        self.pivot(len(self.nonbasic) - 1, worst)
         if self.run() != OPTIMAL:
             raise ResultCheckFailed("reference phase 1: w = -aux <= 0 came out unbounded")
         if self.obj[-1] < 0:
@@ -462,26 +535,8 @@ class _SplitTableau:
         if self.aux in self.basis:
             l = self.basis.index(self.aux)
             self.pivot(next(k for k, v in enumerate(rows[l][:-1]) if v), l)
-        p = self.nonbasic.index(self.aux)
-        del self.nonbasic[p]
-        for r in rows:
-            del r[p]
+        self.drop(self.aux)
         return True
-
-    def install_objective(self, c):
-        self.scale = lcm(*(Fraction(cj).denominator for cj in c))
-        obj = [0] * (len(self.nonbasic) + 1)
-        pos = {v: k for k, v in enumerate(self.nonbasic)}
-        row_of = {v: i for i, v in enumerate(self.basis)}
-        for j, cj in enumerate(c):
-            w = int(cj * self.scale)
-            for v, wv in ((2 * j, w), (2 * j + 1, -w)):
-                if v in pos:
-                    obj[pos[v]] += wv * self.D
-                else:
-                    for k, a in enumerate(self.rows[row_of[v]]):
-                        obj[k] += wv * a
-        self.obj = obj
 
 
 def reference_simplex(inst, c):
@@ -491,7 +546,9 @@ def reference_simplex(inst, c):
     t = _SplitTableau(inst)
     if not t.phase1():
         return Outcome(INFEASIBLE)
-    t.install_objective(c)
+    scale = lcm(*(Fraction(cj).denominator for cj in c))
+    weights = [(2 * j + h, (-1) ** h * int(cj * scale)) for j, cj in enumerate(c) for h in (0, 1)]
+    t.install_objective(weights, scale)
     if t.run() == UNBOUNDED:
         return Outcome(UNBOUNDED)
     vals = {v: r[-1] for v, r in zip(t.basis, t.rows)}
