@@ -58,21 +58,18 @@ def _cell(v):
     return f"{v:.3f}" if isinstance(v, float) else v
 
 
-def _emit_reports(reports, output, stream=None):
-    stream = stream or sys.stdout
+def _emit_reports(reports, output):
     rows = [list(COLUMNS)] + [[_cell(v) for v in r[:-1]] for r in reports]
     if output == "csv":
-        writer = csv.writer(stream)
-        writer.writerows(rows)
+        csv.writer(sys.stdout).writerows(rows)
         return
     widths = [max(len(str(row[i])) for row in rows) for i in range(len(rows[0]))]
     for row in rows:
-        stream.write("  ".join(str(v).rjust(w) for v, w in zip(row, widths)) + "\n")
+        print("  ".join(str(v).rjust(w) for v, w in zip(row, widths)))
 
 
-def _print_point(point, stream=None):
-    stream = stream or sys.stdout
-    stream.write("point " + " ".join(str(v) for v in point) + "\n")
+def _print_point(point):
+    print("point", *point)
 
 
 def _parse_box(text, n):
@@ -186,15 +183,20 @@ def cmd_solve(args) -> int:
 
 
 def _parse_range(text):
-    parts = [int(t) for t in text.split(":")]
+    """lo:hi[:step] as a list of sizes; a bad or empty range raises ValueError."""
+    parts = text.split(":")
     if len(parts) == 2:
-        lo, hi = parts
-        step = 1
-    elif len(parts) == 3:
-        lo, hi, step = parts
-    else:
-        raise ValueError("range must be lo:hi or lo:hi:step")
-    return list(range(lo, hi + 1, step))
+        parts.append("1")
+    try:
+        lo, hi, step = map(int, parts)
+    except ValueError:
+        raise ValueError(f"--range {text!r} is not lo:hi or lo:hi:step with integer parts") from None
+    if step == 0:
+        raise ValueError(f"--range {text} has a zero step")
+    sizes = list(range(lo, hi + 1, step))
+    if not sizes:
+        raise ValueError(f"--range {text} is empty")
+    return sizes
 
 
 def bench_rows(family, sizes):

@@ -236,7 +236,7 @@ def scan_down(inst: ILPInstance, trace: dict | None = None, core_test=None) -> O
         accepted, needs = plan.tier != NONE, "a transitive group"
         if not accepted:
             G = symdetect.detect(inst, "reduced", trace=trace).group
-            accepted = len({abs(v) for v in basis_orbits(G)[0].members}) == inst.n  # e_1 reaches all n
+            accepted = len({abs(v) for v in basis_orbits(G)[0]}) == inst.n  # e_1 reaches all n
     if not accepted:
         raise TransitivityNotEstablished(f"certificate level {plan.tier!r}; {scan} needs {needs}")
     test = partial(enumeration_oracle, plan) if core_test is None else core_test(plan)

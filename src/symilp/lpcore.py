@@ -25,9 +25,9 @@ a fixed space; the LP on the line is the case F = (1, ..., 1).
 """
 
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import compress, count
 from math import ceil, floor, lcm
-from operator import add, itemgetter, mul, neg
+from operator import itemgetter, mul, neg
 
 from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion, InfeasibleZeroRow
 from .errors import ObjectiveNotOnes, ResultCheckFailed, SearchBudgetExceeded
@@ -237,20 +237,6 @@ def _maximize(t: _Tableau, inst: ILPInstance, c):
     return Fraction(t.cols[-1][m], t.den[-1] * scale)
 
 
-def _basis_column(rows, f):
-    """a.f for every row a, as the sum over f's distinct nonzero values v of
-    v times the sum of a's entries where f is v: one compress pass per value.
-
-    A lazy chain of maps, so no per-row bytecode runs and no list of m
-    products is held: the caller's set of distinct rows is all it keeps.
-    """
-    col = repeat(0, len(rows))
-    for v in set(f) - {0}:
-        mask = [x == v for x in f]
-        col = map(add, col, map(mul, repeat(v), map(sum, map(compress, rows, repeat(mask)))))
-    return col
-
-
 def solve_lp(inst: ILPInstance, basis=None, trace: dict | None = None) -> Outcome:
     """Exact optimum of the relaxation max c^t x, Ax <= b.
 
@@ -266,7 +252,8 @@ def solve_lp(inst: ILPInstance, basis=None, trace: dict | None = None) -> Outcom
             if len(f) != inst.n:
                 raise ValueError(f"basis vector of length {len(f)} for n = {inst.n}")
         c = tuple(sum(map(mul, inst.c, f)) for f in basis)
-        cols = [_basis_column(inst.rows, f) for f in basis]
+        # a.f: map stops at the end of f, before the rhs b
+        cols = [[sum(map(mul, row, f)) for row in inst.rows] for f in basis]
         # m projected rows collapse onto few: drop repeats before normalize scales each
         rows = set(zip(*cols, map(itemgetter(-1), inst.rows)))
         try:

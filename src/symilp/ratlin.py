@@ -28,15 +28,13 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def scale_coprime(vec, positive_leading: bool = False) -> tuple:
-    """Scale a rational vector by a nonzero rational onto coprime integers.
+def scale_coprime(vec) -> tuple:
+    """Scale a rational vector by a positive rational onto coprime integers.
 
-    The scalar is positive, so signs are preserved, unless
-    ``positive_leading`` asks for the leading nonzero entry to be made
-    positive (used to canonicalize kernel basis vectors).  The zero vector
-    comes back as ints.  An all-int coprime tuple comes back as the same
-    object; Fractions are cleared in int arithmetic, by numerator and
-    denominator, so no Fraction is hashed, multiplied or built.
+    Signs are preserved, and the zero vector comes back as ints.  An all-int
+    coprime tuple comes back as the same object; Fractions are cleared in
+    int arithmetic, by numerator and denominator, so no Fraction is hashed,
+    multiplied or built.
     """
     vec = tuple(vec)
     try:
@@ -50,8 +48,6 @@ def scale_coprime(vec, positive_leading: bool = False) -> tuple:
         g = gcd(*vec)
     if g > 1:
         vec = tuple(v // g for v in vec)
-    if positive_leading and g and next(v for v in vec if v) < 0:
-        vec = tuple(-v for v in vec)
     return vec
 
 
@@ -109,5 +105,7 @@ def kernel_basis(M, ncols: int | None = None) -> list:
         for r, c in reversed(pivots):
             s = sum(rows[r][j] * v[j] for j in range(c + 1, ncols))
             v[c] = Fraction(-s, rows[r][c])
-        basis.append(scale_coprime(v, positive_leading=True))
+        if next(x for x in v if x) < 0:
+            v = [-x for x in v]
+        basis.append(scale_coprime(v))
     return basis

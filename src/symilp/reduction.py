@@ -16,7 +16,6 @@ from .symmetry import GroupSpec, fixed_space, fixing_equations, is_symmetry, orb
 class ReducedProgram:
     summed_rows: tuple  # (a_1, ..., a_n, b) exact orbit sums
     fixing: tuple  # rows of E
-    objective: tuple
     origin: ILPInstance
 
 
@@ -44,7 +43,6 @@ def build_reduced(inst: ILPInstance, G: GroupSpec) -> ReducedProgram:
     return ReducedProgram(
         summed_rows=orbit_sum_rows(inst, G),
         fixing=fixing_equations(G),
-        objective=inst.c,
         origin=inst,
     )
 
@@ -55,7 +53,7 @@ def reduced_instance(rp: ReducedProgram, name=None) -> ILPInstance:
     for e in rp.fixing:
         rows.append(tuple(e) + (0,))
         rows.append(tuple(-v for v in e) + (0,))
-    return normalize(rows, rp.objective, name=name or f"{rp.origin.name}#reduced")
+    return normalize(rows, rp.origin.c, name=name or f"{rp.origin.name}#reduced")
 
 
 def solve_symmetric_lp(inst: ILPInstance, G: GroupSpec) -> Outcome:

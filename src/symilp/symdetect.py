@@ -68,8 +68,6 @@ class _Builder:
         return v
 
     def edge(self, u: int, v: int) -> None:
-        if u == v:
-            return
         self.adj[u].add(v)
         self.adj[v].add(u)
 

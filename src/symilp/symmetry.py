@@ -15,7 +15,7 @@ from operator import itemgetter
 
 from .errors import ResultCheckFailed, SearchBudgetExceeded
 from .model import ILPInstance
-from .ratlin import kernel_basis
+from .ratlin import dot, kernel_basis
 
 
 class SignedPermutation:
@@ -124,14 +124,6 @@ class GroupSpec:
                 raise ValueError("generator degree mismatch")
 
 
-@dataclass(frozen=True)
-class BasisOrbit:
-    """Orbit of signed basis vectors, coded as signed indices +-(1..n)."""
-
-    members: tuple
-    polarity: str  # "unipolar" | "bipolar"
-
-
 def orbit(seeds, gens, act, limit: int | None = None) -> set:
     """Closure of ``seeds`` under x -> act(g, x) for every g in ``gens``.
 
@@ -177,9 +169,11 @@ def is_symmetry(inst: ILPInstance, g: SignedPermutation) -> bool:
 
 
 def basis_orbits(G: GroupSpec) -> list:
-    """Orbit partition of {+-e_1, ..., +-e_n} with polarity classification.
+    """Orbit partition of {+-e_1, ..., +-e_n}, each orbit a tuple of signed
+    indices +-(1..n) sorted by coordinate, + first.
 
-    The first orbit is that of e_1; members are sorted by coordinate, + first.
+    The first orbit is that of e_1.  The orbit of -v is the negated orbit
+    of v, so an orbit o is bipolar (o = -o) exactly when it holds -o[0].
     """
     seen = set()
     orbits = []
@@ -188,24 +182,23 @@ def basis_orbits(G: GroupSpec) -> list:
             continue
         members = orbit([start], G.generators, SignedPermutation.apply_signed_index)
         seen |= members
-        polarity = "bipolar" if any(-v in members for v in members) else "unipolar"
-        orbits.append(BasisOrbit(tuple(sorted(members, key=lambda v: (abs(v), v < 0))), polarity))
+        orbits.append(tuple(sorted(members, key=lambda v: (abs(v), v < 0))))
     return orbits
 
 
 def fixed_space(G: GroupSpec):
     """Basis of Fix(G), read off the orbits of +-e_1, ..., +-e_n.
 
-    One +-1 vector per unipolar orbit with a positive first member, sorted
+    One +-1 vector per orbit o with o[0] > 0 that is not bipolar, sorted
     by largest coordinate: the kernel basis of the stacked (gamma - id)
     blocks, in the same order and signs.  Bipolar orbits' coordinates are 0.
     """
     n = G.degree
     basis = []
-    for o in sorted(basis_orbits(G), key=lambda o: abs(o.members[-1])):
-        if o.polarity == "unipolar" and o.members[0] > 0:
+    for o in sorted(basis_orbits(G), key=lambda o: abs(o[-1])):
+        if o[0] > 0 and -o[0] not in o:
             v = [0] * n
-            for m in o.members:
+            for m in o:
                 v[abs(m) - 1] = 1 if m > 0 else -1
             basis.append(tuple(v))
     return basis
@@ -220,33 +213,31 @@ def project_barycenter(G: GroupSpec, x) -> tuple:
     """Average of the orbit of x; the projection onto the fixed space.
 
     The ``fixed_space`` vectors f have disjoint supports, so this is the sum
-    of (f.x / f.f) f, in O(n |gens|) without enumerating the orbit of x.
+    of (f.x / f.f) f, without enumerating the orbit of x.
     """
     n = G.degree
     x = tuple(Fraction(v) for v in x)
     if len(x) != n:
         raise ValueError(f"point of length {len(x)} for a group of degree {n}")
     y = [Fraction(0)] * n
-    for o in basis_orbits(G):
-        if o.polarity == "unipolar" and o.members[0] > 0:
-            t = sum(x[m - 1] if m > 0 else -x[-m - 1] for m in o.members) / len(o.members)
-            for m in o.members:
-                y[abs(m) - 1] = t if m > 0 else -t
+    for f in fixed_space(G):
+        t = dot(f, x) / dot(f, f)
+        y = [a + t * b for a, b in zip(y, f)]
     return tuple(y)
 
 
 def conjugate_to_permutations(G: GroupSpec):
     """Diagonal sign change conjugating a semi-transitive G into Sym(n).
 
-    G is semi-transitive iff the orbit of e_1 is unipolar with n members;
+    G is semi-transitive iff the orbit of e_1 has n members and not -e_1;
     then eps is that orbit read as a diagonal sign change, eps = eps^-1,
     and eps*g*eps is sign-free for every g.  Returns (eps, H), or None.
     """
     n = G.degree
     orbits = basis_orbits(G)
-    if not orbits or orbits[0].polarity != "unipolar" or len(orbits[0].members) != n:
+    if not orbits or -1 in orbits[0] or len(orbits[0]) != n:
         return None
-    eps = SignedPermutation(orbits[0].members)
+    eps = SignedPermutation(orbits[0])
     H = GroupSpec(n, tuple(eps * g * eps for g in G.generators))
     if not all(h.is_plain for h in H.generators):
         raise ResultCheckFailed("conjugation failed to clear signs")

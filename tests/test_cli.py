@@ -86,6 +86,14 @@ def test_a_malformed_box_names_the_flag_and_the_range(tmp_path, capsys, box, bad
     assert err.startswith("error: --box range ") and bad in err and err.count("\n") == 1
 
 
+def test_a_box_needs_one_pair_or_one_per_variable(tmp_path, capsys):
+    path = tmp_path / "half.ilp"
+    path.write_text("ILP v1\nvars 2\nobj 1 1\n1 1 <= 1\n")
+    assert main(["solve", str(path), "--method", "brute", "--box", "0:1,0:1,0:1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --box needs 1 or 2 ") and err.count("\n") == 1
+
+
 def test_box_with_a_scan_is_a_one_line_error(tmp_path, htc6, capsys):
     # the scans would ignore the box and print a point outside it
     htc6_file = str(tmp_path / "htc6.ilp")
@@ -118,6 +126,8 @@ def test_exit_codes(tmp_path, capsys):
     unb = tmp_path / "unb.ilp"
     unb.write_text("ILP v1\nvars 2\nobj 1 1\n-1 -1 <= 0\n")
     assert main(["solve", str(unb), "--method", "corepoint"]) == 3
+    assert main(["lp", str(unb)]) == 3
+    assert "status unbounded" in capsys.readouterr().out
 
     lone = tmp_path / "lone.ilp"
     lone.write_text("ILP v1\nvars 2\nobj 1 1\n1 2 <= 3\n")
@@ -413,9 +423,22 @@ def test_bench_cli_text(capsys):
 
 
 def test_bench_empty_range(capsys):
-    assert main(["bench", "htc", "--range", "100:90:10"]) == 0
-    out = capsys.readouterr().out
-    assert "instance" in out  # header only
+    # an empty range is refused like an empty --box, not printed as a header
+    assert main(["bench", "htc", "--range", "100:90:10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --range 100:90:10 is empty\n"
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [("8:10:0", "8:10:0 has a zero step"), ("a:b", "'a:b' is not"), ("8", "'8' is not"),
+     ("1:2:3:4", "'1:2:3:4' is not")],
+    ids=["zero-step", "letters", "no-hi", "four-parts"],
+)
+def test_a_bad_bench_range_names_the_flag_and_the_range(capsys, text, bad):
+    assert main(["bench", "htc", "--range", text]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --range {bad}") and err.count("\n") == 1
 
 
 def test_wild_past_the_row_budget_is_refused(tmp_path, monkeypatch, capsys):

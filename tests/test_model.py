@@ -49,6 +49,21 @@ def test_normalize_rational_rows():
     assert inst.rows == ((2, 6, 9),)
 
 
+@pytest.mark.parametrize(
+    "rows, c, error, message",
+    [
+        ((), (), EmptySystem, "no rows"),
+        (((3,),), (), ValueError, "at least one variable"),
+        (((1, 2, 3), (1, 2)), (1, 1), ValueError, "ragged row"),
+        (((1, 2, 3),), (1,), ValueError, "objective length"),
+    ],
+    ids=["no-rows", "no-variables", "ragged", "short-objective"],
+)
+def test_instance_refuses_a_malformed_system(rows, c, error, message):
+    with pytest.raises(error, match=message):
+        ILPInstance(rows, c)
+
+
 def test_row_classes_count_distinct_rows():
     inst = ILPInstance([(1, 2, 3), (2, 1, 3), (1, 2, 3), (2, 1, 4)], [1, 1])
     assert inst.row_classes == {(1, 2, 3): 2, (1, 2, 4): 1}
@@ -174,6 +189,11 @@ def test_brute_force_ex61(ex61):
     assert out.value == 3
     assert out.point == (1, 1, 1)
     assert ex61.is_feasible(out.point)
+
+
+def test_brute_force_refuses_a_box_of_the_wrong_length(ex61):
+    with pytest.raises(ValueError, match="box length"):
+        brute_force_ilp(ex61, box=[(0, 3)] * 2)
 
 
 def test_brute_force_htc6(htc6):

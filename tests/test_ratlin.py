@@ -29,6 +29,12 @@ def test_kernel_difference_rows():
     assert kernel_basis([(1, -1, 0), (0, 1, -1)]) == [(1, 1, 1)]
 
 
+def test_kernel_vector_leads_positive():
+    # the free column's 1 comes after the pivot column's -1: the vector is negated
+    assert kernel_basis([(1, 1)]) == [(1, -1)]
+    assert kernel_basis([(2, 0, 3)], ncols=3) == [(0, 1, 0), (3, 0, -2)]
+
+
 def test_kernel_identity_empty():
     assert kernel_basis([(1, 0), (0, 1)]) == []
 
@@ -72,7 +78,6 @@ def test_rational_entries():
 def test_scale_coprime():
     assert scale_coprime((Fraction(2, 3), Fraction(4, 3))) == (1, 2)
     assert scale_coprime((-2, -4)) == (-1, -2)
-    assert scale_coprime((-2, -4), positive_leading=True) == (1, 2)
     assert scale_coprime((0, 0)) == (0, 0)
 
 

@@ -114,9 +114,9 @@ def test_tiers_are_read_only_by_the_certificate_and_the_scan_plan():
     assert found == []
 
 
-def test_every_traced_boundary_exists():
-    # perfbench reads a boundary whose function is renamed or removed as
-    # null, so a metric would silently drop out of the benchmark
+def perfbench_tracing():
+    """perfbench/tracing.py, loaded once every symilp module is imported, so
+    that its Tracer finds each boundary at every name it is looked up by."""
     import importlib
     import importlib.util
 
@@ -126,4 +126,35 @@ def test_every_traced_boundary_exists():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing_py)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.Tracer().missing == set()
+    return tracing
+
+
+def test_every_traced_boundary_exists():
+    # perfbench reads a boundary whose function is renamed or removed as
+    # null, so a metric would silently drop out of the benchmark
+    assert perfbench_tracing().Tracer().missing == set()
+
+
+def test_every_counter_reads_its_boundary(tmp_path, ex61):
+    # a counter that fails on its boundary's arguments or result also reads
+    # null: call each counted boundary once, with the tracer installed
+    from symilp import layers, model, reduction, symdetect
+    from symilp.symmetry import GroupSpec, full_cycle
+
+    tracing = perfbench_tracing()
+    path = tmp_path / "ex61.ilp"
+    model.write_instance(ex61, path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        inst = model.read_instance(path)
+        symdetect.build_full_graph(inst)
+        symdetect.build_reduced_graph(inst)
+        symdetect.detect(inst, "reduced")
+        reduction.orbit_sum_rows(inst, GroupSpec(3, (full_cycle(3),)))
+        layers.enumeration_oracle(layers.scan_plan(inst), 3)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == set()
+    assert set(tracing.COUNTERS) <= {name for name, *_ in tracer.spans}
+    assert set().union(*tracer.counts) == {k for keys, _ in tracing.COUNTERS.values() for k in keys}

@@ -9,7 +9,6 @@ from symilp import symmetry
 from symilp.errors import SearchBudgetExceeded
 from symilp.model import ILPInstance, normalize
 from symilp.symmetry import (
-    BasisOrbit,
     GroupSpec,
     SignedPermutation,
     alt_generators,
@@ -195,6 +194,9 @@ def test_fixed_space_is_the_kernel_basis(G):
     # the same vectors as the kernel of the stacked (gamma - id) blocks, in
     # the same order and with the same signs, so solve_lp pivots alike
     assert fixed_space(G) == kernel_fixed_space(G)
+    # fixed_space reads an orbit as bipolar (o = -o) when it holds -o[0]
+    for o in basis_orbits(G):
+        assert (-o[0] in o) == (set(o) == {-v for v in o})
 
 
 @settings(max_examples=150, deadline=None)
@@ -244,22 +246,19 @@ def test_fixed_space_vectors_are_fixed():
 def test_basis_orbits_swap():
     G = GroupSpec(2, (transposition(2, 1, 2),))
     orbits = basis_orbits(G)
-    assert orbits == [
-        BasisOrbit((1, 2), "unipolar"),
-        BasisOrbit((-1, -2), "unipolar"),
-    ]
+    assert orbits == [(1, 2), (-1, -2)]
 
 
 def test_basis_orbits_sign_flip_bipolar():
     G = GroupSpec(1, (SignedPermutation((-1,)),))
-    assert basis_orbits(G) == [BasisOrbit((1, -1), "bipolar")]
+    assert basis_orbits(G) == [(1, -1)]
 
 
 def test_basis_orbits_signed_swap():
     G = GroupSpec(2, (SignedPermutation((-2, -1)),))
     orbits = basis_orbits(G)
-    assert [o.polarity for o in orbits] == ["unipolar", "unipolar"]
-    assert {frozenset(o.members) for o in orbits} == {
+    assert [-o[0] in o for o in orbits] == [False, False]  # neither is bipolar
+    assert {frozenset(o) for o in orbits} == {
         frozenset({1, -2}),
         frozenset({-1, 2}),
     }
@@ -270,7 +269,7 @@ def test_bipolar_barycenter_vanishes():
     orbits = basis_orbits(G)
     for o in orbits:
         bc = orbit_barycenter(o, 2)
-        if o.polarity == "bipolar":
+        if -o[0] in o:
             assert bc == (0, 0)
         else:
             assert any(bc)
@@ -287,7 +286,7 @@ def test_unipolar_barycenters_span_fixed_space():
         spanning = [
             orbit_barycenter(o, n)
             for o in basis_orbits(G)
-            if o.polarity == "unipolar"
+            if -o[0] not in o
         ]
         dim = len(fixed_space(G))
         assert (rank(spanning) if spanning else 0) == dim

@@ -41,7 +41,6 @@ from symilp.lpcore import integer_box, solve_lp_on_line
 from symilp.model import INFEASIBLE, OPTIMAL, UNBOUNDED, ILPInstance, Outcome, normalize
 from symilp.ratlin import kernel_basis, scale_coprime
 from symilp.symmetry import (
-    BasisOrbit,
     GroupSpec,
     SignedPermutation,
     alt_generators,
@@ -275,10 +274,11 @@ def certified_instance(rng, kind: str, index: int = 0):
     return closed_instance(seeds, gens, n, bounds == "box", name=f"cycle{n}")
 
 
-def orbit_barycenter(o: BasisOrbit, n: int) -> tuple:
+def orbit_barycenter(o: tuple, n: int) -> tuple:
+    """The average of the signed basis vectors of a basis_orbits orbit."""
     totals = [Fraction(0)] * n
-    for v in o.members:
-        totals[abs(v) - 1] += Fraction(1 if v > 0 else -1, len(o.members))
+    for v in o:
+        totals[abs(v) - 1] += Fraction(1 if v > 0 else -1, len(o))
     return tuple(totals)
 
 
