@@ -124,9 +124,9 @@ def cmd_detect(args) -> int:
     inst = model.read_instance(args.file)
     trace = {}
     det = symdetect.detect(inst, args.graph, trace=trace)
-    print(f"graph {args.graph}: {det.graph.n_nodes} nodes, {det.graph.n_edges} edges")
+    print(f"graph {args.graph}: {trace['graph_nodes']} nodes, {trace['graph_edges']} edges")
     print(f"search: {trace['refinements']} refinements, {trace['splits']} splits")
-    print(f"group order {det.order}")
+    print(f"group order {trace['group_order']}")
     for g in det.group.generators:
         print("gen " + " ".join(str(v) for v in g.image))
     if args.emit_generators:
@@ -193,7 +193,7 @@ def _parse_range(text):
         raise ValueError(f"--range {text!r} is not lo:hi or lo:hi:step with integer parts") from None
     if step == 0:
         raise ValueError(f"--range {text} has a zero step")
-    sizes = list(range(lo, hi + 1, step))
+    sizes = list(range(lo, hi + (1 if step > 0 else -1), step))
     if not sizes:
         raise ValueError(f"--range {text} is empty")
     return sizes

@@ -1,18 +1,25 @@
 """Symmetry detection via labeled graph automorphisms.
 
-The reduced ILP graph has one node per matrix position, row, column and
-distinct coefficient of A, b, c; its labeled automorphisms are exactly the
-coordinate-permutation symmetries of the instance.  The full graph doubles
-columns and nonzero positions with "twin" nodes wired to negated
-coefficients, which extends the correspondence to all signed permutations.
-Zero positions act as their own twins (negating zero changes nothing), so a
-column node and its twin always have equal degree.
+``detect`` searches the row/column graph (``build_search_graph``): one node
+per row, labelled by b_i, one per column, labelled by c_j, and one edge per
+nonzero a_ij, labelled by a_ij.  Its automorphisms are the coordinate
+permutations that fix the instance, paired with the row permutations they
+induce.  In ``full`` mode each column has a twin, labelled by -c_j, joined
+to its column by an edge of its own label and to row i by an edge labelled
+-a_ij; a column that maps onto a twin is negated, so the automorphisms are
+the signed permutations that fix the instance.
+
+The paper's position graphs (``build_reduced_graph``, ``build_full_graph``)
+stand for the same groups with one node per matrix position, plus twins
+and coefficient nodes.  They are kept as the paper specifies them, and
+only the tests search them.
 
 The automorphism engine is an individualization-refinement search that
 counts the group order level by level with orbit-stabilizer products.  It
 refines by splitter cells (as nauty and Traces do), from the new cell
-alone after an individualization, refines the first path once and drops a
-candidate at its first split record that differs from the path's.
+alone after an individualization, counting neighbours per edge label,
+refines the first path once and drops a candidate at its first split
+record that differs from the path's.
 """
 
 from collections import Counter, deque
@@ -28,12 +35,16 @@ SEARCH_BUDGET = 100000  # refinements one automorphism search may make
 
 
 class LabeledGraph:
-    __slots__ = ("labels", "adj", "tags")
+    """Labelled nodes with tags; ``edge_labels[v][u]`` labels the edge uv,
+    and None stands for one label on every edge."""
 
-    def __init__(self, labels, adj, tags):
+    __slots__ = ("labels", "adj", "tags", "edge_labels")
+
+    def __init__(self, labels, adj, tags, edge_labels=None):
         self.labels = tuple(labels)
         self.adj = tuple(frozenset(a) for a in adj)
         self.tags = tuple(tags)
+        self.edge_labels = None if edge_labels is None else tuple(dict(e) for e in edge_labels)
 
     @property
     def n_nodes(self) -> int:
@@ -62,17 +73,18 @@ class _Builder:
     def node(self, tag, label_key) -> int:
         v = len(self.labels)
         self.labels.append(self.label(label_key))
-        self.adj.append(set())
+        self.adj.append({})
         self.tags.append(tag)
         self.index[tag] = v
         return v
 
-    def edge(self, u: int, v: int) -> None:
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+    def edge(self, u: int, v: int, label_key=None) -> None:
+        label = None if label_key is None else self.label(("edge", label_key))
+        self.adj[u][v] = self.adj[v][u] = label
 
     def graph(self) -> LabeledGraph:
-        return LabeledGraph(self.labels, self.adj, self.tags)
+        labelled = any(label is not None for a in self.adj for label in a.values())
+        return LabeledGraph(self.labels, self.adj, self.tags, self.adj if labelled else None)
 
 
 def _base_builder(inst: ILPInstance) -> _Builder:
@@ -150,6 +162,59 @@ def build_full_graph(inst: ILPInstance) -> LabeledGraph:
     return bd.graph()
 
 
+def build_search_graph(inst: ILPInstance, mode: str = "full") -> LabeledGraph:
+    """The row/column graph that ``detect`` searches: m + n nodes and one
+    edge per nonzero a_ij in ``reduced`` mode; m + 2n nodes and 2 nnz + n
+    edges in ``full`` mode, whose twins ("colhat") carry the sign flips."""
+    if mode not in ("reduced", "full"):
+        raise ValueError("mode must be 'reduced' or 'full'")
+    bd = _Builder()
+    rows = [bd.node(("row", i), ("row", row[-1])) for i, row in enumerate(inst.rows)]
+    cols = [bd.node(("col", j), ("col", cj)) for j, cj in enumerate(inst.c)]
+    twins = [bd.node(("colhat", j), ("col", -cj)) for j, cj in enumerate(inst.c) if mode == "full"]
+    for col, twin in zip(cols, twins):
+        bd.edge(col, twin, "twin")
+    for r, row in zip(rows, inst.rows):
+        for j, a in enumerate(row[:-1]):
+            if a:
+                bd.edge(r, cols[j], a)
+                if twins:
+                    bd.edge(r, twins[j], -a)
+    return bd.graph()
+
+
+def is_automorphism(g: LabeledGraph, mapping) -> bool:
+    """Whether the node mapping keeps node labels, edges and edge labels."""
+    labels, adj, edge_labels = g.labels, g.adj, g.edge_labels
+    for v, w in enumerate(mapping):
+        if labels[w] != labels[v]:
+            return False
+        if edge_labels is None:
+            if {mapping[u] for u in adj[v]} != adj[w]:
+                return False
+        elif {mapping[u]: x for u, x in edge_labels[v].items()} != edge_labels[w]:
+            return False
+    return True
+
+
+def _label_weights(g: LabeledGraph):
+    """The edges of the most frequent label as an adjacency, and the others
+    as (neighbour, weight) pairs per node.  The label of rank r (by falling
+    frequency, then by label) weighs W**r with W above every degree, so
+    the weighted neighbour count of a node holds its count per edge label
+    as base-W digits: two nodes get equal sums exactly when all their
+    counts agree.  A graph with one edge label has no weighted pairs."""
+    if g.edge_labels is None:
+        return g.adj, ((),) * g.n_nodes
+    freq = Counter(x for e in g.edge_labels for x in e.values())
+    base = 1 + max(map(len, g.adj), default=0)
+    weight = {x: base**r for r, x in enumerate(sorted(freq, key=lambda x: (-freq[x], x)))}
+    adj = tuple(frozenset(u for u, x in e.items() if weight[x] == 1) for e in g.edge_labels)
+    heavy = tuple(tuple((u, weight[x]) for u, x in e.items() if weight[x] > 1)
+                  for e in g.edge_labels)
+    return adj, heavy
+
+
 def automorphism_group(g: LabeledGraph, trace: dict | None = None):
     """Generators (node mapping tuples) and exact order of the labeled
     automorphism group.
@@ -163,7 +228,7 @@ def automorphism_group(g: LabeledGraph, trace: dict | None = None):
     receives ``refinements`` (the calls spent) and ``splits`` (the cells
     split).
     """
-    adj = g.adj
+    adj, heavy = _label_weights(g)
     n = g.n_nodes
     spent = splits = 0
     budget = SEARCH_BUDGET
@@ -172,12 +237,14 @@ def automorphism_group(g: LabeledGraph, trace: dict | None = None):
         """The equitable refinement of colors (ids 0..k-1, equitable towards
         all cells but the splitters in ``queue``), made in place, and its
         split records.  A splitter S splits each cell holding a neighbour of
-        S by |N(v) & S|: cells in colour order, fragments in count order, the
-        first keeping the id and the others numbered on from k, and queued
-        (all if the cell was queued, else all but the largest).  So the ids
-        depend on colours and counts only.  A split records ``(splitter,
-        cell, ((count, size), ...))``; given records ``expect``, the
-        colouring is None at the first split that differs from them."""
+        S by the weighted count of N(v) & S (``_label_weights``; |N(v) & S|
+        with one edge label): cells in colour order, fragments in count
+        order, the first keeping the id and the others numbered on from k,
+        and queued (all if the cell was queued, else all but the largest).
+        So the ids depend on colours and counts only.  A split records
+        ``(splitter, cell, ((count, size), ...))``; given records
+        ``expect``, the colouring is None at the first split that differs
+        from them."""
         nonlocal spent, splits
         spent += 1
         if spent > budget:
@@ -193,6 +260,8 @@ def automorphism_group(g: LabeledGraph, trace: dict | None = None):
             s = queue.popleft()
             queued.discard(s)
             count = Counter(chain.from_iterable(map(adj.__getitem__, cells[s])))
+            for u, weight in chain.from_iterable(map(heavy.__getitem__, cells[s])):
+                count[u] += weight
             touched = {}
             for u in count:
                 touched.setdefault(colors[u], []).append(u)
@@ -239,14 +308,6 @@ def automorphism_group(g: LabeledGraph, trace: dict | None = None):
     def cell(colors, c):
         return [v for v, cv in enumerate(colors) if cv == c]
 
-    def is_automorphism(mapping) -> bool:
-        for v in range(n):
-            if g.labels[mapping[v]] != g.labels[v]:
-                return False
-            if {mapping[u] for u in adj[v]} != adj[mapping[v]]:
-                return False
-        return True
-
     # the first path: per depth, the refined colouring, its split records, its
     # cell sizes and the colour of its first nontrivial cell (None at the leaf)
     path = []
@@ -270,7 +331,7 @@ def automorphism_group(g: LabeledGraph, trace: dict | None = None):
         if c is None:
             where = {cv: v for v, cv in enumerate(ct)}
             m = tuple(where[cv] for cv in cs)
-            return m if is_automorphism(m) else None
+            return m if is_automorphism(g, m) else None
         for u in cell(ct, c):
             m = find_first(depth + 1, ct, u)
             if m is not None:
@@ -300,7 +361,7 @@ def automorphism_group(g: LabeledGraph, trace: dict | None = None):
 class Detection:
     group: GroupSpec
     order: int
-    graph: LabeledGraph
+    graph: LabeledGraph  # the graph that was searched
 
 
 def _translate(inst: ILPInstance, g: LabeledGraph, mapping: tuple):
@@ -327,16 +388,18 @@ def _translate(inst: ILPInstance, g: LabeledGraph, mapping: tuple):
 
 
 def detect(inst: ILPInstance, mode: str = "full", trace: dict | None = None) -> Detection:
-    """Detect instance symmetries through the chosen ILP graph.
+    """Detect instance symmetries by a search of the row/column graph:
+    coordinate permutations in ``reduced`` mode, signed ones in ``full``.
 
     Raises SearchBudgetExceeded when the automorphism search spends
     SEARCH_BUDGET.  ``trace`` receives the search's ``refinements`` and
-    ``splits``.
+    ``splits``, the searched graph's ``graph_nodes`` and ``graph_edges``,
+    and the ``group_order``.
     """
-    if mode not in ("reduced", "full"):
-        raise ValueError("mode must be 'reduced' or 'full'")
-    graph = build_reduced_graph(inst) if mode == "reduced" else build_full_graph(inst)
+    graph = build_search_graph(inst, mode)
     mappings, order = automorphism_group(graph, trace=trace)
+    if trace is not None:
+        trace.update(graph_nodes=graph.n_nodes, graph_edges=graph.n_edges, group_order=order)
     gens = []
     for mapping in mappings:
         sp = _translate(inst, graph, mapping)

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from symilp import corepoint, instances, layers, model, symdetect
-from symilp.cli import bench_rows, main
+from symilp.cli import _parse_range, bench_rows, main
 from symilp.errors import SearchBudgetExceeded
 from symilp.model import Outcome, read_instance, write_instance
 from symilp.symmetry import GroupSpec, read_generators, sym_generators, write_generators
@@ -272,6 +272,8 @@ def test_detect_command(ex61_file, tmp_path, capsys):
                  "--emit-generators", str(gfile)]) == 0
     out = capsys.readouterr().out
     assert "group order 3" in out
+    # the searched row/column graph: m + 2n nodes, 2 nnz + n edges
+    assert re.search(r"^graph full: 9 nodes, 15 edges$", out, re.M)
     assert re.search(r"^search: [1-9]\d* refinements, \d+ splits$", out, re.M)
     G = read_generators(gfile)
     assert G.degree == 3
@@ -420,6 +422,14 @@ def test_bench_cli_text(capsys):
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert len(lines) == 3
     assert "wild-d3" in out and "wild-d4" in out
+
+
+@pytest.mark.parametrize(
+    "text, sizes",
+    [("8:10", [8, 9, 10]), ("10:8:-1", [10, 9, 8]), ("30:50:10", [30, 40, 50]), ("9:3:-3", [9, 6, 3])],
+)
+def test_parse_range_includes_the_end_in_either_direction(text, sizes):
+    assert _parse_range(text) == sizes
 
 
 def test_bench_empty_range(capsys):

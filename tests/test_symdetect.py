@@ -15,7 +15,9 @@ from symilp.symdetect import (
     automorphism_group,
     build_full_graph,
     build_reduced_graph,
+    build_search_graph,
     detect,
+    is_automorphism,
 )
 from symilp.symmetry import GroupSpec, SignedPermutation, is_symmetry
 from testkit import group_order, reference_automorphism_group
@@ -385,7 +387,7 @@ def _swap_nodes(graph, a, b):
 
 def test_detect_rejects_a_mapping_that_is_no_symmetry(ex61, monkeypatch):
     # the transposition (1 2) does not fix the cyclic instance
-    bad = _swap_nodes(build_reduced_graph(ex61), ("col", 0), ("col", 1))
+    bad = _swap_nodes(build_search_graph(ex61, "reduced"), ("col", 0), ("col", 1))
     monkeypatch.setattr(symdetect, "automorphism_group", lambda g, trace=None: ([bad], 2))
     with pytest.raises(ResultCheckFailed):
         detect(ex61, "reduced")
@@ -393,7 +395,81 @@ def test_detect_rejects_a_mapping_that_is_no_symmetry(ex61, monkeypatch):
 
 def test_detect_rejects_incoherent_twins(ex61, monkeypatch):
     # column 1 stays put while its twin moves to column 2's twin
-    bad = _swap_nodes(build_full_graph(ex61), ("colhat", 0), ("colhat", 1))
+    bad = _swap_nodes(build_search_graph(ex61, "full"), ("colhat", 0), ("colhat", 1))
     monkeypatch.setattr(symdetect, "automorphism_group", lambda g, trace=None: ([bad], 2))
     with pytest.raises(ResultCheckFailed):
         detect(ex61, "full")
+
+
+def _random_instances(rng, count):
+    """Small random instances, with repeated c values so that symmetry
+    and sign flips occur."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 5)
+        rows = set()
+        for _ in range(rng.randint(1, 6)):
+            row = tuple(rng.randint(-3, 3) for _ in range(n))
+            if any(row):
+                rows.add(row + (rng.randint(-2, 4),))
+        if rows:
+            c = [Fraction(rng.choice([-1, 0, 0, 1, 1, 2])) for _ in range(n)]
+            out.append(normalize(rows, c, name=f"rand{len(out)}"))
+    return out
+
+
+@pytest.mark.parametrize(
+    "mode, build", [("reduced", build_reduced_graph), ("full", build_full_graph)]
+)
+def test_search_graph_finds_the_position_graphs_group(corpus, mode, build):
+    # the row/column graph and the paper's position graph stand for one group
+    for inst in corpus + _random_instances(random.Random(24), 60):
+        det = detect(inst, mode)
+        _, order = automorphism_group(build(inst))
+        assert det.order == order == group_order(det.group), (inst.name, mode)
+
+
+def test_search_graph_size():
+    for inst in _random_instances(random.Random(8), 40):
+        m, n = inst.m, inst.n
+        nnz = sum(1 for row in inst.rows for a in row[:-1] if a)
+        red, full = build_search_graph(inst, "reduced"), build_search_graph(inst, "full")
+        assert (red.n_nodes, red.n_edges) == (m + n, nnz)
+        assert (full.n_nodes, full.n_edges) == (m + 2 * n, 2 * nnz + n)
+        trace = {}
+        det = detect(inst, "full", trace=trace)
+        assert det.graph.n_nodes == trace["graph_nodes"] == m + 2 * n
+        assert trace["graph_edges"] == 2 * nnz + n and trace["group_order"] == det.order
+
+
+def test_is_automorphism_compares_edge_labels():
+    # the path 0 - 1 - 2: reversing it keeps adjacency, and with two edge
+    # labels it swaps them
+    adj = [{1}, {0, 2}, {1}]
+    tags = [("v", i) for i in range(3)]
+    plain = LabeledGraph([0] * 3, adj, tags, [{1: 0}, {0: 0, 2: 0}, {1: 0}])
+    two = LabeledGraph([0] * 3, adj, tags, [{1: 0}, {0: 0, 2: 1}, {1: 1}])
+    assert is_automorphism(plain, (2, 1, 0))
+    assert is_automorphism(LabeledGraph([0] * 3, adj, tags), (2, 1, 0))
+    assert not is_automorphism(two, (2, 1, 0))
+    assert is_automorphism(two, (0, 1, 2))
+    assert automorphism_group(plain)[1] == 2 and automorphism_group(two) == ([], 1)
+
+
+def test_htc8_full_search_splits_less_than_half():
+    htc8 = gen_hypertruncated_cube(HtcParams(8, 2, Fraction(1, 2)))
+    trace, position = {}, {}
+    assert detect(htc8, "full", trace=trace).order == 40320
+    assert automorphism_group(build_full_graph(htc8), trace=position)[1] == 40320
+    # the position graph has one edge label, so its search is unchanged
+    assert position == {"refinements": 24, "splits": 2602}
+    assert trace["splits"] < position["splits"] / 2
+
+
+def test_one_edge_label_searches_as_an_unlabelled_graph(corpus):
+    for inst in corpus[:10]:
+        g = build_full_graph(inst)
+        one = LabeledGraph(g.labels, g.adj, g.tags, [dict.fromkeys(a, "e") for a in g.adj])
+        plain_trace, one_trace = {}, {}
+        assert automorphism_group(g, plain_trace) == automorphism_group(one, one_trace)
+        assert plain_trace == one_trace
