@@ -22,7 +22,7 @@ refines the first path once and drops a candidate at its first split
 record that differs from the path's.
 """
 
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain
 from operator import getitem
@@ -35,8 +35,8 @@ SEARCH_BUDGET = 100000  # refinements one automorphism search may make
 
 
 class LabeledGraph:
-    """Labelled nodes with tags; ``edge_labels[v][u]`` labels the edge uv,
-    and None stands for one label on every edge."""
+    """Labelled nodes with tags; ``edge_labels[v][u]`` labels the edge uv
+    (by default None, one label on every edge)."""
 
     __slots__ = ("labels", "adj", "tags", "edge_labels")
 
@@ -44,7 +44,9 @@ class LabeledGraph:
         self.labels = tuple(labels)
         self.adj = tuple(frozenset(a) for a in adj)
         self.tags = tuple(tags)
-        self.edge_labels = None if edge_labels is None else tuple(dict(e) for e in edge_labels)
+        if edge_labels is None:
+            edge_labels = map(dict.fromkeys, self.adj)
+        self.edge_labels = tuple(map(dict, edge_labels))
 
     @property
     def n_nodes(self) -> int:
@@ -79,12 +81,10 @@ class _Builder:
         return v
 
     def edge(self, u: int, v: int, label_key=None) -> None:
-        label = None if label_key is None else self.label(("edge", label_key))
-        self.adj[u][v] = self.adj[v][u] = label
+        self.adj[u][v] = self.adj[v][u] = self.label(("edge", label_key))
 
     def graph(self) -> LabeledGraph:
-        labelled = any(label is not None for a in self.adj for label in a.values())
-        return LabeledGraph(self.labels, self.adj, self.tags, self.adj if labelled else None)
+        return LabeledGraph(self.labels, self.adj, self.tags, self.adj)
 
 
 def _base_builder(inst: ILPInstance) -> _Builder:
@@ -162,7 +162,7 @@ def build_full_graph(inst: ILPInstance) -> LabeledGraph:
     return bd.graph()
 
 
-def build_search_graph(inst: ILPInstance, mode: str = "full") -> LabeledGraph:
+def build_search_graph(inst: ILPInstance, mode: str) -> LabeledGraph:
     """The row/column graph that ``detect`` searches: m + n nodes and one
     edge per nonzero a_ij in ``reduced`` mode; m + 2n nodes and 2 nnz + n
     edges in ``full`` mode, whose twins ("colhat") carry the sign flips."""
@@ -185,34 +185,24 @@ def build_search_graph(inst: ILPInstance, mode: str = "full") -> LabeledGraph:
 
 def is_automorphism(g: LabeledGraph, mapping) -> bool:
     """Whether the node mapping keeps node labels, edges and edge labels."""
-    labels, adj, edge_labels = g.labels, g.adj, g.edge_labels
-    for v, w in enumerate(mapping):
-        if labels[w] != labels[v]:
-            return False
-        if edge_labels is None:
-            if {mapping[u] for u in adj[v]} != adj[w]:
-                return False
-        elif {mapping[u]: x for u, x in edge_labels[v].items()} != edge_labels[w]:
-            return False
-    return True
+    labels, edge_labels = g.labels, g.edge_labels
+    return all(
+        labels[w] == labels[v]
+        and {mapping[u]: x for u, x in edge_labels[v].items()} == edge_labels[w]
+        for v, w in enumerate(mapping)
+    )
 
 
 def _label_weights(g: LabeledGraph):
-    """The edges of the most frequent label as an adjacency, and the others
-    as (neighbour, weight) pairs per node.  The label of rank r (by falling
-    frequency, then by label) weighs W**r with W above every degree, so
+    """Per node, its (neighbour, weight) pairs.  The r-th edge label (in
+    order of first appearance) weighs W**r with W above every degree, so
     the weighted neighbour count of a node holds its count per edge label
     as base-W digits: two nodes get equal sums exactly when all their
-    counts agree.  A graph with one edge label has no weighted pairs."""
-    if g.edge_labels is None:
-        return g.adj, ((),) * g.n_nodes
-    freq = Counter(x for e in g.edge_labels for x in e.values())
+    counts agree."""
     base = 1 + max(map(len, g.adj), default=0)
-    weight = {x: base**r for r, x in enumerate(sorted(freq, key=lambda x: (-freq[x], x)))}
-    adj = tuple(frozenset(u for u, x in e.items() if weight[x] == 1) for e in g.edge_labels)
-    heavy = tuple(tuple((u, weight[x]) for u, x in e.items() if weight[x] > 1)
-                  for e in g.edge_labels)
-    return adj, heavy
+    ranks = dict.fromkeys(x for e in g.edge_labels for x in e.values())
+    weight = {x: base**r for r, x in enumerate(ranks)}
+    return tuple(tuple((u, weight[x]) for u, x in e.items()) for e in g.edge_labels)
 
 
 def automorphism_group(g: LabeledGraph, trace: dict | None = None):
@@ -228,7 +218,7 @@ def automorphism_group(g: LabeledGraph, trace: dict | None = None):
     receives ``refinements`` (the calls spent) and ``splits`` (the cells
     split).
     """
-    adj, heavy = _label_weights(g)
+    pairs = _label_weights(g)
     n = g.n_nodes
     spent = splits = 0
     budget = SEARCH_BUDGET
@@ -259,8 +249,8 @@ def automorphism_group(g: LabeledGraph, trace: dict | None = None):
         while queue and len(cells) < n:  # a discrete colouring splits no further
             s = queue.popleft()
             queued.discard(s)
-            count = Counter(chain.from_iterable(map(adj.__getitem__, cells[s])))
-            for u, weight in chain.from_iterable(map(heavy.__getitem__, cells[s])):
+            count = defaultdict(int)
+            for u, weight in chain.from_iterable(map(pairs.__getitem__, cells[s])):
                 count[u] += weight
             touched = {}
             for u in count:
