@@ -158,7 +158,7 @@ def _run(inst, method, box=None) -> RunReport:
     elif method == "layers":
         out = layers.solve_by_layers(inst, trace=trace)
     else:
-        out = model.brute_force_ilp(inst, box=box)
+        out = model.brute_force_ilp(inst, box=box, trace=trace)
     elapsed = time.perf_counter() - t0
     if out.status == model.OPTIMAL and not inst.is_feasible(out.point):
         raise ResultCheckFailed(f"{inst.name}: solver returned an infeasible point")

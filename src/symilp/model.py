@@ -14,7 +14,8 @@ from itertools import compress, product
 from math import ceil, lcm
 from operator import itemgetter, lt, mul, ne
 
-from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion, InfeasibleZeroRow
+from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion
+from .errors import InfeasibleZeroRow, ResultCheckFailed
 from .ratlin import parse_rational, scale_coprime
 
 OPTIMAL = "optimal"
@@ -208,20 +209,35 @@ def explicit_box(inst: ILPInstance):
     return list(zip(lo, hi))
 
 
-def brute_force_ilp(inst: ILPInstance, box=None) -> Outcome:
+def brute_force_ilp(inst: ILPInstance, box=None, trace: dict | None = None) -> Outcome:
     """Exhaustive integral optimum over a finite box; the global test oracle.
 
-    Ties are broken toward the lexicographically smallest point; values are
-    compared as ints, with c scaled by the lcm of its denominators.  The box
-    defaults to the bounds implied by single-variable rows, else to exact
-    per-coordinate LP bounds.  A box of more than BOX_POINT_BUDGET points
-    raises BoxTooLarge.
+    The box defaults to the bounds implied by single-variable rows, else to
+    exact per-coordinate LP bounds (integer_box, which gets ``trace``); one
+    of more than BOX_POINT_BUDGET points raises BoxTooLarge.  Two exact
+    steps decide every point of the box:
+
+    1. A row with sum_j max(a_j lo_j, a_j hi_j) <= b holds on the whole box
+       and is dropped.
+    2. Each prefix p = (x_1..x_{n-1}) is one line along t = x_n.  The kept
+       rows with a_n = 0 test p alone (satisfies_rows stops at the end of
+       p); each other row, with s = b - a'.p, gives t <= s // a_n if a_n > 0
+       and t >= -(s // -a_n) if a_n < 0.  The line's best point is the top
+       of that interval when c_n > 0, else its bottom.
+
+    Prefixes run in lexicographic order and only a strictly greater value
+    replaces the best, so ties go to the lexicographically smallest point.
+    Values are compared as ints, c scaled by the lcm of its denominators.
+    The point returned is checked against every row with satisfies_rows; a
+    failure raises ResultCheckFailed.  ``trace`` receives ``box_points``
+    (the volume of the box), ``rows_kept`` (the rows left after step 1) and
+    ``lines`` (the prefixes visited).
     """
     if box is None:
         from .lpcore import integer_box  # deferred: lpcore imports model
 
         try:
-            box = explicit_box(inst) or integer_box(inst)
+            box = explicit_box(inst) or integer_box(inst, trace=trace)
         except InfeasibleRegion:
             return Outcome(INFEASIBLE)  # the relaxation is empty
     if len(box) != inst.n:
@@ -232,20 +248,46 @@ def brute_force_ilp(inst: ILPInstance, box=None) -> Outcome:
         volume *= max(0, hi - lo + 1)
         if volume > budget:
             raise BoxTooLarge(f"box volume exceeds cap {budget}")
-    best = None
-    best_val = None
-    rows = inst.rows
+    rows = [
+        row for row in inst.rows
+        if sum(max(a * lo, a * hi) for a, (lo, hi) in zip(row, box)) > row[-1]
+    ]
+    zero = [row for row in rows if not row[-2]]
+    up = [(row, row[-2]) for row in rows if row[-2] > 0]
+    down = [(row, -row[-2]) for row in rows if row[-2] < 0]
+    *head, (lo_n, hi_n) = box
     scale = lcm(*(cj.denominator for cj in inst.c))
     c = tuple(cj.numerator * (scale // cj.denominator) for cj in inst.c)
-    for x in product(*(range(lo, hi + 1) for lo, hi in box)):
-        if not satisfies_rows(rows, x):
+    top = c[-1] > 0
+    best = None
+    best_val = None
+    lines = 0
+    for lines, p in enumerate(product(*(range(lo, hi + 1) for lo, hi in head)), 1):
+        if not satisfies_rows(zero, p):
             continue
+        hi = hi_n
+        for row, a in up:
+            t = (row[-1] - sum(map(mul, row, p))) // a
+            if t < hi:
+                hi = t
+        lo = lo_n
+        for row, a in down:
+            t = -((row[-1] - sum(map(mul, row, p))) // a)
+            if t > lo:
+                lo = t
+        if lo > hi:
+            continue
+        x = (*p, hi if top else lo)
         val = sum(map(mul, c, x))
         if best_val is None or val > best_val:
             best_val = val
             best = x
+    if trace is not None:
+        trace.update(box_points=volume, rows_kept=len(rows), lines=lines)
     if best is None:
         return Outcome(INFEASIBLE)
+    if not satisfies_rows(inst.rows, best):
+        raise ResultCheckFailed(f"{inst.name or 'brute force'}: point {best} violates a row")
     return Outcome(OPTIMAL, point=best, value=Fraction(best_val, scale))
 
 

@@ -250,7 +250,7 @@ def test_lp_on_line_is_timed_apart_from_the_scan(tmp_path, monkeypatch, capsys):
 def test_solve_rejects_a_wrong_point(ex61_file, monkeypatch, capsys):
     monkeypatch.setattr(
         model, "brute_force_ilp",
-        lambda inst, box=None: Outcome("optimal", point=(2, 2, 2), value=6),
+        lambda inst, box=None, trace=None: Outcome("optimal", point=(2, 2, 2), value=6),
     )
     assert main(["solve", ex61_file, "--method", "brute", "--box", "0:3"]) == 1
     assert "infeasible point" in capsys.readouterr().err

@@ -7,7 +7,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from symilp import model
-from symilp.errors import BoxTooLarge, EmptySystem, InfeasibleZeroRow, SymilpError
+from symilp.errors import (
+    BoxTooLarge,
+    EmptySystem,
+    InfeasibleZeroRow,
+    ResultCheckFailed,
+    SymilpError,
+)
 from symilp.model import (
     ILPInstance,
     brute_force_ilp,
@@ -19,7 +25,7 @@ from symilp.model import (
     write_instance,
 )
 from symilp.ratlin import parse_rational, scale_coprime
-from testkit import reference_row_classes
+from testkit import reference_brute_force, reference_row_classes
 
 
 def test_normalize_scales_to_coprime():
@@ -235,6 +241,68 @@ def test_brute_force_tie_lexicographic():
     )
     out = brute_force_ilp(inst, box=[(0, 1)] * 2)
     assert out.value == 1 and out.point == (0, 1)
+
+
+@st.composite
+def boxed_systems(draw):
+    """Rows, objective and box for brute force: n = 1..4, entries -3..3 with
+    some last coefficients zeroed, boxes that may be empty or reach below
+    zero, and c with negative, zero and fractional entries."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1),
+                         min_size=1, max_size=6))
+    rows = [(*r[:-2], 0, r[-1]) if draw(st.booleans()) else tuple(r) for r in rows]
+    c = draw(st.lists(st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3)),
+                      min_size=n, max_size=n))
+    box = [(lo, lo + draw(st.integers(-1, 3))) for lo in draw(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n))]
+    return rows, c, box
+
+
+@settings(max_examples=400, deadline=None)
+@given(boxed_systems())
+# a zero c_n ties the whole line: the bottom of its interval is the point
+@example(([(1, 1, 2)], [1, 0], [(0, 2), (0, 2)]))
+# a negative c_n takes the bottom, which a row with a_n < 0 raises
+@example(([(1, -2, -1)], [0, -1], [(-1, 1), (-2, 2)]))
+@example(([(0, 5)], [Fraction(-1, 2)], [(-2, 1)]))
+def test_brute_force_matches_the_per_point_loop(case):
+    rows, c, box = case
+    inst = ILPInstance(rows, c)
+    assert brute_force_ilp(inst, box) == reference_brute_force(inst, box)
+
+
+def test_brute_force_matches_the_per_point_loop_on_the_corpus(corpus):
+    for inst in corpus:
+        assert brute_force_ilp(inst) == reference_brute_force(inst, explicit_box(inst)), inst.name
+
+
+def test_brute_force_trace(htc6):
+    # the 12 cube rows hold on the whole box, and each of the 2^5 prefixes
+    # is one line along x_6
+    trace = {}
+    brute_force_ilp(htc6, trace=trace)
+    assert trace == {"box_points": 64, "rows_kept": 12, "lines": 32}
+
+
+def test_brute_force_trace_holds_the_box_pivots():
+    # no single-variable rows, so integer_box solves the box LPs
+    inst = normalize([(1, 1, 2), (-1, 0, 0), (0, -1, 0), (1, -1, 1)], [1, 1])
+    assert explicit_box(inst) is None
+    trace = {}
+    assert brute_force_ilp(inst, trace=trace).value == 2
+    assert {"pivots_phase1", "pivots_phase2", "box_points", "rows_kept", "lines"} <= trace.keys()
+
+
+def test_brute_force_checks_its_point(monkeypatch):
+    # a kernel that admits every prefix lets (1, 1) through x1 <= 0; the
+    # final check over every row refuses it
+    inst = normalize([(1, 0, 0), (0, 1, 1)], [1, 1])
+    kernel = model.satisfies_rows
+    monkeypatch.setattr(model, "satisfies_rows",
+                        lambda rows, xs, den=1: len(xs) < inst.n or kernel(rows, xs, den))
+    with pytest.raises(ResultCheckFailed):
+        brute_force_ilp(inst, box=[(0, 1)] * 2)
 
 
 def test_instance_file_roundtrip(tmp_path, ex61):

@@ -158,3 +158,42 @@ def test_every_counter_reads_its_boundary(tmp_path, ex61):
     assert tracer.missing == set()
     assert set(tracing.COUNTERS) <= {name for name, *_ in tracer.spans}
     assert set().union(*tracer.counts) == {k for keys, _ in tracing.COUNTERS.values() for k in keys}
+
+
+# what the scans share: the row classes, the certificate and the scan plan
+SCAN_NAMES = {
+    "row_classes",
+    "_classes",
+    "classes_admit",
+    "scan_plan",
+    "verify_symmetric_group_invariance",
+    "layers",
+    "corepoint",
+    "symmetry",
+    "symdetect",
+}
+
+
+def test_brute_force_shares_nothing_with_the_scans():
+    # brute force is the oracle the scans are checked against, so it reads
+    # only the box and the rows
+    path = SRC / "model.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    oracle = {"brute_force_ilp", "explicit_box"}
+    funcs = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in oracle]
+    assert {f.name for f in funcs} == oracle
+    found = []
+    for func in funcs:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [part for a in node.names for part in a.name.split(".")]
+            else:
+                continue
+            found += [f"{func.name}:{node.lineno} {name}" for name in names if name in SCAN_NAMES]
+    assert found == []

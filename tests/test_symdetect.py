@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import permutations, product
 
 import pytest
@@ -348,7 +349,12 @@ def test_search_matches_the_round_based_reference(graph, rng):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_search_matches_the_reference_on_corpus_graphs(corpus, data):
-    build = data.draw(st.sampled_from([build_reduced_graph, build_full_graph]))
+    build = data.draw(st.sampled_from([
+        build_reduced_graph,
+        build_full_graph,
+        partial(build_search_graph, mode="reduced"),
+        partial(build_search_graph, mode="full"),
+    ]))
     g = build(data.draw(st.sampled_from(corpus)))
     gens, order = automorphism_group(g)
     assert order == reference_automorphism_group(g)[1]

@@ -10,11 +10,11 @@ row-major simplex tableau over one shared denominator, with its own
 Bareiss kernel, and the split-column simplex on it, rank and linear
 solving by Gauss-Jordan elimination over Fraction, signed-permutation
 inverses, the row loop of the symmetry check, the per-row row-class
-count and the round-based automorphism search: each restates a
-definition of the paper directly, or keeps an earlier implementation, so
-the tests can check the solvers against it.  ``symmetric_lps`` and
-``certified_instance`` draw instances closed under a group, for the
-property tests.
+count, the per-point brute force loop and the round-based automorphism
+search: each restates a definition of the paper directly, or keeps an
+earlier implementation, so the tests can check the solvers against it.
+``symmetric_lps`` and ``certified_instance`` draw instances closed under
+a group, for the property tests.
 """
 
 from collections import Counter
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import floor, lcm
-from operator import getitem
+from operator import getitem, mul
 
 from hypothesis import strategies as st
 
@@ -38,7 +38,15 @@ from symilp.errors import (
 from symilp.instances import HtcParams, _fit_facet, distorted_join_vrep, multiset_permutations
 from symilp.layers import CoprimeDirection, _slice_box
 from symilp.lpcore import integer_box, solve_lp_on_line
-from symilp.model import INFEASIBLE, OPTIMAL, UNBOUNDED, ILPInstance, Outcome, normalize
+from symilp.model import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    ILPInstance,
+    Outcome,
+    normalize,
+    satisfies_rows,
+)
 from symilp.ratlin import kernel_basis, scale_coprime
 from symilp.symmetry import (
     GroupSpec,
@@ -383,6 +391,27 @@ def reference_row_classes(inst) -> Counter:
     return Counter((*sorted(row[:-1]), row[-1]) for row in inst.rows)
 
 
+def reference_brute_force(inst, box) -> Outcome:
+    """The per-point loop that ``model.brute_force_ilp`` first ran: every
+    point of the box, in lexicographic order, tested against every row;
+    ties go to the first, so the lexicographically smallest, optimum."""
+    best = None
+    best_val = None
+    rows = inst.rows
+    scale = lcm(*(cj.denominator for cj in inst.c))
+    c = tuple(cj.numerator * (scale // cj.denominator) for cj in inst.c)
+    for x in product(*(range(lo, hi + 1) for lo, hi in box)):
+        if not satisfies_rows(rows, x):
+            continue
+        val = sum(map(mul, c, x))
+        if best_val is None or val > best_val:
+            best_val = val
+            best = x
+    if best is None:
+        return Outcome(INFEASIBLE)
+    return Outcome(OPTIMAL, point=best, value=Fraction(best_val, scale))
+
+
 def _eliminate(r, nz, e, ap, sp, D):
     """Row r after the pivot on p = sp * ap over denominator D.
 
@@ -601,11 +630,18 @@ def symmetric_lps(draw):
 
 def reference_automorphism_group(g, budget: int = 100000):
     """The automorphism search with round-based refinement: every round
-    recolours each vertex by its sorted multiset of neighbour colours, and
-    the trace keeps one hash per round.  Same generators-and-order contract
-    as ``symdetect.automorphism_group``."""
-    adj = g.adj
+    recolours each vertex by its sorted multiset of (neighbour colour, edge
+    label) pairs, and the trace keeps one hash per round.  Edge labels may
+    mix types, so each is replaced by its rank in order of first
+    appearance before any sort.  Same generators-and-order contract as
+    ``symdetect.automorphism_group``."""
+    edge_labels = g.edge_labels
     n = g.n_nodes
+    rank = {}
+    for e in edge_labels:
+        for x in e.values():
+            rank.setdefault(x, len(rank))
+    ranked = [[(u, rank[x]) for u, x in e.items()] for e in edge_labels]
     spent = 0
 
     def refine(colors, expect=None):
@@ -619,8 +655,8 @@ def reference_automorphism_group(g, budget: int = 100000):
             ss = []
             for v in range(n):
                 cnt = {}
-                for u in adj[v]:
-                    c = colors[u]
+                for u, x in ranked[v]:
+                    c = (colors[u], x)
                     cnt[c] = cnt.get(c, 0) + 1
                 ss.append((colors[v], tuple(sorted(cnt.items()))))
             steps = sorted(Counter(ss).items())
@@ -647,7 +683,7 @@ def reference_automorphism_group(g, budget: int = 100000):
         for v in range(n):
             if g.labels[mapping[v]] != g.labels[v]:
                 return False
-            if {mapping[u] for u in adj[v]} != adj[mapping[v]]:
+            if {mapping[u]: x for u, x in edge_labels[v].items()} != edge_labels[mapping[v]]:
                 return False
         return True
 
