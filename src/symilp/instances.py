@@ -10,12 +10,18 @@ coordinate rounded to three decimals (half away from zero, exactly), and
 the row set closed under the full symmetric group.  Of its 6 + 2^d facets
 only 7 are fitted through their vertex sets: the 6 hexagon-edge facets and
 one cross facet; the other cross facets are sign flips of that one.
+
+Orbits are expanded by ``symmetrize`` in one ascending pass over all row
+classes at once: a prefix trie down to the last SUFFIX_LENGTH coefficients,
+whose suffix lists are built once per residual set of classes and shared,
+and one prefix + suffix concatenation per row.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, repeat
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import BadParams, DegenerateFacet
 from .model import ILPInstance
@@ -26,6 +32,11 @@ ONE = Fraction(1)
 
 # The most rows gen_wild expands: d = 10 has 885,768, d = 16 190,537,092.
 WILD_ROW_BUDGET = 10**7
+
+# symmetrize's trie stops this many coefficients before the end: a shared
+# suffix list then holds at most 6! = 720 orderings per class, built by a
+# recursion at most 6 deep, for any n; for n <= 6 there is no trie to walk.
+SUFFIX_LENGTH = 6
 
 # Euler's number to 30 decimal places; enough that floor(n/e) is exact for
 # any dimension this toolkit will ever see.
@@ -183,41 +194,100 @@ def _fit_facet(vertices, idx_set, barycenter):
     return row
 
 
-def _next_perm(a: list) -> bool:
-    """Advance to the next distinct permutation in lexicographic order."""
-    i = len(a) - 2
-    while i >= 0 and a[i] >= a[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = len(a) - 1
-    while a[j] <= a[i]:
-        j -= 1
-    a[i], a[j] = a[j], a[i]
-    a[i + 1 :] = a[i + 1 :][::-1]
-    return True
+def _branches(state):
+    """(v, rest) for each distinct next coefficient v of a trie state, descending.
+
+    A state is a tuple of (a, b) pairs in ascending order, one per row class
+    left, where a is the class's remaining coefficients, sorted.  ``rest``
+    holds the pairs that hold v, with one v taken out; taking one v out of
+    two sorted tuples keeps their order, so ``rest`` is ascending too and a
+    state has one key.  When every pair holds one value v only, the result
+    is ``((v, None),)``: the rest of each prefix is v repeated.
+    """
+    children = {}
+    for a, b in state:
+        for v in set(a):
+            i = a.index(v)
+            children.setdefault(v, []).append((a[:i] + a[i + 1 :], b))
+    if len(children) == 1:
+        return ((state[0][0][0], None),)
+    return tuple((v, tuple(children[v])) for v in sorted(children, reverse=True))
 
 
-def multiset_permutations(values):
-    """All distinct orderings of a multiset, lexicographically."""
-    a = sorted(values)
-    yield tuple(a)
-    while _next_perm(a):
-        yield tuple(a)
+def _walk(state, depth, branches):
+    """(prefix, rest) for every distinct prefix of the given length, ascending.
+
+    A trie over the orderings of the state's classes, walked with an explicit
+    stack; ``rest`` is the state a prefix leaves.  ``branches`` memoizes
+    ``_branches`` for states of two or more classes, which many prefixes
+    share (a one-class state is cheap to branch again, and may hold a long
+    tuple).  A state with one value left is passed in one step.
+    """
+    stack = [((), state)]
+    while stack:
+        prefix, state = stack.pop()
+        need = depth - len(prefix)
+        if not need:
+            yield prefix, state
+            continue
+        kids = branches.get(state)
+        if kids is None:
+            kids = _branches(state)
+            if len(state) > 1:
+                branches[state] = kids
+        v, rest = kids[0]
+        if rest is None:
+            yield prefix + (v,) * need, tuple((a[need:], b) for a, b in state)
+            continue
+        stack += [(prefix + (v,), rest) for v, rest in kids]
+
+
+def _orderings(a, memo):
+    """The distinct orderings of the sorted tuple a, ascending, memoized by a.
+
+    Up to four coefficients they are itertools.permutations, deduplicated
+    and sorted; a longer tuple is peeled: each distinct first value v, then
+    the orderings of what is left.  ``symmetrize`` asks for at most
+    SUFFIX_LENGTH coefficients, so the recursion is at most that deep.
+    """
+    out = memo.get(a)
+    if out is None:
+        if len(a) <= 4:
+            out = sorted(set(permutations(a)))
+        else:
+            out = []
+            for v in sorted(set(a)):
+                i = a.index(v)
+                out += map((v,).__add__, _orderings(a[:i] + a[i + 1 :], memo))
+        memo[a] = out
+    return out
 
 
 def symmetrize(inst: ILPInstance) -> ILPInstance:
     """Close the row set under all coefficient permutations of Sym(n).
 
-    Each row class (``ILPInstance.row_classes``) is one orbit, expanded
-    exactly once as an ascending run; the constructor merges the runs, and
-    the result is Sym(n)-invariant.
+    Each row class (the rows with equal sorted coefficients a and equal b)
+    is one orbit; the classes are read off the rows as (a, b) pairs in
+    C-level passes, since no count is needed.  ``_walk`` gives each
+    distinct prefix of the first n - SUFFIX_LENGTH coefficients with the
+    classes it leaves; the suffix list of each such residual state (its
+    classes' orderings, each with its b, merged by one sort) is built once
+    and shared, and each row is one prefix + suffix concatenation.  The
+    rows come out strictly ascending, so the constructor does not sort.
     """
+    coeffs = map(tuple, map(sorted, map(itemgetter(slice(-1)), inst.rows)))
+    state = tuple(sorted(set(zip(coeffs, map(itemgetter(-1), inst.rows)))))
+    branches, shared, orderings = {}, {}, {}
     rows = []
-    for key in inst.row_classes:
-        rhs = key[-1:]
-        for perm in multiset_permutations(key[:-1]):
-            rows.append(perm + rhs)
+    for prefix, rest in _walk(state, max(0, inst.n - SUFFIX_LENGTH), branches):
+        suffixes = shared.get(rest)
+        if suffixes is None:
+            suffixes = []
+            for a, b in rest:
+                suffixes += map(tuple.__add__, _orderings(a, orderings), repeat((b,)))
+            suffixes.sort()  # merges the classes' ascending runs
+            shared[rest] = suffixes
+        rows += map(prefix.__add__, suffixes)
     return ILPInstance(rows, inst.c, name=f"{inst.name}#sym")
 
 

@@ -61,7 +61,10 @@ class ILPInstance:
         if set(map(len, rows)) != {self.n + 1}:
             raise ValueError("ragged row")
         self.rows = rows
-        self.c = tuple(Fraction(x) for x in c)
+        c = tuple(c)
+        if not all(type(x) is Fraction for x in c):  # Fraction(x) of a Fraction costs an ABC check
+            c = tuple(map(Fraction, c))
+        self.c = c
         if len(self.c) != self.n:
             raise ValueError("objective length mismatch")
         self.name = name

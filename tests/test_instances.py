@@ -1,5 +1,8 @@
+import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
+from operator import lt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,7 +20,6 @@ from symilp.instances import (
     gen_wild,
     hexagon_vrep,
     htc_r,
-    multiset_permutations,
     orbit_row_count,
     round3,
     round3_sqrt3,
@@ -25,12 +27,13 @@ from symilp.instances import (
     wild_facets,
     _check_facets,
 )
-from symilp.model import normalize
+from symilp.model import ILPInstance, normalize
 from symilp.ratlin import dot
 from symilp.symmetry import full_cycle, is_symmetry, transposition
 from testkit import (
     htc_vertices,
     join_facet_vertex_sets,
+    multiset_permutations,
     rank,
     reference_gen_wild,
     reference_htc,
@@ -162,6 +165,61 @@ def test_symmetrize_examples():
     inst = normalize([(1, 1, 1, 3)], [1, 1, 1])
     assert symmetrize(inst).m == 1
     assert symmetrize(symmetrize(inst)).rows == symmetrize(inst).rows
+    # equal sorted coefficients with two right hand sides stay two classes
+    inst = normalize([(2, -1, -1, 3), (-1, 2, -1, 4), (0, -1, 1, 0)], [1, 1, 1])
+    out = symmetrize(inst)
+    assert out.m == 3 + 3 + 6
+    assert {(-1, -1, 2, 3), (-1, -1, 2, 4), (1, 0, -1, 0)} <= out.row_set
+
+
+def reference_symmetrize(inst):
+    """Every class key's coefficient permutations, deduplicated and sorted."""
+    keys = inst.row_classes
+    return tuple(sorted({p + key[-1:] for key in keys for p in set(permutations(key[:-1]))}))
+
+
+def random_classes(rng, n):
+    """1 to 4 rows over a small pool with repeated and negative coefficients,
+    sometimes with a second b for the same coefficients."""
+    pool = rng.sample([-3, -2, -1, 0, 0, 1, 2, 5], rng.randint(1, 4))
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        a = [rng.choice(pool) for _ in range(n)]
+        if not any(a):
+            a[0] = 1
+        rows.append(tuple(a) + (rng.randint(-4, 4),))
+        if rng.random() < 0.3:
+            rng.shuffle(a)
+            rows.append(tuple(a) + (rng.randint(-4, 4),))
+    return normalize(rows, [1] * n)
+
+
+@pytest.mark.parametrize("suffix_length", [1, 3, instances.SUFFIX_LENGTH])
+@pytest.mark.parametrize("seed", range(40))
+def test_symmetrize_matches_the_permutation_closure(seed, suffix_length, monkeypatch):
+    # the split between trie and shared suffix lists moves nothing
+    monkeypatch.setattr(instances, "SUFFIX_LENGTH", suffix_length)
+    rng = random.Random(seed)
+    inst = random_classes(rng, 1 + seed % 7)
+    emitted = []
+
+    def capture(rows, c, name):
+        emitted.append(rows)
+        return ILPInstance(rows, c, name=name)
+
+    monkeypatch.setattr(instances, "ILPInstance", capture)
+    out = symmetrize(inst)
+    assert out.rows == reference_symmetrize(inst)
+    assert all(map(lt, emitted[0], emitted[0][1:]))  # ascending as emitted: nothing to sort
+    assert symmetrize(out).rows == out.rows
+
+
+def test_symmetrize_one_long_row():
+    # 1500 rows of 1500 coefficients: the walk's depth does not grow with n
+    n = 1500
+    out = symmetrize(normalize([(1,) + (0,) * (n - 1) + (1,)], [1] * n))
+    assert out.m == n
+    assert out.rows == tuple((0,) * i + (1,) + (0,) * (n - 1 - i) + (1,) for i in reversed(range(n)))
 
 
 def test_symmetrize_orbit_count_formula():
@@ -252,7 +310,7 @@ def _no_expansion(*args):
 
 def test_wild_row_budget_refuses_before_expanding(monkeypatch):
     monkeypatch.setattr(instances, "symmetrize", _no_expansion)
-    monkeypatch.setattr(instances, "multiset_permutations", _no_expansion)
+    monkeypatch.setattr(instances, "_walk", _no_expansion)
     assert orbit_row_count(wild_facets(16)) == 190_537_092 > WILD_ROW_BUDGET
     with pytest.raises(BadParams, match="190,537,092 rows"):
         gen_wild(16)

@@ -70,6 +70,15 @@ def test_instance_refuses_a_malformed_system(rows, c, error, message):
         ILPInstance(rows, c)
 
 
+def test_constructor_keeps_a_fraction_objective_and_converts_the_rest():
+    c = (Fraction(1, 2), Fraction(-3))
+    assert ILPInstance([(1, 2, 3)], c).c is c  # kept, not copied
+    inst = ILPInstance([(1, 2, 3)], iter([1, 0.25]))
+    assert inst.c == (1, Fraction(1, 4)) and {type(x) for x in inst.c} == {Fraction}
+    mixed = ILPInstance([(1, 2, 3)], [Fraction(1, 3), 2]).c
+    assert mixed == (Fraction(1, 3), 2) and {type(x) for x in mixed} == {Fraction}
+
+
 def test_row_classes_count_distinct_rows():
     inst = ILPInstance([(1, 2, 3), (2, 1, 3), (1, 2, 3), (2, 1, 4)], [1, 1])
     assert inst.row_classes == {(1, 2, 3): 2, (1, 2, 4): 1}

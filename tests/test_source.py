@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "symilp"
@@ -196,4 +197,22 @@ def test_brute_force_shares_nothing_with_the_scans():
             else:
                 continue
             found += [f"{func.name}:{node.lineno} {name}" for name in names if name in SCAN_NAMES]
+    assert found == []
+
+
+# speed bought from the interpreter instead of the code: a stopped or frozen
+# cyclic collector (gc.disable, gc.freeze) or a lifted recursion limit; a
+# word search also catches ``from gc import disable`` and aliased modules
+INTERPRETER_SWITCHES = re.compile(r"\b(disable|freeze|setrecursionlimit)\b")
+
+
+def test_src_leaves_the_collector_and_the_recursion_limit_alone():
+    sources = sorted(SRC.rglob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{number}"
+        for path in sources
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if INTERPRETER_SWITCHES.search(line)
+    ]
     assert found == []

@@ -5,7 +5,8 @@ point scan over expanded rows, the representative oracle, the layer box
 over the expanded slice, basis
 orbit barycenters, group enumeration, the fixed space and orbit average by
 matrices and enumeration, the hypertruncated cube's vertices, the
-facet-by-facet wild and htc generators, the
+facet-by-facet wild and htc generators, the row-by-row multiset
+permutation generator (Algorithm L) the wild one closes its facets with, the
 row-major simplex tableau over one shared denominator, with its own
 Bareiss kernel, and the split-column simplex on it, rank and linear
 solving by Gauss-Jordan elimination over Fraction, signed-permutation
@@ -35,7 +36,7 @@ from symilp.errors import (
     SearchBudgetExceeded,
     UnboundedRelaxation,
 )
-from symilp.instances import HtcParams, _fit_facet, distorted_join_vrep, multiset_permutations
+from symilp.instances import HtcParams, _fit_facet, distorted_join_vrep
 from symilp.layers import CoprimeDirection, _slice_box
 from symilp.lpcore import integer_box, solve_lp_on_line
 from symilp.model import (
@@ -135,6 +136,30 @@ def join_facet_vertex_sets(d: int):
     for signs in product((1, -1), repeat=d):
         sets.append(hex_idx + [cross_idx[(i, signs[i])] for i in range(d)])
     return sets
+
+
+def _next_perm(a: list) -> bool:
+    """Advance to the next distinct permutation in lexicographic order."""
+    i = len(a) - 2
+    while i >= 0 and a[i] >= a[i + 1]:
+        i -= 1
+    if i < 0:
+        return False
+    j = len(a) - 1
+    while a[j] <= a[i]:
+        j -= 1
+    a[i], a[j] = a[j], a[i]
+    a[i + 1 :] = a[i + 1 :][::-1]
+    return True
+
+
+def multiset_permutations(values):
+    """All distinct orderings of a multiset, lexicographically (Knuth's
+    Algorithm L, TAOCP Vol. 4A, 7.2.1.2)."""
+    a = sorted(values)
+    yield tuple(a)
+    while _next_perm(a):
+        yield tuple(a)
 
 
 def reference_gen_wild(d: int) -> ILPInstance:
