@@ -5,6 +5,10 @@ class SymilpError(Exception):
     """Base class for all toolkit errors."""
 
 
+class Refused(SymilpError):
+    """The run is refused: a precondition does not hold or a budget is spent; the CLI exits 4."""
+
+
 class InfeasibleZeroRow(SymilpError):
     """A zero coefficient row with a negative right hand side."""
 
@@ -13,7 +17,7 @@ class EmptySystem(SymilpError):
     """All rows of a system were dropped during normalization."""
 
 
-class BoxTooLarge(SymilpError):
+class BoxTooLarge(Refused):
     """An enumeration box exceeds the configured point cap, or is unbounded."""
 
 
@@ -21,7 +25,7 @@ class InfeasibleRegion(SymilpError):
     """A computation that needs a nonempty feasible region got an empty one."""
 
 
-class ObjectiveNotOnes(SymilpError):
+class ObjectiveNotOnes(Refused):
     """An all-ones objective was required."""
 
 
@@ -29,7 +33,7 @@ class ZeroObjective(SymilpError):
     """The zero vector has no coprime direction."""
 
 
-class NotASymmetry(SymilpError):
+class NotASymmetry(Refused):
     """A supplied generator does not map the instance to itself."""
 
 
@@ -37,15 +41,15 @@ class UnboundedRelaxation(SymilpError):
     """The LP relaxation is unbounded, so the layer scan has no start."""
 
 
-class TransitivityNotEstablished(SymilpError):
+class TransitivityNotEstablished(Refused):
     """The transitivity certificate required by a solver is missing."""
 
 
-class SearchBudgetExceeded(SymilpError):
+class SearchBudgetExceeded(Refused):
     """An exponential search (automorphism search or simplex pivots) spent its budget."""
 
 
-class BadParams(SymilpError):
+class BadParams(Refused):
     """Generator parameters outside their admissible window."""
 
 

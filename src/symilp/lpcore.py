@@ -192,7 +192,7 @@ def _phase1(t: _Tableau) -> bool:
         # r.u = 1, so r_i != 0 for some nonbasic slack i, whose column then
         # holds -r_i there.
         l = t.basis.index(t.aux)
-        t.pivot(next(compress(count(), t.row(l)[:-1])), l)
+        t.pivot(next(compress(count(), map(itemgetter(l), t.cols[:-1]))), l)
     p = t.nonbasic.index(t.aux)
     del t.nonbasic[p], t.cols[p], t.den[p]
     return True

@@ -305,7 +305,7 @@ def write_instance(inst: ILPInstance, path) -> None:
             fh.write(" ".join(str(v) for v in row[:-1]) + f" <= {row[-1]}\n")
 
 
-def read_instance(path, name=None) -> ILPInstance:
+def read_instance(path) -> ILPInstance:
     """Parse the `ILP v1` text format; numbers are exact rationals.
 
     A row of integer tokens is read with ``int``, building no Fraction; any
@@ -322,7 +322,10 @@ def read_instance(path, name=None) -> ILPInstance:
         raise ValueError(f"{path}: expected 'vars n' and 'obj c1 ... cn' after the header")
     lineno, ln = lines[1]
     try:
-        n = int(ln.split()[1])
+        words = ln.split()
+        if len(words) != 2:
+            raise ValueError("expected 'vars n' with one integer n")
+        n = int(words[1])
         lineno, ln = lines[2]
         c = [parse_rational(t) for t in ln.split()[1:]]
         if len(c) != n:
@@ -345,4 +348,4 @@ def read_instance(path, name=None) -> ILPInstance:
             rows.append(row or tuple(map(parse_rational, tokens)))
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc} in {ln!r}") from None
-    return normalize(rows, c, name=name if name is not None else str(path))
+    return normalize(rows, c, name=str(path))

@@ -47,13 +47,13 @@ def build_reduced(inst: ILPInstance, G: GroupSpec) -> ReducedProgram:
     )
 
 
-def reduced_instance(rp: ReducedProgram, name=None) -> ILPInstance:
+def reduced_instance(rp: ReducedProgram) -> ILPInstance:
     """Reduced program as a plain instance; Ex = 0 becomes paired rows."""
     rows = list(rp.summed_rows)
     for e in rp.fixing:
         rows.append(tuple(e) + (0,))
         rows.append(tuple(-v for v in e) + (0,))
-    return normalize(rows, rp.origin.c, name=name or f"{rp.origin.name}#reduced")
+    return normalize(rows, rp.origin.c, name=f"{rp.origin.name}#reduced")
 
 
 def solve_symmetric_lp(inst: ILPInstance, G: GroupSpec) -> Outcome:

@@ -351,7 +351,6 @@ def automorphism_group(g: LabeledGraph, trace: dict | None = None):
 class Detection:
     group: GroupSpec
     order: int
-    graph: LabeledGraph  # the graph that was searched
 
 
 def _translate(inst: ILPInstance, g: LabeledGraph, mapping: tuple):
@@ -399,5 +398,5 @@ def detect(inst: ILPInstance, mode: str = "full", trace: dict | None = None) -> 
             gens.append(sp)
     if not gens:
         gens = [SignedPermutation.identity(inst.n)]
-    return Detection(GroupSpec(inst.n, tuple(gens)), order, graph)
+    return Detection(GroupSpec(inst.n, tuple(gens)), order)
 

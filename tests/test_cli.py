@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from symilp import corepoint, instances, layers, model, symdetect
+from symilp import corepoint, errors, instances, layers, lpcore, model, symdetect
 from symilp.cli import _parse_range, bench_rows, main
 from symilp.errors import SearchBudgetExceeded
 from symilp.model import Outcome, read_instance, write_instance
@@ -295,6 +295,40 @@ def test_spent_search_budget_is_a_refusal(tmp_path, ex61, v4, monkeypatch, capsy
     assert main(argv[:1] + [str(path)] + argv[1:]) == 4
     err = capsys.readouterr().err
     assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.SymilpError)
+]
+REFUSALS = ("BoxTooLarge", "ObjectiveNotOnes", "NotASymmetry",
+            "TransitivityNotEstablished", "SearchBudgetExceeded", "BadParams")
+
+
+def test_the_precondition_errors_are_refusals():
+    assert all(issubclass(getattr(errors, name), errors.Refused) for name in REFUSALS)
+
+
+def _exit_row(cls):
+    """(exit code, stderr prefix) main gives an error of type cls."""
+    if issubclass(cls, errors.Refused):
+        return 4, "refused:"
+    if issubclass(cls, errors.InfeasibleZeroRow):
+        return 2, "infeasible:"
+    if issubclass(cls, errors.UnboundedRelaxation):
+        return 3, "unbounded relaxation:"
+    return 1, "error:"
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_has_its_exit_code(ex61_file, monkeypatch, capsys, cls):
+    def raising(inst):
+        raise cls("stop")
+
+    monkeypatch.setattr(lpcore, "solve_lp", raising)
+    code, prefix = _exit_row(cls)
+    assert main(["lp", ex61_file]) == code
+    assert capsys.readouterr().err == f"{prefix} stop\n"
 
 
 def test_reduce_command(ex61_file, tmp_path, capsys):

@@ -350,6 +350,9 @@ def test_instance_file_errors(tmp_path):
     bad.write_text("ILP v1\nvars 2\n\nobj 1 x\n1 2 <= 3\n")
     with pytest.raises(ValueError, match=r"bad\.ilp:4: .* in 'obj 1 x'$"):
         read_instance(bad)
+    bad.write_text("ILP v1\nvars 2 3\nobj 1 1\n1 2 <= 3\n")
+    with pytest.raises(ValueError, match=r"bad\.ilp:2: expected 'vars n' .* in 'vars 2 3'$"):
+        read_instance(bad)
 
 
 raw_rows = st.lists(
@@ -482,7 +485,7 @@ def _read_text(tmp_path, text):
     path = tmp_path / "t.ilp"
     path.write_text(text)
     try:
-        return read_instance(path, name="t")
+        return read_instance(path)
     except (ValueError, SymilpError) as exc:
         return type(exc)
 

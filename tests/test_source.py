@@ -115,6 +115,31 @@ def test_tiers_are_read_only_by_the_certificate_and_the_scan_plan():
     assert found == []
 
 
+def test_cli_names_no_refusal():
+    # main reports every errors.Refused with exit 4; a subclass named in the
+    # CLI would be a refusal special-cased there again
+    from symilp import errors
+
+    refusals = {
+        name for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.Refused) and cls is not errors.Refused
+    }
+    assert refusals
+    path = SRC / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [f"cli.py:{node.lineno} {name}" for name in names if name in refusals]
+    assert found == []
+
+
 def perfbench_tracing():
     """perfbench/tracing.py, loaded once every symilp module is imported, so
     that its Tracer finds each boundary at every name it is looked up by."""
