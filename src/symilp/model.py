@@ -10,9 +10,9 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product
-from math import ceil, lcm
-from operator import itemgetter, lt, mul, ne
+from itertools import compress, product, starmap
+from math import ceil, gcd, lcm
+from operator import itemgetter, lt, mul, ne, not_
 
 from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion
 from .errors import InfeasibleZeroRow, ResultCheckFailed
@@ -173,14 +173,25 @@ def normalize(raw_rows, c, name="") -> ILPInstance:
 
     Scales every row to coprime integers, drops zero rows with nonnegative
     right hand side and rejects zero rows with negative right hand side; the
-    constructor then sorts the rows and drops repeats.
+    constructor then sorts the rows and drops repeats.  All-int rows cost
+    one C-level gcd each, and scale_coprime runs only on rows whose gcd is
+    not 1; a Fraction entry anywhere sends every row through scale_coprime.
+    Zero rows are found in C-level passes too.
     """
-    rows = []
-    for row in map(scale_coprime, raw_rows):
-        if any(row[:-1]):
-            rows.append(row)
-        elif row[-1] < 0:
-            raise InfeasibleZeroRow(f"0 <= {row[-1]} in {name or 'system'}")
+    rows = list(map(tuple, raw_rows))
+    try:
+        gcds = list(starmap(gcd, rows))
+    except TypeError:  # a Fraction entry: clear denominators row by row
+        rows = list(map(scale_coprime, rows))
+    else:
+        if gcds.count(1) != len(gcds):
+            rows = [row if g == 1 else scale_coprime(row) for row, g in zip(rows, gcds)]
+    nonzero = list(map(any, map(itemgetter(slice(-1)), rows)))
+    if not all(nonzero):
+        for row in compress(rows, map(not_, nonzero)):
+            if row[-1] < 0:
+                raise InfeasibleZeroRow(f"0 <= {row[-1]} in {name or 'system'}")
+        rows = list(compress(rows, nonzero))
     if not rows:
         raise EmptySystem(f"no nontrivial rows in {name or 'system'}")
     return ILPInstance(rows, c, name=name)
@@ -308,9 +319,12 @@ def write_instance(inst: ILPInstance, path) -> None:
 def read_instance(path) -> ILPInstance:
     """Parse the `ILP v1` text format; numbers are exact rationals.
 
-    A row of integer tokens is read with ``int``, building no Fraction; any
-    other row, or one holding ``_`` (Python 3.10's Fraction refuses ``1_000``
-    and its int does not), with parse_rational.  A malformed file raises
+    Each distinct token is tried with ``int`` once: a row is looked up token
+    by token in a dict of the integer tokens read so far, and on a miss its
+    new tokens are tried, those ``int`` reads joining the dict and the rest
+    a refused set.  A token holding ``_`` is refused untried (Python 3.10's
+    Fraction refuses ``1_000`` and its int does not).  A row holding a
+    refused token is read with parse_rational.  A malformed file raises
     ValueError naming the path and the 1-based line.
     """
     with open(path) as fh:
@@ -330,6 +344,9 @@ def read_instance(path) -> ILPInstance:
         c = [parse_rational(t) for t in ln.split()[1:]]
         if len(c) != n:
             raise ValueError(f"objective length != {n}")
+        ints = {}  # token -> int, for each token int reads and holding no "_"
+        refused = set()  # every other token seen, so int tries each token once
+        lookup = ints.__getitem__
         rows = []
         for lineno, ln in lines[3:]:
             left, sep, right = ln.partition("<=")
@@ -339,13 +356,22 @@ def read_instance(path) -> ILPInstance:
             if len(tokens) != n:
                 raise ValueError(f"row length != {n}")
             tokens.append(right)
-            row = None
-            if "_" not in ln:
-                try:
-                    row = tuple(map(int, tokens))
-                except ValueError:
-                    pass
-            rows.append(row or tuple(map(parse_rational, tokens)))
+            try:
+                row = tuple(map(lookup, tokens))
+            except KeyError:
+                for t in set(tokens).difference(ints, refused):
+                    if "_" not in t:
+                        try:
+                            ints[t] = int(t)
+                            continue
+                        except ValueError:
+                            pass
+                    refused.add(t)
+                if refused.isdisjoint(tokens):
+                    row = tuple(map(lookup, tokens))
+                else:
+                    row = tuple(map(parse_rational, tokens))
+            rows.append(row)
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc} in {ln!r}") from None
     return normalize(rows, c, name=str(path))

@@ -25,7 +25,8 @@ from symilp.model import (
     write_instance,
 )
 from symilp.ratlin import parse_rational, scale_coprime
-from testkit import reference_brute_force, reference_row_classes
+from symilp.instances import gen_wild
+from testkit import reference_brute_force, reference_normalize, reference_row_classes
 
 
 def test_normalize_scales_to_coprime():
@@ -389,6 +390,58 @@ def test_normalize_scaling_invariant(rows, p, q):
     assert a.rows == b.rows
 
 
+entry = st.integers(-6, 6) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def normalize_inputs(draw):
+    """Raw rows of every kind normalize takes, in a list, a tuple or a set."""
+    n = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["int", "fraction", "mixed", "zero"]))
+        if kind == "zero":
+            row = [0] * n + [draw(st.sampled_from([-3, -1, 0, 1, 3]))]
+        elif kind == "int":
+            row = draw(st.lists(st.integers(-6, 6), min_size=n + 1, max_size=n + 1))
+        elif kind == "fraction":
+            row = [Fraction(v) for v in draw(st.lists(entry, min_size=n + 1, max_size=n + 1))]
+        else:
+            row = draw(st.lists(entry, min_size=n + 1, max_size=n + 1))
+        k = draw(st.sampled_from([1, 1, 2, 3]))  # a common factor: not coprime
+        rows.append([k * v for v in row])
+        if draw(st.booleans()):
+            rows.append(list(rows[-1]))  # a repeated row
+    shape = draw(st.sampled_from(["lists", "tuples", "set"]))
+    if shape == "lists":
+        return n, rows
+    rows = [tuple(row) for row in rows]
+    return n, (set(rows) if shape == "set" else tuple(rows))
+
+
+def _outcome(fn, rows, c):
+    try:
+        return fn(rows, c)
+    except SymilpError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(normalize_inputs())
+@example((2, [(0, 0, -1), (1, 1, 1)]))  # b = -1: the zero row's gcd is already 1
+@example((2, [(0, 0, 1), (1, 2, 3)]))
+@example((2, [(0, 0, 0), (2, 4, 6)]))
+@example((1, [(0, Fraction(-1, 2))]))
+def test_normalize_matches_the_per_row_loop(case):
+    n, rows = case
+    c = [1] * n
+    got = _outcome(normalize, rows, c)
+    want = _outcome(reference_normalize, rows, c)
+    assert got == want
+    if isinstance(got, ILPInstance):
+        assert all(type(v) is int for row in got.rows for v in row)
+
+
 def test_scale_coprime_keeps_sign():
     assert scale_coprime((-2, -4, -6)) == (-1, -2, -3)
     assert scale_coprime((Fraction(9, 3), 0, 6)) == (1, 0, 2)
@@ -544,3 +597,78 @@ def mixed_files(draw):
 def test_mixed_file_reads_as_parse_rational_rows(tmp_path, case):
     n, rows, text = case
     assert _read_text(tmp_path, text) == _normalized(rows, [1] * n)
+
+
+@pytest.mark.parametrize("rhs", ["<=3", "<= 3", "<=  3"])
+def test_reader_reads_every_spacing_of_one_rhs(tmp_path, rhs):
+    # the rhs token keeps its leading spaces, so each spacing is its own key
+    rows = ["1 0 <=3", "0 1 <= 3", f"1 1 {rhs}", "2 -1 <=  3"]
+    text = "ILP v1\nvars 2\nobj 1 1\n" + "\n".join(rows) + "\n"
+    want = _normalized([("1", "0", "3"), ("0", "1", "3"), ("1", "1", "3"), ("2", "-1", "3")],
+                       [1, 1])
+    assert _read_text(tmp_path, text) == want
+
+
+def _counted(monkeypatch, name, fn):
+    """Shadow ``model.<name>`` by fn, recording the arguments of each call."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(model, name, counting, raising=False)
+    return calls
+
+
+def test_reader_sends_an_underscore_row_to_parse_rational(tmp_path, monkeypatch):
+    seen = _counted(monkeypatch, "parse_rational", parse_rational)
+    text = "ILP v1\nvars 2\nobj 1 1\n1000 1 <= 1000\n1 1000 <= 1000\n1_000 2 <= 5\n"
+    got = _read_text(tmp_path, text)
+    assert ("1_000",) in seen and ("1000",) not in seen
+    monkeypatch.undo()
+    assert got == _normalized([("1000", "1", "1000"), ("1", "1000", "1000"),
+                               ("1_000", "2", "5")], [1, 1])
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0"])
+def test_reader_names_the_line_of_a_bad_token_after_known_ones(tmp_path, bad):
+    # rows 4..199 use every other token of the bad row, so only `bad` misses
+    rows = ["1 2 <= 3", "2 1 <= 3"] * 98
+    text = "ILP v1\nvars 2\nobj 1 1\n" + "\n".join(rows) + f"\n1 {bad} <= 3\n"
+    assert text.count("\n") == 200
+    path = tmp_path / "t.ilp"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"t\.ilp:200: .* in '1 {bad} <= 3'$"):
+        read_instance(path)
+    assert _normalized([*(r.replace("<=", "").split() for r in rows), ("1", bad, "3")],
+                       [1, 1]) is ValueError
+
+
+def test_reader_reads_each_distinct_token_once(tmp_path, monkeypatch):
+    # work, not time: a symmetric file holds few distinct numbers, and its
+    # rows are already coprime, so normalize scales none of them
+    wild = gen_wild(6)
+    path = tmp_path / "wild6.ilp"
+    write_instance(wild, path)
+    rows = [ln.partition("<=") for ln in path.read_text().splitlines() if "<=" in ln]
+    distinct = {t for left, _, right in rows for t in (*left.split(), right)}
+    ints = _counted(monkeypatch, "int", int)
+    scaled = _counted(monkeypatch, "scale_coprime", scale_coprime)
+    back = read_instance(path)
+    monkeypatch.undo()
+    assert back == wild
+    assert len(ints) <= len(distinct) + 1  # + the n of the `vars` line
+    assert scaled == []
+
+
+def test_reader_tries_each_rational_token_once(tmp_path, monkeypatch):
+    rows = [("1/2", "1", "3"), ("1", "0.5", "2"), ("1_0", "1", "3"), ("2", "1", "3")] * 25
+    text = "ILP v1\nvars 2\nobj 1 1\n" + "".join(f"{a} {b} <= {r}\n" for a, b, r in rows)
+    ints = _counted(monkeypatch, "int", int)
+    got = _read_text(tmp_path, text)
+    monkeypatch.undo()
+    assert got == _normalized(rows, [1, 1])
+    # "2", "1", "0.5", "1/2" and the rhs " 3", " 2", plus the n of `vars`;
+    # "1_0" is refused untried
+    assert len(ints) == 7

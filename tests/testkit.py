@@ -11,9 +11,10 @@ row-major simplex tableau over one shared denominator, with its own
 Bareiss kernel, and the split-column simplex on it, rank and linear
 solving by Gauss-Jordan elimination over Fraction, signed-permutation
 inverses, the row loop of the symmetry check, the per-row row-class
-count, the per-point brute force loop and the round-based automorphism
-search: each restates a definition of the paper directly, or keeps an
-earlier implementation, so the tests can check the solvers against it.
+count, the per-row normalize loop, the per-point brute force loop and
+the round-based automorphism search: each restates a definition of the
+paper directly, or keeps an earlier implementation, so the tests can
+check the solvers against it.
 ``symmetric_lps`` and ``certified_instance`` draw instances closed under
 a group, for the property tests.
 """
@@ -31,7 +32,9 @@ from corpus import random_symmetric_instance
 
 from symilp.errors import (
     DegenerateFacet,
+    EmptySystem,
     InfeasibleRegion,
+    InfeasibleZeroRow,
     ResultCheckFailed,
     SearchBudgetExceeded,
     UnboundedRelaxation,
@@ -414,6 +417,21 @@ def reference_row_classes(inst) -> Counter:
     """The per-row generator that first built ``ILPInstance.row_classes``:
     each row's key is ``tuple(sorted(a)) + (b,)``, counted in row order."""
     return Counter((*sorted(row[:-1]), row[-1]) for row in inst.rows)
+
+
+def reference_normalize(raw_rows, c, name="") -> ILPInstance:
+    """The per-row loop that ``model.normalize`` first ran: scale_coprime on
+    every row, then one zero test per row, dropping 0 <= b for b >= 0 and
+    refusing it for b < 0."""
+    rows = []
+    for row in map(scale_coprime, raw_rows):
+        if any(row[:-1]):
+            rows.append(row)
+        elif row[-1] < 0:
+            raise InfeasibleZeroRow(f"0 <= {row[-1]} in {name or 'system'}")
+    if not rows:
+        raise EmptySystem(f"no nontrivial rows in {name or 'system'}")
+    return ILPInstance(rows, c, name=name)
 
 
 def reference_brute_force(inst, box) -> Outcome:
