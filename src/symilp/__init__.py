@@ -22,7 +22,6 @@ from .symmetry import (
     fixed_space,
     fixing_equations,
     is_symmetry,
-    project_barycenter,
     verify_symmetric_group_invariance,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "is_symmetry",
     "fixed_space",
     "fixing_equations",
-    "project_barycenter",
     "basis_orbits",
     "conjugate_to_permutations",
     "verify_symmetric_group_invariance",

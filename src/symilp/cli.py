@@ -57,10 +57,6 @@ def _emit_reports(reports, output):
         print("  ".join(str(v).rjust(w) for v, w in zip(row, widths)))
 
 
-def _print_point(point):
-    print("point", *point)
-
-
 def _parse_box(text, n):
     pairs = []
     for part in text.split(","):
@@ -105,7 +101,7 @@ def cmd_lp(args) -> int:
     print(f"status {out.status}")
     if out.status == model.OPTIMAL:
         print(f"value {out.value}")
-        _print_point(out.point)
+        print("point", *out.point)
     return _status_exit(out.status)
 
 
@@ -167,7 +163,7 @@ def cmd_solve(args) -> int:
     report = _run(inst, args.method, box)
     _emit_reports([report], args.output)
     if report.status == model.OPTIMAL and inst.n <= POINT_ELIDE_N:
-        _print_point(report.point)
+        print("point", *report.point)
     return _status_exit(report.status)
 
 

@@ -2,7 +2,7 @@
 
 Hypertruncated cubes: conv([0,1]^n truncated at sum x <= r, plus the apex
 lambda*1) described by exactly 4n facets in four coordinate-orbit families,
-each built coprime and in lexicographic order.
+each scaled coprime by ``scale_coprime`` and emitted in index order.
 
 Wild input: the distorted join of a hexagon (circumradius 56/6) with a
 scaled cross polytope (73/10), lifted to heights 1 and -11/12, every vertex
@@ -20,12 +20,12 @@ and one prefix + suffix concatenation per row.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, repeat
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import itemgetter, mul
 
 from .errors import BadParams, DegenerateFacet
 from .model import ILPInstance
-from .ratlin import kernel_basis
+from .ratlin import kernel_basis, scale_coprime
 from .symmetry import distinct_permutations
 
 ONE = Fraction(1)
@@ -72,10 +72,11 @@ def gen_hypertruncated_cube(p: HtcParams) -> ILPInstance:
     inequality (1-r+lambda(n-1)) x_i + (1-lambda) sum_{k!=i} x_k <=
     lambda(n-r).  Objective all-ones.
 
-    A family is (background, special entry, rhs), divided by the gcd of the
-    three, so its rows come out coprime; each family is emitted as one
-    ascending run.  The window r/n < lambda < 1 keeps special != background,
-    so the n rows of a family are distinct.
+    A family is (background, special entry, rhs), scaled by
+    ``scale_coprime``; its n rows are emitted in index order, a run that
+    ascends or descends, and the constructor sorts them.  The window
+    r/n < lambda < 1 keeps special != background, so the n rows of a family
+    are distinct.
     """
     n, r = p.n, p.r
     num, den = p.lam.numerator, p.lam.denominator
@@ -88,11 +89,9 @@ def gen_hypertruncated_cube(p: HtcParams) -> ILPInstance:
     )
     rows = []
     for family in families:
-        g = gcd(*family)
-        background, special, rhs = (v // g for v in family)
+        background, special, rhs = scale_coprime(family)
         row = [background] * n + [rhs]
-        # row i leads with i backgrounds, then special: ascending in i iff special < background
-        for i in range(n) if special < background else range(n - 1, -1, -1):
+        for i in range(n):
             row[i] = special
             rows.append(tuple(row))
             row[i] = background

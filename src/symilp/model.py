@@ -49,7 +49,7 @@ class ILPInstance:
         if not rows:
             raise EmptySystem("instance has no rows")
         if not all(map(lt, rows, rows[1:])):
-            # Timsort merges the ascending runs a generator emits
+            # Timsort merges the runs a generator emits, reversing descending ones
             rows = sorted(rows)
             if not all(map(lt, rows, rows[1:])):  # drop adjacent repeats
                 rest = rows[1:]

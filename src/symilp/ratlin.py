@@ -41,10 +41,7 @@ def scale_coprime(vec) -> tuple:
         g = gcd(*vec)
     except TypeError:  # not all ints: clear the denominators
         den = lcm(*{v.denominator for v in vec})
-        if den == 1:
-            vec = tuple(v.numerator for v in vec)
-        else:
-            vec = tuple(v.numerator * (den // v.denominator) for v in vec)
+        vec = tuple(v.numerator * (den // v.denominator) for v in vec)
         g = gcd(*vec)
     if g > 1:
         vec = tuple(v // g for v in vec)

@@ -165,7 +165,9 @@ def build_full_graph(inst: ILPInstance) -> LabeledGraph:
 def build_search_graph(inst: ILPInstance, mode: str) -> LabeledGraph:
     """The row/column graph that ``detect`` searches: m + n nodes and one
     edge per nonzero a_ij in ``reduced`` mode; m + 2n nodes and 2 nnz + n
-    edges in ``full`` mode, whose twins ("colhat") carry the sign flips."""
+    edges in ``full`` mode, whose twins ("colhat") carry the sign flips.
+    The nodes are the rows, then the columns, then the twins: ``_translate``
+    reads a generator by that position."""
     if mode not in ("reduced", "full"):
         raise ValueError("mode must be 'reduced' or 'full'")
     bd = _Builder()
@@ -353,26 +355,17 @@ class Detection:
     order: int
 
 
-def _translate(inst: ILPInstance, g: LabeledGraph, mapping: tuple):
-    n = inst.n
-    tags = g.tags
-    col_at = {}
-    for v, tag in enumerate(tags):
-        if tag[0] in ("col", "colhat"):
-            col_at[tag] = v
-    image = [0] * n
+def _translate(inst: ILPInstance, mapping: tuple):
+    """The signed permutation of a ``build_search_graph`` automorphism,
+    read by position: column j is node m + j and its twin node m + n + j."""
+    m, n = inst.m, inst.n
+    twins = len(mapping) > m + n
+    image = []
     for j in range(n):
-        w = mapping[col_at[("col", j)]]
-        tag = tags[w]
-        if tag[0] == "col":
-            image[j] = tag[1] + 1
-            partner = ("colhat", tag[1])
-        else:
-            image[j] = -(tag[1] + 1)
-            partner = ("col", tag[1])
-        if ("colhat", j) in col_at:
-            if tags[mapping[col_at[("colhat", j)]]] != partner:
-                raise ResultCheckFailed("graph automorphism violates twin coherence")
+        w = mapping[m + j] - m
+        if twins and mapping[m + n + j] - m != (w + n) % (2 * n):
+            raise ResultCheckFailed("graph automorphism violates twin coherence")
+        image.append(w + 1 if w < n else n - w - 1)
     return SignedPermutation(image)
 
 
@@ -391,7 +384,7 @@ def detect(inst: ILPInstance, mode: str = "full", trace: dict | None = None) -> 
         trace.update(graph_nodes=graph.n_nodes, graph_edges=graph.n_edges, group_order=order)
     gens = []
     for mapping in mappings:
-        sp = _translate(inst, graph, mapping)
+        sp = _translate(inst, mapping)
         if not is_symmetry(inst, sp):
             raise ResultCheckFailed(f"graph automorphism {sp.image} is not an ILP symmetry")
         if sp != SignedPermutation.identity(inst.n):

@@ -7,7 +7,6 @@ notation, (1+2-4+3-) corresponds to image (2, -4, -1, 3).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import groupby
 from math import factorial, prod
@@ -15,7 +14,7 @@ from operator import itemgetter
 
 from .errors import ResultCheckFailed, SearchBudgetExceeded
 from .model import ILPInstance
-from .ratlin import dot, kernel_basis
+from .ratlin import kernel_basis
 
 
 class SignedPermutation:
@@ -207,23 +206,6 @@ def fixed_space(G: GroupSpec):
 def fixing_equations(G: GroupSpec) -> tuple:
     """Matrix E with ker E = Fix(G); it has n - dim Fix rows."""
     return tuple(kernel_basis(fixed_space(G), ncols=G.degree))
-
-
-def project_barycenter(G: GroupSpec, x) -> tuple:
-    """Average of the orbit of x; the projection onto the fixed space.
-
-    The ``fixed_space`` vectors f have disjoint supports, so this is the sum
-    of (f.x / f.f) f, without enumerating the orbit of x.
-    """
-    n = G.degree
-    x = tuple(Fraction(v) for v in x)
-    if len(x) != n:
-        raise ValueError(f"point of length {len(x)} for a group of degree {n}")
-    y = [Fraction(0)] * n
-    for f in fixed_space(G):
-        t = dot(f, x) / dot(f, f)
-        y = [a + t * b for a, b in zip(y, f)]
-    return tuple(y)
 
 
 def conjugate_to_permutations(G: GroupSpec):

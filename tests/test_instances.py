@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import ceil, factorial
 from operator import lt
 
 import pytest
@@ -220,6 +220,27 @@ def test_symmetrize_one_long_row():
     out = symmetrize(normalize([(1,) + (0,) * (n - 1) + (1,)], [1] * n))
     assert out.m == n
     assert out.rows == tuple((0,) * i + (1,) + (0,) * (n - 1 - i) + (1,) for i in reversed(range(n)))
+
+
+def _htc_cases():
+    """(n, r, lambda) in the window: r = 2, r = htc_r(n) and the largest r
+    below lambda * n, for n from below SUFFIX_LENGTH to far above it."""
+    cases = set()
+    for n in (3, 7, 40, 150):
+        for lam in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)):
+            for r in (2, htc_r(n), min(n - 1, ceil(lam * n) - 1)):
+                if 2 <= r and Fraction(r, n) < lam:
+                    cases.add((n, r, lam))
+    return sorted(cases)
+
+
+@pytest.mark.parametrize("n,r,lam", _htc_cases())
+def test_htc_is_the_orbit_expansion_of_its_row_classes(n, r, lam):
+    # two routes to the same rows: the generator's four families, and
+    # symmetrize over the four class keys
+    h = gen_hypertruncated_cube(HtcParams(n, r, lam))
+    assert len(h.row_classes) == 4
+    assert symmetrize(ILPInstance(list(h.row_classes), h.c)).rows == h.rows
 
 
 def test_symmetrize_orbit_count_formula():

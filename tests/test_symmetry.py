@@ -20,7 +20,6 @@ from symilp.symmetry import (
     full_cycle,
     is_symmetry,
     orbit,
-    project_barycenter,
     read_generators,
     sym_generators,
     transposition,
@@ -35,6 +34,7 @@ from testkit import (
     kernel_fixed_space,
     orbit_average,
     orbit_barycenter,
+    project_barycenter,
     rank,
     reference_is_symmetry,
     signed_matrix,

@@ -2,10 +2,10 @@
 
 Layer centers, core-point distances, the core representative, the core
 point scan over expanded rows, the representative oracle, the layer box
-over the expanded slice, basis
-orbit barycenters, group enumeration, the fixed space and orbit average by
-matrices and enumeration, the hypertruncated cube's vertices, the
-facet-by-facet wild and htc generators, the row-by-row multiset
+over the expanded slice, basis orbit barycenters, group enumeration, the
+fixed space and orbit average by matrices and enumeration, the orbit
+average by projection onto the fixed space, the hypertruncated cube's
+vertices, the facet-by-facet wild and htc generators, the row-by-row multiset
 permutation generator (Algorithm L) the wild one closes its facets with, the
 row-major simplex tableau over one shared denominator, with its own
 Bareiss kernel, and the split-column simplex on it, rank and linear
@@ -51,11 +51,12 @@ from symilp.model import (
     normalize,
     satisfies_rows,
 )
-from symilp.ratlin import kernel_basis, scale_coprime
+from symilp.ratlin import dot, kernel_basis, scale_coprime
 from symilp.symmetry import (
     GroupSpec,
     SignedPermutation,
     alt_generators,
+    fixed_space,
     full_cycle,
     orbit,
     sym_generators,
@@ -352,6 +353,23 @@ def orbit_average(G: GroupSpec, x) -> tuple:
     """The average of the points of the orbit of x, by enumerating that orbit."""
     points = orbit([tuple(Fraction(v) for v in x)], G.generators, SignedPermutation.apply)
     return tuple(Fraction(sum(col), len(points)) for col in zip(*points))
+
+
+def project_barycenter(G: GroupSpec, x) -> tuple:
+    """Average of the orbit of x; the projection onto the fixed space.
+
+    The ``fixed_space`` vectors f have disjoint supports, so this is the sum
+    of (f.x / f.f) f, without enumerating the orbit of x.
+    """
+    n = G.degree
+    x = tuple(Fraction(v) for v in x)
+    if len(x) != n:
+        raise ValueError(f"point of length {len(x)} for a group of degree {n}")
+    y = [Fraction(0)] * n
+    for f in fixed_space(G):
+        t = dot(f, x) / dot(f, f)
+        y = [a + t * b for a, b in zip(y, f)]
+    return tuple(y)
 
 
 def reduced_row_echelon(rows, ncols: int):
