@@ -306,14 +306,17 @@ def brute_force_ilp(inst: ILPInstance, box=None, trace: dict | None = None) -> O
 
 
 def write_instance(inst: ILPInstance, path) -> None:
+    """Write the `ILP v1` text format, with one ``str`` call per distinct
+    row entry: the rows' entries are looked up in a dict of their text."""
+    text = {v: str(v) for v in set().union(*inst.rows)}
     with open(path, "w") as fh:
         fh.write("ILP v1\n")
         if inst.name:
             fh.write(f"# {inst.name}\n")
         fh.write(f"vars {inst.n}\n")
-        fh.write("obj " + " ".join(str(x) for x in inst.c) + "\n")
+        fh.write("obj " + " ".join(map(str, inst.c)) + "\n")
         for row in inst.rows:
-            fh.write(" ".join(str(v) for v in row[:-1]) + f" <= {row[-1]}\n")
+            fh.write(" ".join(map(text.__getitem__, row[:-1])) + f" <= {text[row[-1]]}\n")
 
 
 def read_instance(path) -> ILPInstance:

@@ -14,6 +14,10 @@ stand for the same groups with one node per matrix position, plus twins
 and coefficient nodes.  They are kept as the paper specifies them, and
 only the tests search them.
 
+All three graphs are laid out by node position, with no node tags: each
+builder lists one label key per node and its edges by node number, and
+``_graph`` numbers the keys in order of first appearance.
+
 The automorphism engine is an individualization-refinement search that
 counts the group order level by level with orbit-stabilizer products.  It
 refines by splitter cells (as nauty and Traces do), from the new cell
@@ -35,15 +39,14 @@ SEARCH_BUDGET = 100000  # refinements one automorphism search may make
 
 
 class LabeledGraph:
-    """Labelled nodes with tags; ``edge_labels[v][u]`` labels the edge uv
-    (by default None, one label on every edge)."""
+    """Labelled nodes; ``edge_labels[v][u]`` labels the edge uv (by default
+    None, one label on every edge)."""
 
-    __slots__ = ("labels", "adj", "tags", "edge_labels")
+    __slots__ = ("labels", "adj", "edge_labels")
 
-    def __init__(self, labels, adj, tags, edge_labels=None):
+    def __init__(self, labels, adj, edge_labels=None):
         self.labels = tuple(labels)
         self.adj = tuple(frozenset(a) for a in adj)
-        self.tags = tuple(tags)
         if edge_labels is None:
             edge_labels = map(dict.fromkeys, self.adj)
         self.edge_labels = tuple(map(dict, edge_labels))
@@ -56,133 +59,90 @@ class LabeledGraph:
     def n_edges(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    @property
-    def n_labels(self) -> int:
-        return len(set(self.labels))
+
+def _graph(keys, edges) -> LabeledGraph:
+    """Node v labelled by ``keys[v]`` and, per ``(u, v, key)`` in ``edges``,
+    an edge uv labelled by key.  The keys are numbered in order of first
+    appearance, nodes before edges."""
+    ids = {}
+    labels = [ids.setdefault(key, len(ids)) for key in keys]
+    adj = [{} for _ in labels]
+    for u, v, key in edges:
+        adj[u][v] = adj[v][u] = ids.setdefault(key, len(ids))
+    return LabeledGraph(labels, adj, adj)
 
 
-class _Builder:
-    def __init__(self):
-        self.labels = []
-        self.adj = []
-        self.tags = []
-        self.index = {}
-        self._label_ids = {}
-
-    def label(self, key) -> int:
-        return self._label_ids.setdefault(key, len(self._label_ids))
-
-    def node(self, tag, label_key) -> int:
-        v = len(self.labels)
-        self.labels.append(self.label(label_key))
-        self.adj.append({})
-        self.tags.append(tag)
-        self.index[tag] = v
-        return v
-
-    def edge(self, u: int, v: int, label_key=None) -> None:
-        self.adj[u][v] = self.adj[v][u] = self.label(("edge", label_key))
-
-    def graph(self) -> LabeledGraph:
-        return LabeledGraph(self.labels, self.adj, self.tags, self.adj)
-
-
-def _base_builder(inst: ILPInstance) -> _Builder:
-    m, n = inst.m, inst.n
-    bd = _Builder()
-    for i in range(m):
-        for j in range(n):
-            bd.node(("pos", i, j), "pos")
-    for i in range(m):
-        bd.node(("row", i), "row")
-    for j in range(n):
-        bd.node(("col", j), "col")
-    a_values = sorted({row[j] for row in inst.rows for j in range(n)})
-    b_values = sorted({row[-1] for row in inst.rows})
-    c_values = sorted(set(inst.c))
-    for u in a_values:
-        bd.node(("cA", u), ("cA", u))
-    for v in b_values:
-        bd.node(("cb", v), ("cb", v))
-    for w in c_values:
-        bd.node(("cc", w), ("cc", w))
-    for i, row in enumerate(inst.rows):
-        ri = bd.index[("row", i)]
-        bd.edge(ri, bd.index[("cb", row[-1])])
-        for j in range(n):
-            p = bd.index[("pos", i, j)]
-            bd.edge(p, ri)
-            bd.edge(p, bd.index[("col", j)])
-            bd.edge(p, bd.index[("cA", row[j])])
-    for j in range(n):
-        bd.edge(bd.index[("col", j)], bd.index[("cc", inst.c[j])])
-    return bd
+def _position_layout(inst: ILPInstance):
+    """The reduced position graph's node keys, its edges as node pairs, and
+    its value nodes by key.  Position (i, j) is node i*n + j, row i node
+    mn + i and column j node mn + m + j; the values of a, b and c follow,
+    each ascending."""
+    m, n, rows = inst.m, inst.n, inst.rows
+    row0, col0 = m * n, m * n + m
+    keys = ["pos"] * row0 + ["row"] * m + ["col"] * n
+    keys += [("cA", u) for u in sorted({a for row in rows for a in row[:-1]})]
+    keys += [("cb", v) for v in sorted({row[-1] for row in rows})]
+    keys += [("cc", w) for w in sorted(set(inst.c))]
+    value = {key: v for v, key in enumerate(keys[col0 + n:], col0 + n)}
+    edges = []
+    for i, row in enumerate(rows):
+        edges.append((row0 + i, value["cb", row[-1]]))
+        for j, a in enumerate(row[:-1]):
+            p = i * n + j
+            edges += (p, row0 + i), (p, col0 + j), (p, value["cA", a])
+    edges += [(col0 + j, value["cc", w]) for j, w in enumerate(inst.c)]
+    return keys, edges, value
 
 
 def build_reduced_graph(inst: ILPInstance) -> LabeledGraph:
     """mn+m+n+n_A+n_b+n_c nodes, 3mn+m+n edges, n_A+n_b+n_c+3 labels."""
-    return _base_builder(inst).graph()
+    keys, edges, _ = _position_layout(inst)
+    return _graph(keys, ((u, v, None) for u, v in edges))
 
 
 def build_full_graph(inst: ILPInstance) -> LabeledGraph:
-    """Reduced graph plus column/position twins encoding sign flips."""
+    """Reduced graph plus twins encoding sign flips: after its nodes come
+    the n column twins, the twins of the nonzero positions in row-major
+    order, then the negated a and c values that are missing."""
     m, n = inst.m, inst.n
-    bd = _base_builder(inst)
-    a_values = {row[j] for row in inst.rows for j in range(n)}
-    c_values = set(inst.c)
-    for j in range(n):
-        bd.node(("colhat", j), "col")
+    keys, edges, value = _position_layout(inst)
+    row0, col0, twin0 = m * n, m * n + m, len(keys)
+    keys += ["col"] * n + ["pos"] * sum(1 for row in inst.rows for a in row[:-1] if a)
+    negated = [(kind, -x) for kind, x in value if kind != "cb" and x and (kind, -x) not in value]
+    value.update((key, v) for v, key in enumerate(negated, len(keys)))
+    keys += negated
+    hat = twin0 + n  # the next position twin
     for i, row in enumerate(inst.rows):
-        for j in range(n):
-            if row[j]:
-                bd.node(("poshat", i, j), "pos")
-    for u in sorted(a_values):
-        if u and -u not in a_values:
-            bd.node(("cA", -u), ("cA", -u))
-    for w in sorted(c_values):
-        if w and -w not in c_values:
-            bd.node(("cc", -w), ("cc", -w))
-    for i, row in enumerate(inst.rows):
-        ri = bd.index[("row", i)]
-        for j in range(n):
-            p = bd.index[("pos", i, j)]
-            ch = bd.index[("colhat", j)]
-            if row[j]:
-                ph = bd.index[("poshat", i, j)]
-                bd.edge(ph, ri)
-                bd.edge(ph, ch)
-                bd.edge(ph, bd.index[("cA", -row[j])])
-                bd.edge(p, ph)
+        for j, a in enumerate(row[:-1]):
+            if a:
+                edges += (hat, row0 + i), (hat, twin0 + j), (hat, value["cA", -a]), (i * n + j, hat)
+                hat += 1
             else:
-                bd.edge(p, ch)  # a zero position is its own twin
-    for j in range(n):
-        ch = bd.index[("colhat", j)]
-        bd.edge(ch, bd.index[("cc", -inst.c[j])])
-        bd.edge(ch, bd.index[("col", j)])
-    return bd.graph()
+                edges.append((i * n + j, twin0 + j))  # a zero position is its own twin
+    for j, w in enumerate(inst.c):
+        edges += (twin0 + j, value["cc", -w]), (twin0 + j, col0 + j)
+    return _graph(keys, ((u, v, None) for u, v in edges))
 
 
 def build_search_graph(inst: ILPInstance, mode: str) -> LabeledGraph:
     """The row/column graph that ``detect`` searches: m + n nodes and one
     edge per nonzero a_ij in ``reduced`` mode; m + 2n nodes and 2 nnz + n
-    edges in ``full`` mode, whose twins ("colhat") carry the sign flips.
+    edges in ``full`` mode, whose column twins carry the sign flips.
     The nodes are the rows, then the columns, then the twins: ``_translate``
     reads a generator by that position."""
     if mode not in ("reduced", "full"):
         raise ValueError("mode must be 'reduced' or 'full'")
-    bd = _Builder()
-    rows = [bd.node(("row", i), ("row", row[-1])) for i, row in enumerate(inst.rows)]
-    cols = [bd.node(("col", j), ("col", cj)) for j, cj in enumerate(inst.c)]
-    twins = [bd.node(("colhat", j), ("col", -cj)) for j, cj in enumerate(inst.c) if mode == "full"]
-    for col, twin in zip(cols, twins):
-        bd.edge(col, twin, "twin")
-    for r, row in zip(rows, inst.rows):
+    m, n, twins = inst.m, inst.n, mode == "full"
+    keys = [("row", row[-1]) for row in inst.rows] + [("col", cj) for cj in inst.c]
+    keys += [("col", -cj) for cj in inst.c if twins]
+    edges = [(m + j, m + n + j, "twin") for j in range(n) if twins]
+    for i, row in enumerate(inst.rows):
         for j, a in enumerate(row[:-1]):
             if a:
-                bd.edge(r, cols[j], a)
+                edges.append((i, m + j, a))
                 if twins:
-                    bd.edge(r, twins[j], -a)
-    return bd.graph()
+                    edges.append((i, m + n + j, -a))
+    return _graph(keys, edges)
 
 
 def is_automorphism(g: LabeledGraph, mapping) -> bool:

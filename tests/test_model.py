@@ -25,7 +25,7 @@ from symilp.model import (
     write_instance,
 )
 from symilp.ratlin import parse_rational, scale_coprime
-from symilp.instances import gen_wild
+from symilp.instances import HtcParams, gen_hypertruncated_cube, gen_wild
 from testkit import reference_brute_force, reference_normalize, reference_row_classes
 
 
@@ -320,6 +320,33 @@ def test_instance_file_roundtrip(tmp_path, ex61):
     write_instance(ex61, path)
     back = read_instance(path)
     assert back.rows == ex61.rows and back.c == ex61.c
+
+
+def per_entry_text(inst):
+    """The ILP v1 text with one ``str`` call per entry."""
+    lines = ["ILP v1", *[f"# {inst.name}"] * bool(inst.name), f"vars {inst.n}"]
+    lines.append("obj " + " ".join(str(x) for x in inst.c))
+    lines += [" ".join(str(v) for v in row[:-1]) + f" <= {row[-1]}" for row in inst.rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        gen_hypertruncated_cube(HtcParams(8, 2, Fraction(1, 2))),
+        gen_wild(4),
+        # Fraction entries, some equal to an int entry, and a fractional c
+        ILPInstance(
+            [(Fraction(1, 2), 2, Fraction(2)), (Fraction(-3, 4), 0, 1), (2, Fraction(-1, 3), 0)],
+            [Fraction(1, 3), Fraction(-5, 2)],
+        ),
+    ],
+    ids=["htc8", "wild4", "fractions"],
+)
+def test_writer_matches_the_per_entry_writer(tmp_path, inst):
+    path = tmp_path / "inst.ilp"
+    write_instance(inst, path)
+    assert path.read_text() == per_entry_text(inst)
 
 
 def test_instance_file_rationals(tmp_path):

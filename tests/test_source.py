@@ -243,8 +243,9 @@ def test_src_leaves_the_collector_and_the_recursion_limit_alone():
     assert found == []
 
 
-# an export no reader needs yet, with the ROADMAP item that gives it one
+# a public name no reader needs yet, with the ROADMAP item that gives it one
 EXPORTS_AWAITING_A_READER = {"conjugate_to_permutations": "item 6"}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def names_read(tree):
@@ -262,19 +263,39 @@ def names_read(tree):
             yield from node.value.split(".")
 
 
-def test_every_export_has_a_reader():
-    # a helper only the unit tests call belongs in tests/testkit.py, not in
-    # the package's public names
-    import symilp
+def reads_outside_own_definition(stmt):
+    """The names a top-level statement reads, less each definition's reads
+    of its own name: a function's or method's inside itself, a class's
+    inside its body."""
+    own = getattr(stmt, "name", None)
+    if not isinstance(stmt, ast.ClassDef):
+        yield from (name for name in names_read(stmt) if name != own)
+        return
+    for part in [*stmt.decorator_list, *stmt.bases, *stmt.keywords]:
+        yield from names_read(part)
+    for item in stmt.body:
+        yield from (name for name in names_read(item) if name not in (own, getattr(item, "name", None)))
 
+
+def test_every_export_has_a_reader():
+    # every public top-level function and class of src, and every public
+    # method, is read by name outside its own definition: in src, in
+    # perfbench or in the acceptance tests.  A helper only the unit tests
+    # call belongs in tests/testkit.py.
     root = SRC.parent.parent
-    read = set()
+    public, read = set(), set()
     for path in SRC.glob("*.py"):
-        if path.name != "__init__.py":
-            for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-                own = getattr(stmt, "name", None)  # a definition does not read itself
-                read.update(name for name in names_read(stmt) if name != own)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, DEFINITIONS) and not stmt.name.startswith("_"):
+                public.add(stmt.name)
+                if isinstance(stmt, ast.ClassDef):
+                    public.update(f"{stmt.name}.{item.name}" for item in stmt.body
+                                  if isinstance(item, DEFINITIONS) and not item.name.startswith("_"))
+            if path.name == "__init__.py":  # re-exports are not reads
+                continue
+            read.update(reads_outside_own_definition(stmt))
     for path in [*sorted((root / "perfbench").glob("*.py")), root / "tests" / "test_acceptance.py"]:
         read.update(names_read(ast.parse(path.read_text(), filename=str(path))))
-    unread = set(symilp.__all__) - read
+    unread = {name for name in public if name.rpartition(".")[2] not in read}
     assert unread == set(EXPORTS_AWAITING_A_READER)

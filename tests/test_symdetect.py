@@ -36,7 +36,7 @@ def test_reduced_graph_ex61(ex61):
     g = build_reduced_graph(ex61)
     assert g.n_nodes == 20
     assert g.n_edges == 33
-    assert g.n_labels == 8
+    assert len(set(g.labels)) == 8
 
 
 def test_reduced_graph_single_row():
@@ -71,7 +71,7 @@ def test_count_formulas_randomized():
         n_a, n_b, n_c = counts(inst)
         assert g.n_nodes == m_eff * n + m_eff + n + n_a + n_b + n_c
         assert g.n_edges == 3 * m_eff * n + m_eff + n
-        assert g.n_labels == n_a + n_b + n_c + 3
+        assert len(set(g.labels)) == n_a + n_b + n_c + 3
 
 
 def test_full_graph_ex61_size(ex61):
@@ -87,10 +87,12 @@ def test_full_graph_ex61_size(ex61):
 
 def test_full_graph_symmetric_coefficients_add_no_nodes():
     inst = normalize([(1, -1, 2), (-1, 1, 2)], [Fraction(0), Fraction(0)])
-    g = build_full_graph(inst)
-    # A-values {1,-1}, c-values {0}: negatives already present
-    tags = [t for t in g.tags if t[0] in ("cA", "cc")]
-    assert set(tags) == {("cA", 1), ("cA", -1), ("cc", Fraction(0))}
+    g, red = build_full_graph(inst), build_reduced_graph(inst)
+    # A-values {1,-1}, c-values {0}: negatives already present, so the full
+    # graph adds only the n column twins and the nnz position twins
+    nnz = sum(1 for row in inst.rows for a in row[:-1] if a)
+    assert (inst.n, nnz) == (2, 4)
+    assert g.n_nodes == red.n_nodes + inst.n + nnz
 
 
 def test_automorphism_group_orders(ex61):
@@ -211,9 +213,7 @@ def test_automorphism_engine_vs_brute_on_random_graphs():
                 if rng.random() < 0.4:
                     adj[u].add(v)
                     adj[v].add(u)
-        from symilp.symdetect import LabeledGraph
-
-        g = LabeledGraph(labels, adj, [("v", i) for i in range(n)])
+        g = LabeledGraph(labels, adj)
         gens, order = automorphism_group(g)
         assert order == brute_graph_automorphisms(g), (trial, labels, adj)
         for m in gens:
@@ -260,7 +260,7 @@ def _graph(n, edges):
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    return LabeledGraph([0] * n, adj, [("v", i) for i in range(n)])
+    return LabeledGraph([0] * n, adj)
 
 
 def test_petersen_graph_order():
@@ -296,7 +296,7 @@ def _relabelled(labels, edges, perm):
         if u != v:
             adj[perm[u]].add(perm[v])
             adj[perm[v]].add(perm[u])
-    return LabeledGraph(new, adj, [("v", i) for i in range(n)])
+    return LabeledGraph(new, adj)
 
 
 @st.composite
@@ -384,16 +384,16 @@ def test_detect_emits_generating_set(htc6):
     assert group_order(det.group) == 720
 
 
-def _swap_nodes(graph, a, b):
+def _swap_nodes(graph, i, j):
     mapping = list(range(graph.n_nodes))
-    i, j = graph.tags.index(a), graph.tags.index(b)
     mapping[i], mapping[j] = j, i
     return tuple(mapping)
 
 
 def test_detect_rejects_a_mapping_that_is_no_symmetry(ex61, monkeypatch):
     # the transposition (1 2) does not fix the cyclic instance
-    bad = _swap_nodes(build_search_graph(ex61, "reduced"), ("col", 0), ("col", 1))
+    m = ex61.m  # column j is node m + j
+    bad = _swap_nodes(build_search_graph(ex61, "reduced"), m, m + 1)
     monkeypatch.setattr(symdetect, "automorphism_group", lambda g, trace=None: ([bad], 2))
     with pytest.raises(ResultCheckFailed):
         detect(ex61, "reduced")
@@ -401,7 +401,8 @@ def test_detect_rejects_a_mapping_that_is_no_symmetry(ex61, monkeypatch):
 
 def test_detect_rejects_incoherent_twins(ex61, monkeypatch):
     # column 1 stays put while its twin moves to column 2's twin
-    bad = _swap_nodes(build_search_graph(ex61, "full"), ("colhat", 0), ("colhat", 1))
+    m, n = ex61.m, ex61.n  # column j's twin is node m + n + j
+    bad = _swap_nodes(build_search_graph(ex61, "full"), m + n, m + n + 1)
     monkeypatch.setattr(symdetect, "automorphism_group", lambda g, trace=None: ([bad], 2))
     with pytest.raises(ResultCheckFailed):
         detect(ex61, "full")
@@ -448,15 +449,39 @@ def test_search_graph_size():
         assert trace["graph_edges"] == 2 * nnz + n and trace["group_order"] == det.order
 
 
+def test_graphs_keep_their_positional_layout(corpus):
+    # _translate reads a generator by node position, so the layout is a
+    # contract: in the position graphs position (i, j) is node i*n + j, row i
+    # node mn + i and column j node mn + m + j; in the search graph row i is
+    # node i, column j node m + j (labelled by c_j) and its twin m + n + j
+    for inst in corpus + _random_instances(random.Random(30), 40):
+        m, n, mn = inst.m, inst.n, inst.m * inst.n
+        for g in build_reduced_graph(inst), build_full_graph(inst):
+            positions = set(range(mn))
+            for j in range(n):
+                assert g.adj[mn + m + j] & positions == {i * n + j for i in range(m)}
+            for i in range(m):
+                assert g.adj[mn + i] & positions == {i * n + j for j in range(n)}
+        for mode in "reduced", "full":
+            g = build_search_graph(inst, mode)
+            assert g.n_nodes == m + n * (1 + (mode == "full"))
+            for j, k in product(range(n), repeat=2):
+                assert (g.labels[m + j] == g.labels[m + k]) == (inst.c[j] == inst.c[k])
+                if mode == "full":
+                    assert (g.labels[m + n + j] == g.labels[m + k]) == (-inst.c[j] == inst.c[k])
+            assert {g.labels[i] for i in range(m)}.isdisjoint(g.labels[m:])
+            for i, row in enumerate(inst.rows):
+                assert g.adj[i] & set(range(m, m + n)) == {m + j for j in range(n) if row[j]}
+
+
 def test_is_automorphism_compares_edge_labels():
     # the path 0 - 1 - 2: reversing it keeps adjacency, and with two edge
     # labels it swaps them
     adj = [{1}, {0, 2}, {1}]
-    tags = [("v", i) for i in range(3)]
-    plain = LabeledGraph([0] * 3, adj, tags, [{1: 0}, {0: 0, 2: 0}, {1: 0}])
-    two = LabeledGraph([0] * 3, adj, tags, [{1: 0}, {0: 0, 2: 1}, {1: 1}])
+    plain = LabeledGraph([0] * 3, adj, [{1: 0}, {0: 0, 2: 0}, {1: 0}])
+    two = LabeledGraph([0] * 3, adj, [{1: 0}, {0: 0, 2: 1}, {1: 1}])
     assert is_automorphism(plain, (2, 1, 0))
-    assert is_automorphism(LabeledGraph([0] * 3, adj, tags), (2, 1, 0))
+    assert is_automorphism(LabeledGraph([0] * 3, adj), (2, 1, 0))
     assert not is_automorphism(two, (2, 1, 0))
     assert is_automorphism(two, (0, 1, 2))
     assert automorphism_group(plain)[1] == 2 and automorphism_group(two) == ([], 1)
