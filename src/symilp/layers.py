@@ -16,6 +16,7 @@ from typing import NamedTuple
 from . import symdetect
 from .errors import (
     BoxTooLarge,
+    EmptySystem,
     InfeasibleRegion,
     InfeasibleZeroRow,
     ObjectiveNotOnes,
@@ -116,11 +117,15 @@ def _slice_box(plan: ScanPlan, k: int):
     """Integer coordinate bounds valid on P(A,b) /\\ {sum x = k}, None if empty.
 
     Under ``plan.stab1`` the slice is G-invariant, so every coordinate has
-    x_1's bounds, whose LPs run over Fix(Stab(1)) = span(e_1, 1 - e_1): a
-    class with key a gives one row (v, sum(a) - v | b) per distinct value v
-    of a, and no row is read.  Otherwise explicit single-variable rows are
-    used when they bound every coordinate; failing that, exact LP bounds on
-    the slice.  An open side raises BoxTooLarge.
+    x_1's bounds, whose LPs run over Fix(Stab(1)) = span(e_1, 1 - e_1).
+    That plane meets the slice in a line: x = u e_1 + w (1 - e_1) with
+    w = (k - u) / (n - 1).  So a class with key a and coefficient sum S
+    gives one row (n v - S | (n - 1) b - (S - v) k) in u alone per distinct
+    value v of a, and no row is read.  A zero row 0 <= b' < 0 empties the
+    slice; when every row is zero the slice is the whole line, which raises
+    BoxTooLarge.  Otherwise explicit single-variable rows are used when they
+    bound every coordinate; failing that, exact LP bounds on the slice.  An
+    open side raises BoxTooLarge.
     """
     inst = plan.inst
     n = inst.n
@@ -128,12 +133,17 @@ def _slice_box(plan: ScanPlan, k: int):
     if plan.stab1:
         if n == 1:  # the slice is the one point k, and 1 - e_1 is zero
             return [(k, k)] if classes_admit(inst.row_classes, (k,)) else None
-        rows = [(v, sum(key[:-1]) - v, key[-1]) for key in inst.row_classes for v in set(key[:-1])]
-        rows += [(1, n - 1, k), (-1, 1 - n, -k)]
+        rows = []
+        for key in inst.row_classes:
+            *a, b = key
+            S = sum(a)
+            rows += [(n * v - S, (n - 1) * b - (S - v) * k) for v in set(a)]
         try:
-            return [integer_box(normalize(rows, (1, 0), name=name))[0]] * n
+            return [integer_box(normalize(rows, (1,), name=name))[0]] * n
         except (InfeasibleZeroRow, InfeasibleRegion):
-            return None  # a class is 0 <= b < 0 on the span, or the slice is empty
+            return None  # a class is 0 <= b < 0 on the line, or the slice is empty
+        except EmptySystem:
+            raise BoxTooLarge(f"{name} is unbounded; no finite box") from None
     box = explicit_box(inst)
     if box is not None:
         return box

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symilp import layers, lpcore, model, symdetect
+from symilp import cli, layers, lpcore, model, symdetect
 from symilp.corepoint import solve_core_point
 from symilp.errors import (
     BoxTooLarge,
@@ -27,7 +27,15 @@ from symilp.layers import (
 )
 from symilp.instances import gen_wild
 from symilp.lpcore import solve_lp_on_line
-from symilp.model import ILPInstance, Outcome, brute_force_ilp, explicit_box, normalize, satisfies_rows
+from symilp.model import (
+    ILPInstance,
+    Outcome,
+    brute_force_ilp,
+    explicit_box,
+    normalize,
+    satisfies_rows,
+    write_instance,
+)
 from symilp.ratlin import dot
 from symilp.symmetry import FULL_SYMMETRIC, NONE, verify_symmetric_group_invariance
 from testkit import Layer, certified_instance, layer_box, layer_center, reference_layer_box
@@ -403,6 +411,37 @@ def test_one_variable_layer_box_is_the_point():
     for k in range(-1, 5):
         assert layer_box(plan, k) == reference_layer_box(inst, k), k
     assert solve_by_layers(inst) == Outcome("optimal", point=(2,), value=Fraction(2))
+
+
+def test_constant_class_keys_leave_the_layer_line_open(tmp_path, capsys):
+    # the one class key (1, 1) projects to 0 u <= 2 - k on the line of each
+    # layer: the whole line when k <= 2, nothing when k > 2
+    inst = normalize([(1, 1, 2)], [1, 1])
+    plan = scan_plan(inst)
+    assert plan.tier == FULL_SYMMETRIC
+    for k in range(-1, 5):
+        want = "open" if k <= 2 else None
+        assert box_or_open(layer_box, plan, k) == box_or_open(reference_layer_box, inst, k) == want, k
+    path = tmp_path / "pair.ilp"
+    write_instance(inst, path)
+    assert cli.main(["solve", str(path), "--method", "layers"]) == cli.EXIT_REFUSED
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+def test_a_projected_zero_row_with_negative_rhs_empties_the_layer():
+    # in the box 0 <= x <= 2, the class of x_1 + x_2 + x_3 <= 2 projects to
+    # 0 u <= 4 - 2k on layer k, which is 0 <= b' < 0 from k = 3 on
+    rows = [(1, 1, 1, 2)]
+    for j in range(3):
+        e = tuple(int(i == j) for i in range(3))
+        rows += [e + (2,), tuple(-v for v in e) + (0,)]
+    inst = normalize(rows, [1, 1, 1])
+    plan = scan_plan(inst)
+    assert plan.tier == FULL_SYMMETRIC
+    for k in range(-1, 8):
+        want = [(0, k)] * 3 if 0 <= k <= 2 else None
+        assert layer_box(plan, k) == reference_layer_box(inst, k) == want, k
 
 
 @settings(max_examples=120, deadline=None)

@@ -299,3 +299,20 @@ def test_every_export_has_a_reader():
         read.update(names_read(ast.parse(path.read_text(), filename=str(path))))
     unread = {name for name in public if name.rpartition(".")[2] not in read}
     assert unread == set(EXPORTS_AWAITING_A_READER)
+
+
+def test_the_exact_kernels_use_no_true_division_or_float():
+    # the simplex, the readers and checks, the layer boxes and the core
+    # point scan compute in ints and Fractions only: a "/" on two ints or a
+    # float would make a result inexact
+    found = []
+    for name in ("lpcore.py", "model.py", "layers.py", "corepoint.py"):
+        path = SRC / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                or isinstance(node, ast.Name) and node.id == "float"
+                or isinstance(node, ast.Constant) and isinstance(node.value, float)
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
