@@ -118,8 +118,6 @@ def round3_sqrt3(a: Fraction) -> Fraction:
     """
     if a < 0:
         return -round3_sqrt3(-a)
-    if a == 0:
-        return Fraction(0)
     num, den = (1000 * a).numerator, (1000 * a).denominator
     u = isqrt((3 * num * num) // (den * den))
     # is 1000*a*sqrt(3) >= u + 1/2, i.e. 3*(2*num)^2 >= ((2u+1)*den)^2?
@@ -178,7 +176,7 @@ def _fit_facet(vertices, idx_set, barycenter):
     coprime-integer row oriented so the barycenter is feasible."""
     rows = [tuple(vertices[i]) + (Fraction(-1),) for i in idx_set]
     n = len(vertices[0])
-    kb = kernel_basis(rows, ncols=n + 1)
+    kb = kernel_basis(rows, n + 1)
     if len(kb) != 1:
         raise DegenerateFacet(
             f"facet vertex set spans kernel of dimension {len(kb)}, expected 1"

@@ -44,9 +44,10 @@ class _Tableau:
     auxiliary.  cols[k] holds m + 1 ints, one per basic row and the
     objective row last, for nonbasic position k, and cols[-1] is the rhs:
     row i reads y_basis[i] = cols[-1][i] / den[-1] + sum_k cols[k][i] /
-    den[k] * y_nonbasic[k], and the objective row reads scale * z the same
-    way.  den[k] > 0 is the absolute determinant of the basis when column k
-    was last rewritten, and D that of the current basis.  By the Bareiss
+    den[k] * y_nonbasic[k], and the objective row reads z the same way,
+    times the integer scale of the objective (_maximize).  den[k] > 0 is
+    the absolute determinant of the basis when column k was last
+    rewritten, and D that of the current basis.  By the Bareiss
     invariant every entry of the dictionary times D is a subdeterminant of
     the input, so lifting a column to D and the pivot's update both divide
     exactly, and each numerator is bounded by Hadamard's bound.  Each
@@ -66,19 +67,12 @@ class _Tableau:
         self.cols = [[-a for a in col] + [0] for col in cols] + [[*rhs, 0]]
         self.den = [1] * (n + 1)
         self.D = 1
-        self.scale = 1
         self.pivots = 0
         for j in range(n):
             l = self.entry_row(j)
             if l is not None:
                 self.pivot(j, l)
         self.pivots = 0  # the entries above are not counted
-
-    def row(self, i: int) -> list:
-        """Row i of the dictionary (i = m the objective row, over scale too)
-        as Fractions, the rhs last."""
-        scale = self.scale if i == self.m else 1
-        return [Fraction(col[i], d * scale) for col, d in zip(self.cols, self.den)]
 
     def entry_row(self, j: int):
         """The slack row on which the free x_j enters, or None.
@@ -232,7 +226,6 @@ def _maximize(t: _Tableau, inst: ILPInstance, c):
     wb = [w for _, w in basic]
     for col, v, d in zip(t.cols, t.nonbasic + [m + n], t.den):
         col[m] = sum(map(mul, wb, map(col.__getitem__, rows))) + (ws[v] * d if v < n else 0)
-    t.scale = scale
     if any(t.cols[k][m] for k, v in enumerate(t.nonbasic) if v < n) or t.run() == UNBOUNDED:
         return None
     xs = _numerators(t)

@@ -80,18 +80,15 @@ def _echelon(rows: list, ncols: int):
     return pivots
 
 
-def kernel_basis(M, ncols: int | None = None) -> list:
-    """Basis of {x : Mx = 0}, one coprime integer vector per free column.
+def kernel_basis(M, ncols: int) -> list:
+    """Basis of {x : Mx = 0} for M with ``ncols`` columns, one coprime
+    integer vector per free column.
 
     Vectors have a positive leading nonzero entry; there is one per column
     without a pivot in the echelon form of M.  A matrix with no rows (or
-    only zero rows) yields the standard basis.
+    only zero rows) yields the standard basis of R^ncols.
     """
     rows = [list(scale_coprime(row)) for row in M]
-    if ncols is None:
-        if not rows:
-            raise ValueError("column count required for a matrix with no rows")
-        ncols = len(rows[0])
     pivots = _echelon(rows, ncols) if rows else []
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(ncols) if c not in pivot_cols]

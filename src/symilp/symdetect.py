@@ -39,16 +39,14 @@ SEARCH_BUDGET = 100000  # refinements one automorphism search may make
 
 
 class LabeledGraph:
-    """Labelled nodes; ``edge_labels[v][u]`` labels the edge uv (by default
-    None, one label on every edge)."""
+    """Labelled nodes and labelled edges: ``edge_labels[v]`` maps each
+    neighbour u of v to the label of the edge uv, so its keys are v's
+    neighbours and each edge is listed at both ends."""
 
-    __slots__ = ("labels", "adj", "edge_labels")
+    __slots__ = ("labels", "edge_labels")
 
-    def __init__(self, labels, adj, edge_labels=None):
+    def __init__(self, labels, edge_labels):
         self.labels = tuple(labels)
-        self.adj = tuple(frozenset(a) for a in adj)
-        if edge_labels is None:
-            edge_labels = map(dict.fromkeys, self.adj)
         self.edge_labels = tuple(map(dict, edge_labels))
 
     @property
@@ -57,7 +55,7 @@ class LabeledGraph:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(map(len, self.edge_labels)) // 2
 
 
 def _graph(keys, edges) -> LabeledGraph:
@@ -69,7 +67,7 @@ def _graph(keys, edges) -> LabeledGraph:
     adj = [{} for _ in labels]
     for u, v, key in edges:
         adj[u][v] = adj[v][u] = ids.setdefault(key, len(ids))
-    return LabeledGraph(labels, adj, adj)
+    return LabeledGraph(labels, adj)
 
 
 def _position_layout(inst: ILPInstance):
@@ -161,7 +159,7 @@ def _label_weights(g: LabeledGraph):
     the weighted neighbour count of a node holds its count per edge label
     as base-W digits: two nodes get equal sums exactly when all their
     counts agree."""
-    base = 1 + max(map(len, g.adj), default=0)
+    base = 1 + max(map(len, g.edge_labels), default=0)
     ranks = dict.fromkeys(x for e in g.edge_labels for x in e.values())
     weight = {x: base**r for r, x in enumerate(ranks)}
     return tuple(tuple((u, weight[x]) for u, x in e.items()) for e in g.edge_labels)
@@ -329,7 +327,7 @@ def _translate(inst: ILPInstance, mapping: tuple):
     return SignedPermutation(image)
 
 
-def detect(inst: ILPInstance, mode: str = "full", trace: dict | None = None) -> Detection:
+def detect(inst: ILPInstance, mode: str, trace: dict | None = None) -> Detection:
     """Detect instance symmetries by a search of the row/column graph:
     coordinate permutations in ``reduced`` mode, signed ones in ``full``.
 

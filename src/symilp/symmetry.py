@@ -12,7 +12,7 @@ from itertools import groupby
 from math import factorial, prod
 from operator import itemgetter
 
-from .errors import ResultCheckFailed, SearchBudgetExceeded
+from .errors import ResultCheckFailed
 from .model import ILPInstance
 from .ratlin import kernel_basis
 
@@ -123,11 +123,11 @@ class GroupSpec:
                 raise ValueError("generator degree mismatch")
 
 
-def orbit(seeds, gens, act, limit: int | None = None) -> set:
+def orbit(seeds, gens, act) -> set:
     """Closure of ``seeds`` under x -> act(g, x) for every g in ``gens``.
 
-    Breadth-first; raises SearchBudgetExceeded once the closure holds more
-    than ``limit`` elements.
+    Breadth-first, with no size limit: every caller closes a set its input
+    bounds (signed basis vectors, graph nodes, the rows of an instance).
     """
     found = set(seeds)
     frontier = list(found)
@@ -139,8 +139,6 @@ def orbit(seeds, gens, act, limit: int | None = None) -> set:
                 if y not in found:
                     found.add(y)
                     new.append(y)
-                    if limit is not None and len(found) > limit:
-                        raise SearchBudgetExceeded(f"orbit exceeds {limit} elements")
         frontier = new
     return found
 
@@ -205,7 +203,7 @@ def fixed_space(G: GroupSpec):
 
 def fixing_equations(G: GroupSpec) -> tuple:
     """Matrix E with ker E = Fix(G); it has n - dim Fix rows."""
-    return tuple(kernel_basis(fixed_space(G), ncols=G.degree))
+    return tuple(kernel_basis(fixed_space(G), G.degree))
 
 
 def conjugate_to_permutations(G: GroupSpec):

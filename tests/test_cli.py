@@ -389,6 +389,13 @@ def test_bad_group_file_names_path_and_line(ex61_file, tmp_path, capsys, text, b
     assert str(gfile) in err and repr(bad) in err
 
 
+def test_a_group_file_of_comments_only_has_no_generators(ex61_file, tmp_path, capsys):
+    gfile = tmp_path / "empty.grp"
+    gfile.write_text("# no generators\n\n# here\n")
+    assert main(["reduce", ex61_file, "--group", str(gfile), "-o", str(tmp_path / "r.ilp")]) == 1
+    assert capsys.readouterr().err == f"error: {gfile}: no generators\n"
+
+
 def test_group_of_the_wrong_degree_names_both_degrees(htc6, tmp_path, capsys):
     path = tmp_path / "htc6.ilp"
     write_instance(htc6, path)

@@ -38,6 +38,8 @@ def test_core_points_examples():
     assert len(pts) == comb(3, 1)
     assert len(core_points(6, 8)) == 15  # q=1, r=2
     assert core_points(4, 0) == [(0, 0, 0, 0)]
+    with pytest.raises(ValueError, match="n >= 1"):
+        core_points(0, 1)
 
 
 def test_core_points_negative_layer():

@@ -22,7 +22,7 @@ from symilp.model import ILPInstance, normalize, write_instance
 from symilp.ratlin import dot, kernel_basis
 from symilp.reduction import solve_symmetric_lp
 from symilp.symmetry import fixed_space
-from testkit import RowTableau, rank, reference_simplex, solve_linear, symmetric_lps
+from testkit import RowTableau, rank, reference_simplex, solve_linear, symmetric_lps, tableau_row
 
 
 def vertex_oracle_max(inst):
@@ -360,7 +360,7 @@ def test_phase1_pivots_out_a_degenerate_auxiliary(monkeypatch):
     def spy(t):
         status = run(t)
         if t.aux in t.basis:
-            row = t.row(t.basis.index(t.aux))
+            row = tableau_row(t, t.basis.index(t.aux))
             slacks = range(t.n, t.aux)  # the auxiliary is n + m
             hits.append(any(row[k] for k, v in enumerate(t.nonbasic) if v in slacks))
         return status
@@ -409,10 +409,10 @@ def _corrupt_phase2(monkeypatch, dx, dz):
         status = run(t)
         if t.aux not in t.basis + t.nonbasic and not done:
             i, rhs, d = t.basis.index(0), t.cols[-1], t.den[-1]
-            x, z = t.row(i)[-1], t.row(t.m)[-1]
+            x, z = tableau_row(t, i)[-1], tableau_row(t, t.m)[-1]  # c = (1, 1): scale 1
             rhs[i] += dx * d
-            rhs[t.m] += dz * d * t.scale
-            assert (t.row(i)[-1], t.row(t.m)[-1]) == (x + dx, z + dz)
+            rhs[t.m] += dz * d
+            assert (tableau_row(t, i)[-1], tableau_row(t, t.m)[-1]) == (x + dx, z + dz)
             done.append(t)
         return status
 
@@ -619,7 +619,7 @@ class _Replay:
         )
 
         def spy_init(t, inst):
-            self.t, self.ref = t, RowTableau.of(inst)
+            self.t, self.ref, self.scale = t, RowTableau.of(inst), 1
             init(t, inst)
 
         def spy_pivot(t, e, l):
@@ -635,7 +635,7 @@ class _Replay:
 
         def spy_maximize(t, inst, c):
             self.sync()
-            scale = lcm(*(cj.denominator for cj in c))
+            self.scale = scale = lcm(*(cj.denominator for cj in c))
             self.ref.install_objective([(j, int(cj * scale)) for j, cj in enumerate(c)], scale)
             self.events["objective"] += 1
             value = maximize(t, inst, c)
@@ -663,7 +663,7 @@ class _Replay:
         t, ref = self.t, self.ref
         assert (t.basis, t.nonbasic, t.D) == (ref.basis, ref.nonbasic, ref.D)
         for i in range(t.m + 1):
-            assert t.row(i) == ref.row(i)
+            assert tableau_row(t, i, self.scale) == ref.row(i)
 
 
 def _replayed(inst):

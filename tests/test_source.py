@@ -248,57 +248,153 @@ EXPORTS_AWAITING_A_READER = {"conjugate_to_permutations": "item 6"}
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def names_read(tree):
+def names_read(tree, attributes=False):
     """Every name a tree reads: names, attributes, imported names, and the
     dotted parts of string constants (perfbench looks boundaries up by
-    string)."""
+    string).  With ``attributes``, only attributes and the parts of dotted
+    strings, the ways a method is read."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not attributes:
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom) and not attributes:
             yield from (a.name for a in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield from node.value.split(".")
+            parts = node.value.split(".")
+            if len(parts) > 1 or not attributes:
+                yield from parts
 
 
-def reads_outside_own_definition(stmt):
+def reads_outside_own_definition(stmt, attributes=False):
     """The names a top-level statement reads, less each definition's reads
     of its own name: a function's or method's inside itself, a class's
     inside its body."""
     own = getattr(stmt, "name", None)
     if not isinstance(stmt, ast.ClassDef):
-        yield from (name for name in names_read(stmt) if name != own)
+        yield from (name for name in names_read(stmt, attributes) if name != own)
         return
     for part in [*stmt.decorator_list, *stmt.bases, *stmt.keywords]:
-        yield from names_read(part)
+        yield from names_read(part, attributes)
     for item in stmt.body:
-        yield from (name for name in names_read(item) if name not in (own, getattr(item, "name", None)))
+        own_names = (own, getattr(item, "name", None))
+        yield from (name for name in names_read(item, attributes) if name not in own_names)
 
 
 def test_every_export_has_a_reader():
-    # every public top-level function and class of src, and every public
-    # method, is read by name outside its own definition: in src, in
-    # perfbench or in the acceptance tests.  A helper only the unit tests
+    # every public top-level function and class of src, every public method
+    # of a public class, and every public method of a private class with no
+    # base class (whose methods no base class calls) is read by name outside
+    # its own definition: in src, in perfbench or in the acceptance tests.
+    # A method is read only as an attribute.  A helper only the unit tests
     # call belongs in tests/testkit.py.
     root = SRC.parent.parent
-    public, read = set(), set()
+    public, methods, read, attributes = set(), set(), set(), set()
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
             if isinstance(stmt, DEFINITIONS) and not stmt.name.startswith("_"):
                 public.add(stmt.name)
-                if isinstance(stmt, ast.ClassDef):
-                    public.update(f"{stmt.name}.{item.name}" for item in stmt.body
-                                  if isinstance(item, DEFINITIONS) and not item.name.startswith("_"))
+            if isinstance(stmt, ast.ClassDef) and (not stmt.name.startswith("_") or not stmt.bases):
+                methods.update(f"{stmt.name}.{item.name}" for item in stmt.body
+                               if isinstance(item, DEFINITIONS) and not item.name.startswith("_"))
             if path.name == "__init__.py":  # re-exports are not reads
                 continue
             read.update(reads_outside_own_definition(stmt))
+            attributes.update(reads_outside_own_definition(stmt, attributes=True))
     for path in [*sorted((root / "perfbench").glob("*.py")), root / "tests" / "test_acceptance.py"]:
-        read.update(names_read(ast.parse(path.read_text(), filename=str(path))))
-    unread = {name for name in public if name.rpartition(".")[2] not in read}
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read.update(names_read(tree))
+        attributes.update(names_read(tree, attributes=True))
+    unread = {name for name in public if name not in read}
+    unread |= {name for name in methods if name.rpartition(".")[2] not in attributes}
     assert unread == set(EXPORTS_AWAITING_A_READER)
+
+
+# a default that every caller leaves, or every caller sets, is one more
+# configuration for the tests to cover with no caller that needs it.
+# ``trace`` is the per-stage report, which the CLI sets and the benchmark
+# leaves; ``name`` is a label
+DEFAULTS_EXEMPT = {"trace", "name"}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def defaulted_parameters():
+    """(callee name, where, parameter, position) for every parameter with
+    a default of a public function, public method or public class
+    constructor in src; the position counts no self or cls, and is None
+    for a keyword-only parameter.  A class without ``__init__`` (a
+    dataclass or NamedTuple) takes its annotated fields."""
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, FUNCTIONS) and not stmt.name.startswith("_"):
+                yield from signature_defaults(stmt.name, f"{path.name}:{stmt.name}", stmt)
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            inits = [item for item in stmt.body if isinstance(item, FUNCTIONS) and item.name == "__init__"]
+            if not stmt.name.startswith("_"):
+                where = f"{path.name}:{stmt.name}"
+                if inits:
+                    yield from signature_defaults(stmt.name, where, inits[0], bound=True)
+                else:
+                    fields = [s for s in stmt.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+                    yield from (
+                        (stmt.name, where, s.target.id, i) for i, s in enumerate(fields) if s.value is not None
+                    )
+            for item in stmt.body:
+                if isinstance(item, FUNCTIONS) and not item.name.startswith("_"):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                    where = f"{path.name}:{stmt.name}.{item.name}"
+                    yield from signature_defaults(item.name, where, item, bound=not static)
+
+
+def signature_defaults(callee, where, func, bound=False):
+    a = func.args
+    positional = (a.posonlyargs + a.args)[bound:]
+    first = len(positional) - len(a.defaults)
+    yield from ((callee, where, p.arg, i) for i, p in enumerate(positional[first:], first))
+    yield from ((callee, where, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+
+
+def calls_made(tree):
+    """(callee name, positional argument count, keyword names) for every
+    call below ``tree`` whose arguments can be counted; ``partial(f, ...)``
+    is a call of f."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        callee = getattr(func, "id", getattr(func, "attr", None))
+        if callee == "partial" and args:
+            func, args = args[0], args[1:]
+            callee = getattr(func, "id", getattr(func, "attr", None))
+        if callee is None or any(isinstance(x, ast.Starred) for x in args):
+            continue
+        if any(k.arg is None for k in node.keywords):  # a ** mapping
+            continue
+        yield callee, len(args), {k.arg for k in node.keywords}
+
+
+def test_every_default_is_left_and_set_by_callers():
+    # some call in src, perfbench or the acceptance tests leaves each
+    # default, and another sets it: otherwise the parameter is a constant
+    # or a required argument.  The unit tests do not count as callers
+    root = SRC.parent.parent
+    paths = [*sorted(SRC.glob("*.py")), *sorted((root / "perfbench").glob("*.py"))]
+    paths.append(root / "tests" / "test_acceptance.py")
+    calls = [call for path in paths for call in calls_made(ast.parse(path.read_text(), filename=str(path)))]
+    found = []
+    for callee, where, param, position in defaulted_parameters():
+        if param in DEFAULTS_EXEMPT:
+            continue
+        sets = [
+            param in keywords or position is not None and position < count
+            for name, count, keywords in calls
+            if name == callee
+        ]
+        if not (any(sets) and not all(sets)):
+            found.append(f"{where}({param})")
+    assert found == []
 
 
 def test_the_exact_kernels_use_no_true_division_or_float():

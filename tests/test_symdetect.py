@@ -21,7 +21,7 @@ from symilp.symdetect import (
     is_automorphism,
 )
 from symilp.symmetry import GroupSpec, SignedPermutation, is_symmetry
-from testkit import group_order, reference_automorphism_group
+from testkit import group_order, neighbour_graph, reference_automorphism_group
 
 
 def counts(inst):
@@ -197,7 +197,7 @@ def brute_graph_automorphisms(g):
     for perm in permutations(range(n)):
         if any(g.labels[perm[v]] != g.labels[v] for v in range(n)):
             continue
-        if all({perm[u] for u in g.adj[v]} == g.adj[perm[v]] for v in range(n)):
+        if all({perm[u] for u in g.edge_labels[v]} == g.edge_labels[perm[v]].keys() for v in range(n)):
             found += 1
     return found
 
@@ -213,12 +213,12 @@ def test_automorphism_engine_vs_brute_on_random_graphs():
                 if rng.random() < 0.4:
                     adj[u].add(v)
                     adj[v].add(u)
-        g = LabeledGraph(labels, adj)
+        g = neighbour_graph(labels, adj)
         gens, order = automorphism_group(g)
         assert order == brute_graph_automorphisms(g), (trial, labels, adj)
         for m in gens:
             assert all(g.labels[m[v]] == g.labels[v] for v in range(n))
-            assert all({m[u] for u in g.adj[v]} == g.adj[m[v]] for v in range(n))
+            assert all({m[u] for u in g.edge_labels[v]} == g.edge_labels[m[v]].keys() for v in range(n))
 
 
 def test_detect_full_hyperoctahedral():
@@ -252,7 +252,7 @@ def test_spent_budget_raises(ex61, monkeypatch):
 def _assert_automorphisms(g, gens):
     for m in gens:
         assert all(g.labels[m[v]] == g.labels[v] for v in range(g.n_nodes))
-        assert all({m[u] for u in g.adj[v]} == g.adj[m[v]] for v in range(g.n_nodes))
+        assert all({m[u] for u in g.edge_labels[v]} == g.edge_labels[m[v]].keys() for v in range(g.n_nodes))
 
 
 def _graph(n, edges):
@@ -260,7 +260,7 @@ def _graph(n, edges):
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    return LabeledGraph([0] * n, adj)
+    return neighbour_graph([0] * n, adj)
 
 
 def test_petersen_graph_order():
@@ -285,6 +285,41 @@ def test_hexagon_and_two_triangles_order():
     _assert_automorphisms(g, gens)
 
 
+def test_k33_and_prism_order():
+    # both 3-regular on 6 nodes, so the root colouring cannot tell them
+    # apart; a candidate in the other component fails at a split record
+    # that differs from the path's
+    k33 = [(u, v) for u in range(3) for v in range(3, 6)]
+    prism = [(6 + t * 3 + i, 6 + t * 3 + (i + 1) % 3) for t in range(2) for i in range(3)]
+    prism += [(6 + i, 9 + i) for i in range(3)]
+    g = _graph(12, k33 + prism)
+    gens, order = automorphism_group(g)
+    assert order == 72 * 12 == reference_automorphism_group(g)[1]  # Sym(3) wr Sym(2), D3 x Sym(2)
+    _assert_automorphisms(g, gens)
+
+
+def test_rook_and_shrikhande_order():
+    # the 4x4 rook's graph and the Shrikhande graph are both SRG(16, 6, 2, 2),
+    # so refinement never tells them apart, and a candidate below a wrong
+    # node can run out of cells to try (find_first's last return).  The
+    # search spends 67,985 of its SEARCH_BUDGET refinements here, about 2 s
+    rook = [
+        (4 * i + j, 4 * k + l)
+        for i, j, k, l in product(range(4), repeat=4)
+        if (i, j) < (k, l) and (i == k or j == l)
+    ]
+    steps = [(1, 0), (0, 1), (1, 1)]  # a Cayley graph of Z4 x Z4
+    shrikhande = [
+        (16 + 4 * i + j, 16 + 4 * ((i + a) % 4) + (j + b) % 4)
+        for i, j in product(range(4), repeat=2)
+        for a, b in steps
+    ]
+    g = _graph(32, rook + shrikhande)
+    gens, order = automorphism_group(g)
+    assert order == 1152 * 192 == reference_automorphism_group(g)[1]  # Sym(4) wr Sym(2), and 192
+    _assert_automorphisms(g, gens)
+
+
 def _relabelled(labels, edges, perm):
     """The graph with node v renamed perm[v]."""
     n = len(labels)
@@ -296,7 +331,7 @@ def _relabelled(labels, edges, perm):
         if u != v:
             adj[perm[u]].add(perm[v])
             adj[perm[v]].add(perm[u])
-    return LabeledGraph(new, adj)
+    return neighbour_graph(new, adj)
 
 
 @st.composite
@@ -436,6 +471,11 @@ def test_search_graph_finds_the_position_graphs_group(corpus, mode, build):
         assert det.order == order == group_order(det.group), (inst.name, mode)
 
 
+def test_detect_refuses_an_unknown_mode(ex61):
+    with pytest.raises(ValueError, match="mode must be"):
+        detect(ex61, "bogus")
+
+
 def test_search_graph_size():
     for inst in _random_instances(random.Random(8), 40):
         m, n = inst.m, inst.n
@@ -459,9 +499,9 @@ def test_graphs_keep_their_positional_layout(corpus):
         for g in build_reduced_graph(inst), build_full_graph(inst):
             positions = set(range(mn))
             for j in range(n):
-                assert g.adj[mn + m + j] & positions == {i * n + j for i in range(m)}
+                assert g.edge_labels[mn + m + j].keys() & positions == {i * n + j for i in range(m)}
             for i in range(m):
-                assert g.adj[mn + i] & positions == {i * n + j for j in range(n)}
+                assert g.edge_labels[mn + i].keys() & positions == {i * n + j for j in range(n)}
         for mode in "reduced", "full":
             g = build_search_graph(inst, mode)
             assert g.n_nodes == m + n * (1 + (mode == "full"))
@@ -471,17 +511,17 @@ def test_graphs_keep_their_positional_layout(corpus):
                     assert (g.labels[m + n + j] == g.labels[m + k]) == (-inst.c[j] == inst.c[k])
             assert {g.labels[i] for i in range(m)}.isdisjoint(g.labels[m:])
             for i, row in enumerate(inst.rows):
-                assert g.adj[i] & set(range(m, m + n)) == {m + j for j in range(n) if row[j]}
+                assert g.edge_labels[i].keys() & set(range(m, m + n)) == {m + j for j in range(n) if row[j]}
 
 
 def test_is_automorphism_compares_edge_labels():
     # the path 0 - 1 - 2: reversing it keeps adjacency, and with two edge
     # labels it swaps them
     adj = [{1}, {0, 2}, {1}]
-    plain = LabeledGraph([0] * 3, adj, [{1: 0}, {0: 0, 2: 0}, {1: 0}])
-    two = LabeledGraph([0] * 3, adj, [{1: 0}, {0: 0, 2: 1}, {1: 1}])
+    plain = LabeledGraph([0] * 3, [{1: 0}, {0: 0, 2: 0}, {1: 0}])
+    two = LabeledGraph([0] * 3, [{1: 0}, {0: 0, 2: 1}, {1: 1}])
     assert is_automorphism(plain, (2, 1, 0))
-    assert is_automorphism(LabeledGraph([0] * 3, adj), (2, 1, 0))
+    assert is_automorphism(neighbour_graph([0] * 3, adj), (2, 1, 0))
     assert not is_automorphism(two, (2, 1, 0))
     assert is_automorphism(two, (0, 1, 2))
     assert automorphism_group(plain)[1] == 2 and automorphism_group(two) == ([], 1)

@@ -14,7 +14,8 @@ inverses, the row loop of the symmetry check, the per-row row-class
 count, the per-row normalize loop, the per-point brute force loop and
 the round-based automorphism search: each restates a definition of the
 paper directly, or keeps an earlier implementation, so the tests can
-check the solvers against it.
+check the solvers against it.  ``tableau_row`` reads a row of the simplex
+tableau and ``neighbour_graph`` builds a graph from neighbour sets.
 ``symmetric_lps`` and ``certified_instance`` draw instances closed under
 a group, for the property tests.
 """
@@ -52,6 +53,7 @@ from symilp.model import (
     satisfies_rows,
 )
 from symilp.ratlin import dot, kernel_basis, scale_coprime
+from symilp.symdetect import LabeledGraph
 from symilp.symmetry import (
     GroupSpec,
     SignedPermutation,
@@ -319,14 +321,14 @@ def orbit_barycenter(o: tuple, n: int) -> tuple:
     return tuple(totals)
 
 
-def group_elements(G: GroupSpec, limit: int | None = None) -> set:
+def group_elements(G: GroupSpec) -> set:
     """Closure of the generators under composition (mulclose)."""
     seeds = set(G.generators) | {SignedPermutation.identity(G.degree)}
-    return orbit(seeds, G.generators, SignedPermutation.__mul__, limit)
+    return orbit(seeds, G.generators, SignedPermutation.__mul__)
 
 
-def group_order(G: GroupSpec, limit: int | None = None) -> int:
-    return len(group_elements(G, limit))
+def group_order(G: GroupSpec) -> int:
+    return len(group_elements(G))
 
 
 def signed_matrix(g: SignedPermutation) -> tuple:
@@ -471,6 +473,13 @@ def reference_brute_force(inst, box) -> Outcome:
     if best is None:
         return Outcome(INFEASIBLE)
     return Outcome(OPTIMAL, point=best, value=Fraction(best_val, scale))
+
+
+def tableau_row(t, i: int, scale: int = 1) -> list:
+    """Row i of an ``lpcore._Tableau`` as Fractions, the rhs last; the
+    objective row (i = t.m) is over the objective's scale too."""
+    scale = scale if i == t.m else 1
+    return [Fraction(col[i], d * scale) for col, d in zip(t.cols, t.den)]
 
 
 def _eliminate(r, nz, e, ap, sp, D):
@@ -687,6 +696,11 @@ def symmetric_lps(draw):
     return normalize(rows, c, name=kind), GroupSpec(n, gens)
 
 
+
+def neighbour_graph(labels, neighbours) -> LabeledGraph:
+    """The graph with node v labelled ``labels[v]`` and joined to each node
+    of ``neighbours[v]``, every edge labelled None."""
+    return LabeledGraph(labels, map(dict.fromkeys, neighbours))
 
 
 def reference_automorphism_group(g, budget: int = 100000):
