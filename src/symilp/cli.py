@@ -123,7 +123,7 @@ def cmd_reduce(args) -> int:
     inst = model.read_instance(args.file)
     G = symmetry.read_generators(args.group)
     rp = reduction.build_reduced(inst, G)
-    model.write_instance(reduction.reduced_instance(rp), args.outfile)
+    model.write_instance(rp.instance, args.outfile)
     print(
         f"reduced {inst.name}: {inst.m} rows -> {len(rp.summed_rows)} orbit sums "
         f"+ {len(rp.fixing)} equations -> {args.outfile}"

@@ -20,12 +20,12 @@ and one prefix + suffix concatenation per row.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, repeat
-from math import isqrt, lcm
-from operator import itemgetter, mul
+from math import isqrt
+from operator import mul
 
 from .errors import BadParams, DegenerateFacet
 from .model import ILPInstance
-from .ratlin import kernel_basis, scale_coprime
+from .ratlin import clear_denominators, kernel_basis, scale_coprime
 from .symmetry import distinct_permutations
 
 ONE = Fraction(1)
@@ -264,16 +264,15 @@ def symmetrize(inst: ILPInstance) -> ILPInstance:
     """Close the row set under all coefficient permutations of Sym(n).
 
     Each row class (the rows with equal sorted coefficients a and equal b)
-    is one orbit; the classes are read off the rows as (a, b) pairs in
-    C-level passes, since no count is needed.  ``_walk`` gives each
-    distinct prefix of the first n - SUFFIX_LENGTH coefficients with the
-    classes it leaves; the suffix list of each such residual state (its
-    classes' orderings, each with its b, merged by one sort) is built once
-    and shared, and each row is one prefix + suffix concatenation.  The
-    rows come out strictly ascending, so the constructor does not sort.
+    is one orbit; the classes are the keys of ``inst.row_classes``, split
+    into (a, b) pairs.  ``_walk`` gives each distinct prefix of the first
+    n - SUFFIX_LENGTH coefficients with the classes it leaves; the suffix
+    list of each such residual state (its classes' orderings, each with its
+    b, merged by one sort) is built once and shared, and each row is one
+    prefix + suffix concatenation.  The rows come out strictly ascending,
+    so the constructor does not sort.
     """
-    coeffs = map(tuple, map(sorted, map(itemgetter(slice(-1)), inst.rows)))
-    state = tuple(sorted(set(zip(coeffs, map(itemgetter(-1), inst.rows)))))
+    state = tuple(sorted((key[:-1], key[-1]) for key in inst.row_classes))
     branches, shared, orderings = {}, {}, {}
     rows = []
     for prefix, rest in _walk(state, max(0, inst.n - SUFFIX_LENGTH), branches):
@@ -295,18 +294,16 @@ def orbit_row_count(inst: ILPInstance) -> int:
 
 def _check_facets(vertices, facets) -> None:
     """Every (row, sorted vertex indices) pair holds on every vertex and is
-    tight on exactly its indices, checked in ints on the vertices scaled by
-    the lcm of their denominators."""
-    den = lcm(*(x.denominator for v in vertices for x in v))
-    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in vertices]
+    tight on exactly its indices, checked in ints on each vertex cleared of
+    its denominators: (a | b) holds on v'/den when a.v' <= b * den."""
+    scaled = list(map(clear_denominators, vertices))
     for row, idx in facets:
-        bound = row[-1] * den
         tight = []
-        for j, v in enumerate(scaled):
-            side = sum(map(mul, row, v))
-            if side > bound:
+        for j, (v, den) in enumerate(scaled):
+            slack = row[-1] * den - sum(map(mul, row, v))
+            if slack < 0:
                 raise DegenerateFacet("rounding broke the join's convex position")
-            if side == bound:
+            if not slack:
                 tight.append(j)
         if tight != idx:
             raise DegenerateFacet(f"facet tight on vertices {tight}, expected {idx}")

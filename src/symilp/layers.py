@@ -179,9 +179,9 @@ def enumeration_oracle(plan: ScanPlan, k: int):
         suffix_hi[j] = suffix_hi[j + 1] + box[j][1]
     ordered = plan.sorted_points
     if ordered:
-        admits = partial(classes_admit, inst.row_classes)
+        check = partial(classes_admit, inst.row_classes)
     else:
-        admits = partial(satisfies_rows, inst.rows)
+        check = partial(satisfies_rows, inst.rows)
     x = [0] * n
     rem = [k] * (n + 1)  # rem[j] = k - sum(x[:j])
     visited = 0
@@ -211,7 +211,7 @@ def enumeration_oracle(plan: ScanPlan, k: int):
         rem[j + 1] = rem[j] - v
         if j + 1 < n:
             stack.append(values(j + 1))
-        elif rem[n] == 0 and admits(x):
+        elif rem[n] == 0 and check(x):
             return tuple(x)
     return None
 

@@ -26,12 +26,13 @@ a fixed space; the LP on the line is the case F = (1, ..., 1).
 
 from fractions import Fraction
 from itertools import compress, count
-from math import ceil, floor, lcm
+from math import ceil, floor
 from operator import itemgetter, mul, neg
 
 from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion, InfeasibleZeroRow
 from .errors import ObjectiveNotOnes, ResultCheckFailed, SearchBudgetExceeded
 from .model import ILPInstance, INFEASIBLE, Outcome, OPTIMAL, UNBOUNDED, normalize
+from .ratlin import clear_denominators
 
 PIVOT_BUDGET = 100000  # pivots one simplex run may make
 
@@ -209,8 +210,8 @@ def _maximize(t: _Tableau, inst: ILPInstance, c):
 
     Returns the optimal value, whose point is _numerators(t) over t.den[-1],
     or None when the LP is unbounded.  c (ints or Fractions) is scaled to
-    integers by the lcm of its denominators, and each column's objective
-    entry, over den[k] times that scale, is one dot product of the scaled c
+    integers by clear_denominators, and each column's objective entry, over
+    den[k] times that scale, is one dot product of the scaled c
     with the column's entries on the basic structurals' rows, plus c_j *
     den[k] where column k is the nonbasic x_j's.  A nonbasic structural
     with a nonzero entry there is a free line that improves c, so the LP
@@ -218,8 +219,7 @@ def _maximize(t: _Tableau, inst: ILPInstance, c):
     den[-1] must satisfy inst (ILPInstance.admits), and the scaled c times
     them must be the objective row's value.
     """
-    scale = lcm(*(cj.denominator for cj in c))
-    ws = [cj.numerator * (scale // cj.denominator) for cj in c]
+    ws, scale = clear_denominators(c)
     m, n = t.m, t.n
     basic = [(i, ws[v]) for i, v in enumerate(t.basis) if v < n and ws[v]]
     rows = [i for i, _ in basic]

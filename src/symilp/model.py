@@ -11,12 +11,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product, starmap
-from math import ceil, gcd, lcm
+from math import ceil, gcd
 from operator import itemgetter, lt, mul, ne, not_
 
 from .errors import BoxTooLarge, EmptySystem, InfeasibleRegion
 from .errors import InfeasibleZeroRow, ResultCheckFailed
-from .ratlin import parse_rational, scale_coprime
+from .ratlin import clear_denominators, parse_rational, scale_coprime
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -104,23 +104,22 @@ class ILPInstance:
     def is_feasible(self, x) -> bool:
         """Exact check of Ax <= b for a rational point, in ints.
 
-        The point is scaled by the lcm of its denominators; other numbers
-        (floats) are taken at their exact rational value.  Once row_classes
-        is built (a scan builds it), classes_admit is tried first, at
-        O(classes*n) after one sort; when it does not hold, or no classes
-        are built yet, every row is tested, at O(mn).  The classes are
-        never built here: that costs more than one pass over the rows.
+        The point's denominators are cleared, and floats are taken at their
+        exact rational value.  Once row_classes is built (a scan builds it),
+        classes_admit is tried first, at O(classes*n) after one sort; when it
+        does not hold, or no classes are built yet, every row is tested, at
+        O(mn).  The classes are never built here: that costs more than one
+        pass over the rows.
         """
         if len(x) != self.n:
             raise ValueError("point length mismatch")
         try:
-            den = lcm(*(v.denominator for v in x))
+            xs, den = clear_denominators(x)
         except AttributeError:
-            x = [Fraction(v) for v in x]
-            den = lcm(*(v.denominator for v in x))
-        return self.admits([v.numerator * (den // v.denominator) for v in x], den)
+            xs, den = clear_denominators(map(Fraction, x))
+        return self.admits(xs, den)
 
-    def admits(self, xs, den=1) -> bool:
+    def admits(self, xs, den) -> bool:
         """Whether the integer point xs / den (den > 0) satisfies Ax <= b.
 
         is_feasible's body in ints: classes_admit first when row_classes is
@@ -241,7 +240,7 @@ def brute_force_ilp(inst: ILPInstance, box=None, trace: dict | None = None) -> O
 
     Prefixes run in lexicographic order and only a strictly greater value
     replaces the best, so ties go to the lexicographically smallest point.
-    Values are compared as ints, c scaled by the lcm of its denominators.
+    Values are compared as ints, c cleared of its denominators.
     The point returned is checked against every row with satisfies_rows; a
     failure raises ResultCheckFailed.  ``trace`` receives ``box_points``
     (the volume of the box), ``rows_kept`` (the rows left after step 1) and
@@ -270,8 +269,7 @@ def brute_force_ilp(inst: ILPInstance, box=None, trace: dict | None = None) -> O
     up = [(row, row[-2]) for row in rows if row[-2] > 0]
     down = [(row, -row[-2]) for row in rows if row[-2] < 0]
     *head, (lo_n, hi_n) = box
-    scale = lcm(*(cj.denominator for cj in inst.c))
-    c = tuple(cj.numerator * (scale // cj.denominator) for cj in inst.c)
+    c, scale = clear_denominators(inst.c)
     top = c[-1] > 0
     best = None
     best_val = None
@@ -319,16 +317,24 @@ def write_instance(inst: ILPInstance, path) -> None:
             fh.write(" ".join(map(text.__getitem__, row[:-1])) + f" <= {text[row[-1]]}\n")
 
 
+def _token_value(t):
+    """A token's exact value: ``int`` when it holds no ``_`` (Python 3.10's
+    int reads 1_000, its Fraction not) and int reads it, else parse_rational."""
+    if "_" not in t:
+        try:
+            return int(t)
+        except ValueError:
+            pass
+    return parse_rational(t)
+
+
 def read_instance(path) -> ILPInstance:
     """Parse the `ILP v1` text format; numbers are exact rationals.
 
-    Each distinct token is tried with ``int`` once: a row is looked up token
-    by token in a dict of the integer tokens read so far, and on a miss its
-    new tokens are tried, those ``int`` reads joining the dict and the rest
-    a refused set.  A token holding ``_`` is refused untried (Python 3.10's
-    Fraction refuses ``1_000`` and its int does not).  A row holding a
-    refused token is read with parse_rational.  A malformed file raises
-    ValueError naming the path and the 1-based line.
+    One dict maps each row token to its value; a row is one lookup per
+    token, and a row with new tokens first fills them in, in line order,
+    with ``_token_value``.  A malformed file raises ValueError naming the
+    path, the 1-based line and the line's first bad token.
     """
     with open(path) as fh:
         lines = [(i, ln) for i, ln in enumerate(map(str.strip, fh), 1)
@@ -347,9 +353,8 @@ def read_instance(path) -> ILPInstance:
         c = [parse_rational(t) for t in ln.split()[1:]]
         if len(c) != n:
             raise ValueError(f"objective length != {n}")
-        ints = {}  # token -> int, for each token int reads and holding no "_"
-        refused = set()  # every other token seen, so int tries each token once
-        lookup = ints.__getitem__
+        values = {}  # token -> exact value, one entry per distinct token
+        lookup = values.__getitem__
         rows = []
         for lineno, ln in lines[3:]:
             left, sep, right = ln.partition("<=")
@@ -362,18 +367,10 @@ def read_instance(path) -> ILPInstance:
             try:
                 row = tuple(map(lookup, tokens))
             except KeyError:
-                for t in set(tokens).difference(ints, refused):
-                    if "_" not in t:
-                        try:
-                            ints[t] = int(t)
-                            continue
-                        except ValueError:
-                            pass
-                    refused.add(t)
-                if refused.isdisjoint(tokens):
-                    row = tuple(map(lookup, tokens))
-                else:
-                    row = tuple(map(parse_rational, tokens))
+                for t in tokens:
+                    if t not in values:
+                        values[t] = _token_value(t)
+                row = tuple(map(lookup, tokens))
             rows.append(row)
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc} in {ln!r}") from None

@@ -28,20 +28,28 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def clear_denominators(vec) -> tuple:
+    """(ints, den): den is the lcm of the entries' denominators, ints the
+    entries times den, computed by numerator and denominator so no Fraction
+    is built.  An all-int vector comes back with its entries, over 1."""
+    vec = tuple(vec)
+    den = lcm(*(v.denominator for v in vec))
+    return tuple(v.numerator * (den // v.denominator) for v in vec), den
+
+
 def scale_coprime(vec) -> tuple:
     """Scale a rational vector by a positive rational onto coprime integers.
 
     Signs are preserved, and the zero vector comes back as ints.  An all-int
-    coprime tuple comes back as the same object; Fractions are cleared in
-    int arithmetic, by numerator and denominator, so no Fraction is hashed,
-    multiplied or built.
+    coprime tuple comes back as the same object; a vector holding a Fraction
+    has its denominators cleared (clear_denominators) before the gcd is
+    taken out.
     """
     vec = tuple(vec)
     try:
         g = gcd(*vec)
-    except TypeError:  # not all ints: clear the denominators
-        den = lcm(*{v.denominator for v in vec})
-        vec = tuple(v.numerator * (den // v.denominator) for v in vec)
+    except TypeError:  # not all ints
+        vec, _ = clear_denominators(vec)
         g = gcd(*vec)
     if g > 1:
         vec = tuple(v // g for v in vec)

@@ -16,7 +16,7 @@ from .symmetry import GroupSpec, fixed_space, fixing_equations, is_symmetry, orb
 class ReducedProgram:
     summed_rows: tuple  # (a_1, ..., a_n, b) exact orbit sums
     fixing: tuple  # rows of E
-    origin: ILPInstance
+    instance: ILPInstance  # A'x <= b', Ex = 0 as paired rows, normalized
 
 
 def _check_group(inst: ILPInstance, G: GroupSpec) -> None:
@@ -40,20 +40,15 @@ def orbit_sum_rows(inst: ILPInstance, G: GroupSpec) -> tuple:
 
 
 def build_reduced(inst: ILPInstance, G: GroupSpec) -> ReducedProgram:
-    return ReducedProgram(
-        summed_rows=orbit_sum_rows(inst, G),
-        fixing=fixing_equations(G),
-        origin=inst,
-    )
-
-
-def reduced_instance(rp: ReducedProgram) -> ILPInstance:
-    """Reduced program as a plain instance; Ex = 0 becomes paired rows."""
-    rows = list(rp.summed_rows)
-    for e in rp.fixing:
-        rows.append(tuple(e) + (0,))
-        rows.append(tuple(-v for v in e) + (0,))
-    return normalize(rows, rp.origin.c, name=f"{rp.origin.name}#reduced")
+    """The orbit sums, E, and the normalized instance of both, each e.x = 0
+    as the rows e.x <= 0 and -e.x <= 0; an orbit sum 0 <= b' < 0 raises
+    InfeasibleZeroRow."""
+    summed = orbit_sum_rows(inst, G)
+    fixing = fixing_equations(G)
+    rows = [*summed]
+    for e in fixing:
+        rows += [(*e, 0), (*(-v for v in e), 0)]
+    return ReducedProgram(summed, fixing, normalize(rows, inst.c, name=f"{inst.name}#reduced"))
 
 
 def solve_symmetric_lp(inst: ILPInstance, G: GroupSpec) -> Outcome:

@@ -258,25 +258,24 @@ def automorphism_group(g: LabeledGraph, trace: dict | None = None):
     def cell(colors, c):
         return [v for v, cv in enumerate(colors) if cv == c]
 
-    # the first path: per depth, the refined colouring, its split records, its
-    # cell sizes and the colour of its first nontrivial cell (None at the leaf)
+    # the first path: per depth, the refined colouring, its split records and
+    # the colour of its first nontrivial cell (None at the leaf)
     path = []
     rank = {label: i for i, label in enumerate(sorted(set(g.labels)))}
     colors, records = refine([rank[label] for label in g.labels], range(len(rank)))
     while True:
-        sizes = Counter(colors)
-        c = min((c for c, k in sizes.items() if k > 1), default=None)
-        path.append((colors, records, sizes, c))
+        c = min((c for c, k in Counter(colors).items() if k > 1), default=None)
+        path.append((colors, records, c))
         if c is None:
             break
         colors, records = individualize(colors, colors.index(c))
 
     def find_first(depth, ct, w):
         """First automorphism taking path[depth]'s leaf to a leaf below ct
-        with w individualized."""
-        cs, records, sizes, c = path[depth]
+        with w individualized; matching split records imply equal cell sizes."""
+        cs, records, c = path[depth]
         ct, _ = individualize(ct, w, records)
-        if ct is None or Counter(ct) != sizes:
+        if ct is None:
             return None
         if c is None:
             where = {cv: v for v, cv in enumerate(ct)}
@@ -291,7 +290,7 @@ def automorphism_group(g: LabeledGraph, trace: dict | None = None):
     gens = []
     order = 1
     for depth in range(len(path) - 2, -1, -1):
-        colors, _, _, c = path[depth]
+        colors, _, c = path[depth]
         first, *rest = cell(colors, c)
         reached = {first}
         for w in rest:

@@ -672,6 +672,22 @@ def test_reader_names_the_line_of_a_bad_token_after_known_ones(tmp_path, bad):
                        [1, 1]) is ValueError
 
 
+@pytest.mark.parametrize("first, second", [("x", "1/0"), ("1/0", "x")])
+def test_reader_names_the_first_bad_token_of_a_row(tmp_path, first, second):
+    # the message before " in '<line>'" is the error of the first bad token
+    errors = []
+    for token in (first, second):
+        with pytest.raises(ValueError) as bad:
+            parse_rational(token)
+        errors.append(str(bad.value))
+    assert errors[0] != errors[1]
+    path = tmp_path / "t.ilp"
+    path.write_text(f"ILP v1\nvars 2\nobj 1 1\n1 1 <= 3\n{first} {second} <= 3\n")
+    with pytest.raises(ValueError) as info:
+        read_instance(path)
+    assert str(info.value) == f"{path}:5: {errors[0]} in '{first} {second} <= 3'"
+
+
 def test_reader_reads_each_distinct_token_once(tmp_path, monkeypatch):
     # work, not time: a symmetric file holds few distinct numbers, and its
     # rows are already coprime, so normalize scales none of them
@@ -699,3 +715,15 @@ def test_reader_tries_each_rational_token_once(tmp_path, monkeypatch):
     # "2", "1", "0.5", "1/2" and the rhs " 3", " 2", plus the n of `vars`;
     # "1_0" is refused untried
     assert len(ints) == 7
+
+
+def test_reader_parses_each_rational_token_once(tmp_path, monkeypatch):
+    # one rational token on every row: parse_rational reads it once, next to
+    # the objective's tokens, however many rows repeat it
+    rows = [f"1/3 {k} <= {k + 1}" for k in range(40)] * 3
+    text = "ILP v1\nvars 2\nobj 1 1\n" + "\n".join(rows) + "\n"
+    seen = _counted(monkeypatch, "parse_rational", parse_rational)
+    got = _read_text(tmp_path, text)
+    monkeypatch.undo()
+    assert sorted(seen) == [("1",), ("1",), ("1/3",)]
+    assert got == _normalized([r.replace("<=", "").split() for r in rows], [1, 1])

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symilp.ratlin import dot, kernel_basis, parse_rational, scale_coprime
+from symilp.ratlin import clear_denominators, dot, kernel_basis, parse_rational, scale_coprime
 from testkit import rank, solve_linear
 
 
@@ -23,6 +24,29 @@ def test_parse_rational_refuses_exponents(text):
 def test_parse_rational_zero_denominator_is_a_value_error():
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
+
+
+@pytest.mark.parametrize("vec, want", [
+    ((3, -6, 0), ((3, -6, 0), 1)),  # all ints: the same entries, over 1
+    ((Fraction(1, 2), Fraction(-2, 3)), ((3, -4), 6)),
+    ((Fraction(-3, 4), 2, -1, Fraction(5, 6)), ((-9, 24, -12, 10), 12)),
+    ((Fraction(4), Fraction(-6, 4)), ((8, -3), 2)),
+    ((0, 0, 0), ((0, 0, 0), 1)),
+    ((Fraction(0), Fraction(0)), ((0, 0), 1)),
+])
+def test_clear_denominators(vec, want):
+    ints, den = clear_denominators(vec)
+    assert (ints, den) == want
+    assert all(type(v) is int for v in (*ints, den))
+    assert tuple(Fraction(v, den) for v in ints) == tuple(vec)
+
+
+@given(st.lists(st.fractions(max_denominator=30), max_size=6))
+def test_clear_denominators_is_the_least_integer_scaling(vec):
+    ints, den = clear_denominators(iter(vec))
+    assert [Fraction(v, den) for v in ints] == vec
+    # den is the least: a common factor of den and every int would clear them too
+    assert gcd(den, *ints) == 1
 
 
 def test_kernel_difference_rows():

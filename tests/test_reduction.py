@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 
 from symilp import reduction
+from symilp.cli import main
+from symilp.instances import HtcParams, gen_hypertruncated_cube
 from symilp.errors import NotASymmetry, ResultCheckFailed
 from symilp.lpcore import solve_lp
-from symilp.model import Outcome, normalize
+from symilp.model import Outcome, normalize, read_instance, write_instance
 from symilp.reduction import (
     build_reduced,
     orbit_sum_rows,
-    reduced_instance,
     solve_symmetric_lp,
 )
 from symilp.ratlin import dot
@@ -21,6 +22,7 @@ from symilp.symmetry import (
     full_cycle,
     sym_generators,
     transposition,
+    write_generators,
 )
 from testkit import symmetric_lps
 
@@ -51,11 +53,25 @@ def test_build_reduced_ex61(ex61):
     rp = build_reduced(ex61, CYC3)
     assert len(rp.summed_rows) == 1
     assert len(rp.fixing) == 2
-    red = reduced_instance(rp)
-    assert red.rows == normalize(
+    assert rp.instance.rows == normalize(
         [(3, 3, 3, 9), (1, -1, 0, 0), (-1, 1, 0, 0), (1, 0, -1, 0), (-1, 0, 1, 0)],
         [1, 1, 1],
     ).rows
+
+
+@pytest.mark.parametrize("case", ["ex61", "htc5"])
+def test_the_reduce_command_writes_the_reduced_instance(tmp_path, capsys, ex61, case):
+    if case == "ex61":
+        inst, G = ex61, CYC3
+    else:
+        inst = gen_hypertruncated_cube(HtcParams(5, 2, Fraction(1, 2)))
+        G = GroupSpec(5, sym_generators(5))
+    src, grp, out = tmp_path / "in.ilp", tmp_path / "g.grp", tmp_path / "out.ilp"
+    write_instance(inst, src)
+    write_generators(G, grp)
+    assert main(["reduce", str(src), "--group", str(grp), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert read_instance(out) == build_reduced(inst, G).instance
 
 
 def test_build_reduced_trivial_group(ex61):

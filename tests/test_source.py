@@ -77,6 +77,18 @@ def test_layers_imports_nothing_private_from_lpcore():
     assert found == []
 
 
+def test_only_ratlin_imports_lcm():
+    # denominators are cleared in one place, ratlin.clear_denominators
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module == "math"
+        and any(a.name == "lcm" for a in node.names) and path.name != "ratlin.py"
+    ]
+    assert found == []
+
+
 TIER_NAMES = {"FULL_SYMMETRIC", "ALTERNATING", "TRANSITIVE_ONLY", "NONE"}
 # the certificate names a tier, scan_plan turns it into what the scans may
 # do, and the scan gate asks only whether any tier was certified
