@@ -216,56 +216,47 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the global flag is accepted both before and after the subcommand;
-    # SUPPRESS keeps a late subparser from clobbering an early value
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", choices=("text", "csv"),
-                        default=argparse.SUPPRESS)
-
-    ap = _Parser(prog="symilp", parents=[common])
+    ap = _Parser(prog="symilp")
+    ap.add_argument("--output", choices=("text", "csv"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a benchmark instance file")
     gsub = g.add_subparsers(dest="family", required=True)
-    ghtc = gsub.add_parser("htc", parents=[common])
+    ghtc = gsub.add_parser("htc")
     ghtc.add_argument("--n", type=int, required=True)
     ghtc.add_argument("--r", type=int, default=None, help="default floor(n/e)")
     ghtc.add_argument("--lambda", dest="lam", default="1/2")
     ghtc.add_argument("-o", "--output-file", dest="outfile", required=True)
     ghtc.set_defaults(run=cmd_generate)
-    gwild = gsub.add_parser("wild", parents=[common])
+    gwild = gsub.add_parser("wild")
     gwild.add_argument("--d", type=int, required=True)
     gwild.add_argument("-o", "--output-file", dest="outfile", required=True)
     gwild.set_defaults(run=cmd_generate)
 
-    s = sub.add_parser("solve", help="solve an integer program", parents=[common])
+    s = sub.add_parser("solve", help="solve an integer program")
     s.add_argument("file")
     s.add_argument("--method", choices=("corepoint", "layers", "brute"),
                    default="corepoint")
     s.add_argument("--box", default=None, help="lo:hi[,lo:hi...] for --method brute")
     s.set_defaults(run=cmd_solve)
 
-    lp = sub.add_parser("lp", help="solve the LP relaxation exactly",
-                        parents=[common])
+    lp = sub.add_parser("lp", help="solve the LP relaxation exactly")
     lp.add_argument("file")
     lp.set_defaults(run=cmd_lp)
 
-    d = sub.add_parser("detect", help="find symmetries via the ILP graph",
-                       parents=[common])
+    d = sub.add_parser("detect", help="find symmetries via the ILP graph")
     d.add_argument("file")
     d.add_argument("--graph", choices=("reduced", "full"), default="full")
     d.add_argument("--emit-generators", default=None)
     d.set_defaults(run=cmd_detect)
 
-    r = sub.add_parser("reduce", help="write the orbit-summed reduced program",
-                       parents=[common])
+    r = sub.add_parser("reduce", help="write the orbit-summed reduced program")
     r.add_argument("file")
     r.add_argument("--group", required=True)
     r.add_argument("-o", "--output-file", dest="outfile", required=True)
     r.set_defaults(run=cmd_reduce)
 
-    b = sub.add_parser("bench", help="generate-and-solve timing table",
-                       parents=[common])
+    b = sub.add_parser("bench", help="generate-and-solve timing table")
     b.add_argument("family", choices=("htc", "wild"))
     b.add_argument("--range", required=True, help="lo:hi[:step]")
     b.set_defaults(run=cmd_bench)
@@ -275,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # --output defaults here, not in the parser: argparse would push a
-        # parser-level default through the shared parent action and let the
-        # subparser pass clobber a value given before the subcommand
-        args.output = getattr(args, "output", "text")
         return args.run(args)
     except InfeasibleZeroRow as exc:  # a row, read or orbit-summed, reads 0 <= b with b < 0
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -216,7 +216,7 @@ def _maximize(t: _Tableau, inst: ILPInstance, c):
     den[k] where column k is the nonbasic x_j's.  A nonbasic structural
     with a nonzero entry there is a free line that improves c, so the LP
     is unbounded.  The optimum is checked in ints: the numerators over
-    den[-1] must satisfy inst (ILPInstance.admits), and the scaled c times
+    den[-1] must satisfy inst (ILPInstance.is_feasible), and the scaled c times
     them must be the objective row's value.
     """
     ws, scale = clear_denominators(c)
@@ -229,7 +229,7 @@ def _maximize(t: _Tableau, inst: ILPInstance, c):
     if any(t.cols[k][m] for k, v in enumerate(t.nonbasic) if v < n) or t.run() == UNBOUNDED:
         return None
     xs = _numerators(t)
-    if not inst.admits(xs, t.den[-1]):
+    if not inst.is_feasible(xs, t.den[-1]):
         raise ResultCheckFailed(f"simplex: infeasible point for {inst.name or 'instance'}")
     if sum(map(mul, ws, xs)) != t.cols[-1][m]:
         raise ResultCheckFailed(f"simplex: value mismatch for {inst.name or 'instance'}")

@@ -42,7 +42,7 @@ class ILPInstance:
     adjacent repeats dropped.  No row is scaled here (that is normalize).
     """
 
-    __slots__ = ("name", "n", "rows", "c", "_rowset", "_classes")
+    __slots__ = ("name", "n", "rows", "c", "_classes")
 
     def __init__(self, rows, c, name=""):
         rows = tuple(rows)
@@ -68,19 +68,11 @@ class ILPInstance:
         if len(self.c) != self.n:
             raise ValueError("objective length mismatch")
         self.name = name
-        self._rowset = None
         self._classes = None
 
     @property
     def m(self) -> int:
         return len(self.rows)
-
-    @property
-    def row_set(self) -> frozenset:
-        """The rows as a frozenset, built on first use, for membership tests."""
-        if self._rowset is None:
-            self._rowset = frozenset(self.rows)
-        return self._rowset
 
     @property
     def row_classes(self) -> Counter:
@@ -101,30 +93,23 @@ class ILPInstance:
             self._classes = classes
         return self._classes
 
-    def is_feasible(self, x) -> bool:
-        """Exact check of Ax <= b for a rational point, in ints.
+    def is_feasible(self, x, den=1) -> bool:
+        """Exact check of Ax <= b at the rational point x / den (den > 0), in ints.
 
-        The point's denominators are cleared, and floats are taken at their
-        exact rational value.  Once row_classes is built (a scan builds it),
-        classes_admit is tried first, at O(classes*n) after one sort; when it
-        does not hold, or no classes are built yet, every row is tested, at
-        O(mn).  The classes are never built here: that costs more than one
-        pass over the rows.
+        The point's denominators are cleared into den, and floats are taken
+        at their exact rational value.  Once row_classes is built (a scan
+        builds it), classes_admit is tried first, at O(classes*n) after one
+        sort; when it does not hold, or no classes are built yet,
+        satisfies_rows tests every row, at O(mn).  The classes are never
+        built here: that costs more than one pass over the rows.
         """
         if len(x) != self.n:
             raise ValueError("point length mismatch")
         try:
-            xs, den = clear_denominators(x)
+            xs, scale = clear_denominators(x)
         except AttributeError:
-            xs, den = clear_denominators(map(Fraction, x))
-        return self.admits(xs, den)
-
-    def admits(self, xs, den) -> bool:
-        """Whether the integer point xs / den (den > 0) satisfies Ax <= b.
-
-        is_feasible's body in ints: classes_admit first when row_classes is
-        built, then satisfies_rows over every row.
-        """
+            xs, scale = clear_denominators(map(Fraction, x))
+        den *= scale
         if self._classes is not None and classes_admit(self._classes, xs, den):
             return True
         return satisfies_rows(self.rows, xs, den)

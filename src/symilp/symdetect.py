@@ -344,8 +344,7 @@ def detect(inst: ILPInstance, mode: str, trace: dict | None = None) -> Detection
         sp = _translate(inst, mapping)
         if not is_symmetry(inst, sp):
             raise ResultCheckFailed(f"graph automorphism {sp.image} is not an ILP symmetry")
-        if sp != SignedPermutation.identity(inst.n):
-            gens.append(sp)
+        gens.append(sp)
     if not gens:
         gens = [SignedPermutation.identity(inst.n)]
     return Detection(GroupSpec(inst.n, tuple(gens)), order)

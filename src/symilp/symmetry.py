@@ -151,7 +151,7 @@ def is_symmetry(inst: ILPInstance, g: SignedPermutation) -> bool:
     if g.apply_to_row(inst.c) != inst.c:
         return False
     rows = inst.rows
-    rowset = inst.row_set
+    rowset = frozenset(rows)
     if g.is_plain:
         # n >= 1 indices plus the rhs's n: at least two, so it returns a tuple
         permuted = itemgetter(*(v - 1 for v in g.image), n)

@@ -151,6 +151,15 @@ def test_core_scan_refuses_rows_only_a_cycle_fixes(tmp_path, capsys):
     assert row[header.index("status")] == "optimal" and row[header.index("value")] == "2"
 
 
+def test_output_goes_before_the_subcommand(ex61_file, capsys):
+    # --output belongs to the top-level parser; after the subcommand it is
+    # an unknown argument
+    assert main(["solve", ex61_file, "--output", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv", [["solve", "FILE"], ["bench", "htc", "--range", "8:8"]], ids=["solve", "bench"]
 )
@@ -338,7 +347,7 @@ def test_reduce_command(ex61_file, tmp_path, capsys):
     out = tmp_path / "red.ilp"
     assert main(["reduce", ex61_file, "--group", str(gfile), "-o", str(out)]) == 0
     red = read_instance(out)
-    assert (1, 1, 1, 3) in red.row_set  # orbit sum (3,3,3|9) scaled down
+    assert (1, 1, 1, 3) in red.rows  # orbit sum (3,3,3|9) scaled down
     from symilp.lpcore import solve_lp
 
     assert solve_lp(red).value == 3

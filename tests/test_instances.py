@@ -55,12 +55,12 @@ def test_htc_params_window():
 def test_htc_rows_n6(htc6):
     assert htc6.m == 24
     # deletion family: coefficient 1 - 6 + 2/(1/2) = -1
-    assert (-1, 1, 1, 1, 1, 1, 2) in htc6.row_set
+    assert (-1, 1, 1, 1, 1, 1, 2) in htc6.rows
     # contraction family scaled by 2: (3, 1, ..., 1 | 4)
-    assert (3, 1, 1, 1, 1, 1, 4) in htc6.row_set
+    assert (3, 1, 1, 1, 1, 1, 4) in htc6.rows
     # cube families
-    assert (1, 0, 0, 0, 0, 0, 1) in htc6.row_set
-    assert (-1, 0, 0, 0, 0, 0, 0) in htc6.row_set
+    assert (1, 0, 0, 0, 0, 0, 1) in htc6.rows
+    assert (-1, 0, 0, 0, 0, 0, 0) in htc6.rows
 
 
 def test_htc_vertex_count(htc6):
@@ -104,7 +104,7 @@ def test_htc_large_smoke():
     inst = gen_hypertruncated_cube(HtcParams(100, htc_r(100), Fraction(1, 2)))
     assert inst.m == 400 and inst.n == 100
     assert (1 - 100 + 2 * 36,) == (-27,)
-    assert (-27,) + (1,) * 99 + (36,) in inst.row_set
+    assert (-27,) + (1,) * 99 + (36,) in inst.rows
 
 
 def test_round3_examples():
@@ -169,7 +169,7 @@ def test_symmetrize_examples():
     inst = normalize([(2, -1, -1, 3), (-1, 2, -1, 4), (0, -1, 1, 0)], [1, 1, 1])
     out = symmetrize(inst)
     assert out.m == 3 + 3 + 6
-    assert {(-1, -1, 2, 3), (-1, -1, 2, 4), (1, 0, -1, 0)} <= out.row_set
+    assert {(-1, -1, 2, 3), (-1, -1, 2, 4), (1, 0, -1, 0)} <= set(out.rows)
 
 
 def reference_symmetrize(inst):

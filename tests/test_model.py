@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -192,6 +193,31 @@ def test_is_feasible_rational_point():
         inst.is_feasible((0,))
 
 
+@pytest.mark.parametrize("closed", [True, False], ids=["sym_closed", "not_closed"])
+@pytest.mark.parametrize("warm", [True, False], ids=["classes_built", "no_classes"])
+def test_is_feasible_over_a_denominator_is_the_point_over_it(closed, warm):
+    # the htc is closed under Sym(n), ex61 only under the 3-cycle; entries
+    # are ints, Fractions and floats, each float exact in binary
+    if closed:
+        base = gen_hypertruncated_cube(HtcParams(4, 2, Fraction(3, 4)))
+    else:
+        base = normalize([(1, 2, 0, 3), (0, 1, 2, 3), (2, 0, 1, 3)], [1, 1, 1])
+    inst = ILPInstance(base.rows, base.c)
+    if warm:
+        assert inst.row_classes
+    rng = random.Random(34)
+    entries = [*range(-1, 4), Fraction(1, 3), Fraction(5, 2), Fraction(-1, 6), 0.5, 1.25, -0.75]
+    verdicts = set()
+    for _ in range(150):
+        x = [rng.choice(entries) for _ in range(inst.n)]
+        for den in (1, 2, 6):
+            want = inst.is_feasible([Fraction(v) / den for v in x])
+            assert inst.is_feasible(x, den) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+    assert (inst._classes is not None) == warm  # the check never builds the classes
+
+
 def test_satisfies_rows_over_a_denominator():
     rows = ((2, 1, 2), (1, 2, 2))
     assert satisfies_rows(rows, (2, 2), 3)  # (2/3, 2/3)
@@ -356,8 +382,8 @@ def test_instance_file_rationals(tmp_path):
     )
     inst = read_instance(path)
     assert inst.c == (Fraction(1, 2), Fraction(1, 4))
-    assert (1000, 2000, 9333) in inst.row_set
-    assert (-1, 0, 3) in inst.row_set
+    assert (1000, 2000, 9333) in inst.rows
+    assert (-1, 0, 3) in inst.rows
 
 
 def test_instance_file_errors(tmp_path):

@@ -471,6 +471,21 @@ def test_search_graph_finds_the_position_graphs_group(corpus, mode, build):
         assert det.order == order == group_order(det.group), (inst.name, mode)
 
 
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+def test_no_detected_generator_is_the_identity(corpus, mode):
+    # each generator moves the search path's first vertex within its cell,
+    # and the rows are distinct, so none translates to the identity
+    htcs = [gen_hypertruncated_cube(HtcParams(n, 2, Fraction(1, 2))) for n in range(5, 8)]
+    nontrivial = 0
+    for inst in corpus + htcs + _random_instances(random.Random(34), 100):
+        det = detect(inst, mode)
+        if det.order > 1:
+            nontrivial += 1
+            identity = SignedPermutation.identity(inst.n)
+            assert all(g != identity for g in det.group.generators), (inst.name, mode)
+    assert nontrivial >= 20
+
+
 def test_detect_refuses_an_unknown_mode(ex61):
     with pytest.raises(ValueError, match="mode must be"):
         detect(ex61, "bogus")

@@ -430,7 +430,8 @@ def reference_is_symmetry(inst, g) -> bool:
     and every a gamma | b is a row of the instance."""
     if g.apply_to_row(inst.c) != inst.c:
         return False
-    return all(_act(g, row) in inst.row_set for row in inst.rows)
+    rows = frozenset(inst.rows)
+    return all(_act(g, row) in rows for row in inst.rows)
 
 
 def reference_row_classes(inst) -> Counter:
