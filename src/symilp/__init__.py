@@ -18,7 +18,6 @@ from .symmetry import (
     GroupSpec,
     SignedPermutation,
     basis_orbits,
-    conjugate_to_permutations,
     fixed_space,
     fixing_equations,
     is_symmetry,
@@ -42,7 +41,6 @@ __all__ = [
     "fixed_space",
     "fixing_equations",
     "basis_orbits",
-    "conjugate_to_permutations",
     "verify_symmetric_group_invariance",
     "orbit_sum_rows",
     "build_reduced",

@@ -21,7 +21,8 @@ Applegate, Cook, Dash and Espinoza (2007).  Ratios are compared on the
 numerators of one column; Fractions are built only for the returned point
 and value: the result checks read the integer numerators.
 solve_lp, the one LP entry point, also solves over x = F y for a basis F of
-a fixed space; the LP on the line is the case F = (1, ..., 1).
+a fixed space; the LP on the line is the case F = (1, ..., 1).  An LP in
+one variable is one exact ratio test over its rows, with no tableau.
 """
 
 from fractions import Fraction
@@ -236,16 +237,63 @@ def _maximize(t: _Tableau, inst: ILPInstance, c):
     return Fraction(t.cols[-1][m], t.den[-1] * scale)
 
 
+def _interval(pairs):
+    """The y with s * y <= b for every (s, b) pair, in one pass in ints:
+    (lo, hi), each end (num, den) with den > 0 or None where open, or None
+    when empty (a pair 0 <= b < 0, or lo > hi by cross-multiplication)."""
+    lo = hi = None
+    for s, b in pairs:
+        if s > 0:  # y <= b / s
+            if hi is None or b * hi[1] < hi[0] * s:
+                hi = (b, s)
+        elif s < 0:  # y >= -b / -s
+            if lo is None or b * lo[1] < lo[0] * s:
+                lo = (-b, -s)
+        elif b < 0:
+            return None
+    if lo and hi and lo[0] * hi[1] > hi[0] * lo[1]:
+        return None
+    return lo, hi
+
+
+def _checked(pairs, y, what: str) -> Fraction:
+    """The end y = (num, den) as a Fraction, once s * num <= b * den for every pair."""
+    if any(s * y[0] > b * y[1] for s, b in pairs):
+        raise ResultCheckFailed(f"ratio test: infeasible point for {what}")
+    return Fraction(*y)
+
+
+def _one_variable_lp(pairs, c, f, what: str) -> Outcome:
+    """max c * y over s * y <= b, (s, b) in pairs, with the point y * f: the
+    end of _interval that c pushes toward, or with c = 0, where every
+    feasible y is optimal, the one nearest 0."""
+    ends = _interval(pairs)
+    if ends is None:
+        return Outcome(INFEASIBLE)
+    lo, hi = ends
+    if c:
+        y = hi if c > 0 else lo
+    else:
+        y = lo if lo and lo[0] > 0 else hi if hi and hi[0] < 0 else (0, 1)
+    if y is None:
+        return Outcome(UNBOUNDED)
+    y = _checked(pairs, y, what)
+    return Outcome(OPTIMAL, point=tuple(y * v for v in f), value=c * y)
+
+
 def solve_lp(inst: ILPInstance, basis=None, trace: dict | None = None) -> Outcome:
     """Exact optimum of the relaxation max c^t x, Ax <= b.
 
     With a basis (a list of integer vectors f_1..f_k, each of length n) the
     LP is solved over x = F y: its rows are the distinct (a.f_1, ..., a.f_k | b),
-    its objective c F.  A vector of another length raises ValueError.
-    ``trace`` receives ``pivots_phase1`` and ``pivots_phase2`` when the
-    simplex runs; phase 1 makes none when the starting basis is feasible.
+    its objective c F.  A vector of another length raises ValueError.  An
+    LP in one variable (one vector, or n = 1) is _one_variable_lp's.
+    ``trace`` receives ``pivots_phase1`` and ``pivots_phase2``, 0 in one
+    variable; phase 1 makes none when the starting basis is feasible.
     """
     lp = inst
+    if basis is None and inst.n == 1:
+        basis = [(1,)]
     if basis is not None:
         for f in basis:
             if len(f) != inst.n:
@@ -253,8 +301,11 @@ def solve_lp(inst: ILPInstance, basis=None, trace: dict | None = None) -> Outcom
         c = tuple(sum(map(mul, inst.c, f)) for f in basis)
         # a.f: map stops at the end of f, before the rhs b
         cols = [[sum(map(mul, row, f)) for row in inst.rows] for f in basis]
-        # m projected rows collapse onto few: drop repeats before normalize scales each
+        # m projected rows collapse onto few: drop repeats before they are read
         rows = set(zip(*cols, map(itemgetter(-1), inst.rows)))
+        if len(basis) == 1:
+            _trace_pivots(trace, 0, 0)
+            return _one_variable_lp(rows, c[0], basis[0], inst.name or "instance")
         try:
             lp = normalize(rows, c, name=f"{inst.name}#span")
         except InfeasibleZeroRow:
@@ -273,7 +324,7 @@ def solve_lp(inst: ILPInstance, basis=None, trace: dict | None = None) -> Outcom
         if value is not None:
             point = tuple(Fraction(x, t.den[-1]) for x in _numerators(t))
             out = Outcome(OPTIMAL, point=point, value=value)
-    _trace_pivots(trace, t, phase1)
+    _trace_pivots(trace, phase1, t.pivots - phase1)
     if out.status == OPTIMAL and basis is not None:
         point = tuple(sum(map(mul, out.point, col)) for col in zip(*basis))
         out = Outcome(OPTIMAL, point=point, value=out.value)
@@ -292,10 +343,10 @@ def solve_lp_on_line(inst: ILPInstance, trace: dict | None = None):
     return (out.status, out.point[0] if out.status == OPTIMAL else None)
 
 
-def _trace_pivots(trace, t: _Tableau, phase1: int) -> None:
+def _trace_pivots(trace, phase1: int, phase2: int) -> None:
     if trace is not None:
         trace["pivots_phase1"] = phase1
-        trace["pivots_phase2"] = t.pivots - phase1
+        trace["pivots_phase2"] = phase2
 
 
 def coordinate_bounds(inst: ILPInstance, trace: dict | None = None):
@@ -308,21 +359,28 @@ def coordinate_bounds(inst: ILPInstance, trace: dict | None = None):
     by min x_j, each min run would start at the far end of x_j; here every
     run but max x_1 starts at the optimum of a run that pushed the same
     way, and on the test corpora the 2n runs take 0.5 to 0.65 times the
-    phase-2 pivots of that order.
+    phase-2 pivots of that order.  With n = 1 they are _interval's ends.
 
     Unbounded directions are reported as None.  Raises InfeasibleRegion on
     an empty feasible set.  ``trace`` receives ``pivots_phase1``, of the one
     phase 1, and ``pivots_phase2``, summed over the 2n runs, as in solve_lp.
     """
     n = inst.n
+    if n == 1:
+        _trace_pivots(trace, 0, 0)
+        ends = _interval(inst.rows)
+        if ends is None:
+            raise InfeasibleRegion(inst.name or "empty feasible region")
+        what = inst.name or "instance"
+        return [tuple(None if y is None else _checked(inst.rows, y, what) for y in ends)]
     t = _Tableau(inst)
     if not _phase1(t):
-        _trace_pivots(trace, t, t.pivots)
+        _trace_pivots(trace, t.pivots, 0)
         raise InfeasibleRegion(inst.name or "empty feasible region")
     phase1 = t.pivots
     down = [_maximize(t, inst, [-(i == j) for i in range(n)]) for j in range(n)]
     up = [_maximize(t, inst, [int(i == j) for i in range(n)]) for j in range(n)]
-    _trace_pivots(trace, t, phase1)
+    _trace_pivots(trace, phase1, t.pivots - phase1)
     return [(None if d is None else -d, hi) for d, hi in zip(down, up)]
 
 

@@ -12,7 +12,6 @@ from itertools import groupby
 from math import factorial, prod
 from operator import itemgetter
 
-from .errors import ResultCheckFailed
 from .model import ILPInstance
 from .ratlin import kernel_basis
 
@@ -204,24 +203,6 @@ def fixed_space(G: GroupSpec):
 def fixing_equations(G: GroupSpec) -> tuple:
     """Matrix E with ker E = Fix(G); it has n - dim Fix rows."""
     return tuple(kernel_basis(fixed_space(G), G.degree))
-
-
-def conjugate_to_permutations(G: GroupSpec):
-    """Diagonal sign change conjugating a semi-transitive G into Sym(n).
-
-    G is semi-transitive iff the orbit of e_1 has n members and not -e_1;
-    then eps is that orbit read as a diagonal sign change, eps = eps^-1,
-    and eps*g*eps is sign-free for every g.  Returns (eps, H), or None.
-    """
-    n = G.degree
-    orbits = basis_orbits(G)
-    if not orbits or -1 in orbits[0] or len(orbits[0]) != n:
-        return None
-    eps = SignedPermutation(orbits[0])
-    H = GroupSpec(n, tuple(eps * g * eps for g in G.generators))
-    if not all(h.is_plain for h in H.generators):
-        raise ResultCheckFailed("conjugation failed to clear signs")
-    return eps, H
 
 
 FULL_SYMMETRIC = "full_symmetric"

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from symilp import symdetect
+from symilp import lpcore, symdetect
 from symilp.instances import HtcParams, gen_hypertruncated_cube
 from symilp.model import normalize
 
@@ -55,6 +55,20 @@ def v4():
         e = tuple(int(i == j) for i in range(4))
         rows += [e + (2,), tuple(-v for v in e) + (0,)]
     return normalize(rows, [1, 1, 1, 1], name="v4")
+
+
+@pytest.fixture
+def tableau_columns(monkeypatch):
+    """The column count of every simplex tableau built in the test."""
+    columns = []
+    tableau = lpcore._Tableau.__init__
+
+    def counting(self, lp):
+        columns.append(lp.n)
+        tableau(self, lp)
+
+    monkeypatch.setattr(lpcore._Tableau, "__init__", counting)
+    return columns
 
 
 @pytest.fixture

@@ -18,11 +18,21 @@ from symilp.errors import (
 )
 from symilp.lpcore import coordinate_bounds, integer_box, solve_lp, solve_lp_on_line
 from symilp.instances import HtcParams, gen_hypertruncated_cube, htc_r
-from symilp.model import ILPInstance, normalize, write_instance
-from symilp.ratlin import dot, kernel_basis
+from symilp.model import OPTIMAL, ILPInstance, Outcome, normalize, write_instance
+from symilp.ratlin import clear_denominators, dot, kernel_basis
 from symilp.reduction import solve_symmetric_lp
-from symilp.symmetry import fixed_space
-from testkit import RowTableau, rank, reference_simplex, solve_linear, symmetric_lps, tableau_row
+from symilp.corepoint import solve_core_point
+from symilp.layers import solve_by_layers
+from symilp.symmetry import GroupSpec, fixed_space, sym_generators
+from testkit import (
+    RowTableau,
+    rank,
+    reference_simplex,
+    solve_linear,
+    symmetric_lps,
+    tableau_lp,
+    tableau_row,
+)
 
 
 def vertex_oracle_max(inst):
@@ -340,10 +350,15 @@ def test_pivots_are_traced_per_phase():
     trace = {}
     solve_lp(square, trace=trace)
     assert trace == {"pivots_phase1": 0, "pivots_phase2": 2}
-    # an infeasible LP stops after phase 1
+    # an infeasible LP stops after phase 1: x <= -1 and x >= 0, with y <= 1
+    trace = {}
+    inst = normalize([(1, 0, -1), (-1, 0, 0), (0, 1, 1)], [1, 1])
+    assert solve_lp(inst, trace=trace).status == "infeasible"
+    assert trace["pivots_phase1"] > 0 and trace["pivots_phase2"] == 0
+    # in one variable the ratio test answers, and no pivot is made
     trace = {}
     assert solve_lp(normalize([(1, -1), (-1, 0)], [1]), trace=trace).status == "infeasible"
-    assert trace["pivots_phase1"] > 0 and trace["pivots_phase2"] == 0
+    assert trace == {"pivots_phase1": 0, "pivots_phase2": 0}
 
 
 def test_phase1_pivots_out_a_degenerate_auxiliary(monkeypatch):
@@ -371,7 +386,7 @@ def test_phase1_pivots_out_a_degenerate_auxiliary(monkeypatch):
     # auxiliary enters on x >= 1, and the ratio test then ties the auxiliary
     # with the slack of x <= 1, which Bland's rule lets leave first
     inst = normalize([(-1, -1), (-1, 0), (1, 1)], [1])
-    out = solve_lp(inst)
+    [out] = tableau_lp(inst, [inst.c])
     assert out.status == "optimal" and out.value == 1 and out.point == (1,)
     assert hits == [True]
 
@@ -390,7 +405,7 @@ def test_phase1_pivots_out_a_degenerate_auxiliary(monkeypatch):
             inst = normalize(rows, [rng.randint(-2, 2) for _ in range(n)])
         except InfeasibleZeroRow:
             continue
-        out = solve_lp(inst)
+        [out] = tableau_lp(inst, [inst.c])
         expect = vertex_oracle_max(inst)
         assert out.value == expect or (expect is None and out.status == "infeasible")
     assert len(hits) > 1 and all(hits)
@@ -603,6 +618,103 @@ def test_a_free_line_in_the_region():
     assert coordinate_bounds(inst) == [(None, None)] * 2
 
 
+# --- one variable: the ratio test, against the tableau and the references
+
+NO_PIVOTS = {"pivots_phase1": 0, "pivots_phase2": 0}
+
+
+@st.composite
+def one_variable_lps(draw):
+    """s * y <= b with s in -3..3 and b in -4..6, at times a Fraction over 2
+    or 3 and at times s = 0, each row cleared to integers by its own positive
+    scale (zero rows are kept), and c in -2..2, at times over 2 or 3."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        pair = []
+        for v in (draw(st.integers(-3, 3)), draw(st.integers(-4, 6))):
+            pair.append(Fraction(v, draw(st.sampled_from([1, 1, 2, 3]))))
+        rows.append(clear_denominators(pair)[0])
+    c = Fraction(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 2, 3])))
+    return ILPInstance(rows, [c], name="line")
+
+
+@example(ILPInstance([(0, -1), (1, 2)], [1]))  # 0 <= -1
+@example(ILPInstance([(1, 1), (-2, -3)], [1]))  # 3/2 <= y <= 1
+@example(ILPInstance([(0, 0), (-1, 2)], [Fraction(-1, 2)]))
+@settings(max_examples=300, deadline=None)
+@given(one_variable_lps())
+def test_one_variable_lp_matches_the_tableau(inst):
+    trace = {}
+    out = solve_lp(inst, trace=trace)
+    [ref] = tableau_lp(inst, [inst.c])
+    assert (out.status, out.value) == (ref.status, ref.value)
+    assert inst.c[0] == 0 or out.point == ref.point  # c != 0: the optimum is unique
+    assert trace == NO_PIVOTS
+
+
+def test_a_zero_objective_takes_the_feasible_point_nearest_0():
+    # every feasible y is optimal: 0 when 0 is feasible, else the end nearer 0
+    for rows, y in (
+        ([(1, 2), (-1, 1)], 0),  # -1 <= y <= 2
+        ([(1, 5), (-2, -3)], Fraction(3, 2)),  # 3/2 <= y <= 5
+        ([(2, -3), (-1, 4)], Fraction(-3, 2)),  # -4 <= y <= -3/2
+        ([(-1, -1)], 1),  # y >= 1
+        ([(0, 1)], 0),  # every y
+    ):
+        inst = ILPInstance(rows, [0])
+        assert solve_lp(inst) == Outcome(OPTIMAL, point=(y,), value=0)
+        assert solve_lp(inst).value == tableau_lp(inst, [inst.c])[0].value
+    assert solve_lp(ILPInstance([(1, -1), (-1, 0)], [0])).status == "infeasible"
+    # c != 0 but c.f = 0: 2 <= x1 + x2 <= 4 gives 1 <= y <= 2 on f = (1, 1)
+    inst = normalize([(1, 1, 4), (-1, -1, -2), (1, -1, 7)], [1, -1])
+    assert solve_lp(inst, [(1, 1)]) == Outcome(OPTIMAL, point=(1, 1), value=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(free_lps(), st.data())
+def test_one_vector_basis_matches_the_reference(inst, data):
+    f = tuple(data.draw(st.integers(-2, 2)) for _ in range(inst.n))
+    trace = {}
+    out, ref = solve_lp(inst, [f], trace=trace), reference_over(inst, [f])
+    assert (out.status, out.value) == (ref.status, ref.value)
+    assert dot(inst.c, f) == 0 or out.point == ref.point
+    assert trace == NO_PIVOTS
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_variable_lps())
+def test_one_variable_bounds_match_the_reference(inst):
+    trace = {}
+    bounds = reference_bounds(inst)
+    if bounds is None:
+        with pytest.raises(InfeasibleRegion):
+            coordinate_bounds(inst, trace=trace)
+    else:
+        assert coordinate_bounds(inst, trace=trace) == bounds
+    assert trace == NO_PIVOTS
+
+
+def test_the_ratio_test_rejects_a_wrong_end(monkeypatch):
+    # 0 <= y <= 1, but the interval comes back as [-1, 2]: every answer read
+    # from it is checked against the rows, as the tableau's are
+    monkeypatch.setattr(lpcore, "_interval", lambda pairs: ((-1, 1), (2, 1)))
+    for c in (1, -1):
+        with pytest.raises(ResultCheckFailed):
+            solve_lp(ILPInstance([(1, 1), (-1, 0)], [c]))
+    with pytest.raises(ResultCheckFailed):
+        coordinate_bounds(ILPInstance([(1, 1), (-1, 0)], [1]))
+
+
+def test_no_tableau_has_fewer_than_2_columns(corpus, tableau_columns):
+    # every one-variable LP of the scans and of the reduction is a ratio test
+    for inst in corpus:
+        solve_core_point(inst)
+        solve_by_layers(inst)
+        solve_lp_on_line(inst)
+        solve_symmetric_lp(inst, GroupSpec(inst.n, sym_generators(inst.n)))
+    assert min(tableau_columns, default=2) >= 2
+
+
 # --- pivot by pivot against the row-major tableau in testkit
 
 
@@ -667,15 +779,16 @@ class _Replay:
 
 
 def _replayed(inst):
-    """solve_lp and coordinate_bounds on inst under a _Replay; its event counts."""
+    """The tableau runs of solve_lp (max c) and of coordinate_bounds (the n
+    minima, then the n maxima) on inst, each under a _Replay, driven by
+    tableau_lp so that n = 1 builds a tableau too; the event counts."""
+    n = inst.n
+    bounds = [_unit(n, j, -1) for j in range(n)] + [_unit(n, j, 1) for j in range(n)]
     events = Counter()
-    for solve in (solve_lp, coordinate_bounds):
+    for objectives in ([inst.c], bounds):
         with pytest.MonkeyPatch.context() as mp:
             replay = _Replay(mp)
-            try:
-                solve(inst)
-            except InfeasibleRegion:
-                pass
+            tableau_lp(inst, objectives)
             replay.sync()
             events += replay.events
     return events

@@ -12,7 +12,6 @@ from symilp.symmetry import (
     SignedPermutation,
     alt_generators,
     basis_orbits,
-    conjugate_to_permutations,
     distinct_permutations,
     fixed_space,
     fixing_equations,
@@ -27,6 +26,7 @@ from symilp.symmetry import (
 )
 from symilp.ratlin import dot
 from testkit import (
+    conjugate_to_permutations,
     group_elements,
     group_order,
     inverse,

@@ -4,7 +4,9 @@ Layer centers, core-point distances, the core representative, the core
 point scan over expanded rows, the representative oracle, the layer box
 over the expanded slice, basis orbit barycenters, group enumeration, the
 fixed space and orbit average by matrices and enumeration, the orbit
-average by projection onto the fixed space, the hypertruncated cube's
+average by projection onto the fixed space, the sign change that
+conjugates a semi-transitive group into permutations (parked here until
+a solver reads it), the hypertruncated cube's
 vertices, the facet-by-facet wild and htc generators, the row-by-row multiset
 permutation generator (Algorithm L) the wild one closes its facets with, the
 row-major simplex tableau over one shared denominator, with its own
@@ -15,9 +17,10 @@ count, the per-row normalize loop, the per-point brute force loop and
 the round-based automorphism search: each restates a definition of the
 paper directly, or keeps an earlier implementation, so the tests can
 check the solvers against it.  ``tableau_row`` reads a row of the simplex
-tableau and ``neighbour_graph`` builds a graph from neighbour sets.
-``symmetric_lps`` and ``certified_instance`` draw instances closed under
-a group, for the property tests.
+tableau, ``tableau_lp`` runs that tableau on any instance, and
+``neighbour_graph`` builds a graph from neighbour sets.  ``symmetric_lps``
+and ``certified_instance`` draw instances closed under a group, for the
+property tests.
 """
 
 from collections import Counter
@@ -31,6 +34,7 @@ from hypothesis import strategies as st
 
 from corpus import random_symmetric_instance
 
+from symilp import lpcore
 from symilp.errors import (
     DegenerateFacet,
     EmptySystem,
@@ -58,6 +62,7 @@ from symilp.symmetry import (
     GroupSpec,
     SignedPermutation,
     alt_generators,
+    basis_orbits,
     fixed_space,
     full_cycle,
     orbit,
@@ -374,6 +379,24 @@ def project_barycenter(G: GroupSpec, x) -> tuple:
     return tuple(y)
 
 
+def conjugate_to_permutations(G: GroupSpec):
+    """Diagonal sign change conjugating a semi-transitive G into Sym(n).
+
+    G is semi-transitive iff the orbit of e_1 has n members and not -e_1;
+    then eps is that orbit read as a diagonal sign change, eps = eps^-1,
+    and eps*g*eps is sign-free for every g.  Returns (eps, H), or None.
+    """
+    n = G.degree
+    orbits = basis_orbits(G)
+    if not orbits or -1 in orbits[0] or len(orbits[0]) != n:
+        return None
+    eps = SignedPermutation(orbits[0])
+    H = GroupSpec(n, tuple(eps * g * eps for g in G.generators))
+    if not all(h.is_plain for h in H.generators):
+        raise ResultCheckFailed("conjugation failed to clear signs")
+    return eps, H
+
+
 def reduced_row_echelon(rows, ncols: int):
     """Gauss-Jordan elimination over Fraction on the first ncols columns:
     the reduced rows (pivot rows first) and their pivot columns."""
@@ -481,6 +504,25 @@ def tableau_row(t, i: int, scale: int = 1) -> list:
     objective row (i = t.m) is over the objective's scale too."""
     scale = scale if i == t.m else 1
     return [Fraction(col[i], d * scale) for col, d in zip(t.cols, t.den)]
+
+
+def tableau_lp(inst, objectives) -> list:
+    """``lpcore``'s simplex driven directly, also in one variable, where
+    solve_lp and coordinate_bounds take the ratio test instead: one
+    _Tableau and one _phase1, then one _maximize per objective in order,
+    as coordinate_bounds makes them.  An Outcome per objective."""
+    t = lpcore._Tableau(inst)
+    if not lpcore._phase1(t):
+        return [Outcome(INFEASIBLE)] * len(objectives)
+    outs = []
+    for c in objectives:
+        value = lpcore._maximize(t, inst, c)
+        if value is None:
+            outs.append(Outcome(UNBOUNDED))
+        else:
+            point = tuple(Fraction(x, t.den[-1]) for x in lpcore._numerators(t))
+            outs.append(Outcome(OPTIMAL, point=point, value=value))
+    return outs
 
 
 def _eliminate(r, nz, e, ap, sp, D):
