@@ -10,7 +10,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product, starmap
+from itertools import compress, islice, product, starmap
 from math import ceil, gcd
 from operator import itemgetter, lt, mul, ne, not_
 
@@ -48,7 +48,7 @@ class ILPInstance:
         rows = tuple(rows)
         if not rows:
             raise EmptySystem("instance has no rows")
-        if not all(map(lt, rows, rows[1:])):
+        if not all(map(lt, rows, islice(rows, 1, None))):
             # Timsort merges the runs a generator emits, reversing descending ones
             rows = sorted(rows)
             if not all(map(lt, rows, rows[1:])):  # drop adjacent repeats
@@ -316,47 +316,53 @@ def _token_value(t):
 def read_instance(path) -> ILPInstance:
     """Parse the `ILP v1` text format; numbers are exact rationals.
 
-    One dict maps each row token to its value; a row is one lookup per
-    token, and a row with new tokens first fills them in, in line order,
-    with ``_token_value``.  A malformed file raises ValueError naming the
-    path, the 1-based line and the line's first bad token.
+    One streaming pass over the non-blank, non-comment lines, holding no
+    list of them; ``vars`` and ``obj`` are taken by their first word.  One
+    dict maps each row token to its value; a row is one lookup per token,
+    and a row with new tokens first fills them in, in line order, with
+    ``_token_value``.  A malformed file raises ValueError naming the path,
+    the 1-based line and the line's first bad token.
     """
     with open(path) as fh:
-        lines = [(i, ln) for i, ln in enumerate(map(str.strip, fh), 1)
-                 if ln and not ln.startswith("#")]
-    if not lines or lines[0][1] != "ILP v1":
-        raise ValueError(f"{path}: missing 'ILP v1' header")
-    if len(lines) < 3 or not lines[1][1].startswith("vars ") or not lines[2][1].startswith("obj "):
-        raise ValueError(f"{path}: expected 'vars n' and 'obj c1 ... cn' after the header")
-    lineno, ln = lines[1]
-    try:
-        words = ln.split()
-        if len(words) != 2:
-            raise ValueError("expected 'vars n' with one integer n")
-        n = int(words[1])
-        lineno, ln = lines[2]
-        c = [parse_rational(t) for t in ln.split()[1:]]
-        if len(c) != n:
-            raise ValueError(f"objective length != {n}")
-        values = {}  # token -> exact value, one entry per distinct token
-        lookup = values.__getitem__
-        rows = []
-        for lineno, ln in lines[3:]:
-            left, sep, right = ln.partition("<=")
-            if not sep:
-                raise ValueError("row without '<='")
-            tokens = left.split()
-            if len(tokens) != n:
-                raise ValueError(f"row length != {n}")
-            tokens.append(right)
-            try:
-                row = tuple(map(lookup, tokens))
-            except KeyError:
-                for t in tokens:
-                    if t not in values:
-                        values[t] = _token_value(t)
-                row = tuple(map(lookup, tokens))
-            rows.append(row)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc} in {ln!r}") from None
+        lines = ((i, ln) for i, ln in enumerate(map(str.strip, fh), 1)
+                 if ln and not ln.startswith("#"))
+        head = list(islice(lines, 3))
+        if not head or head[0][1] != "ILP v1":
+            raise ValueError(f"{path}: missing 'ILP v1' header")
+        words = [ln.split() for _, ln in head[1:]]
+        # each line is its keyword and at least one more word
+        if [w[0] for w in words if w[1:]] != ["vars", "obj"]:
+            raise ValueError(f"{path}: expected 'vars n' and 'obj c1 ... cn' after the header")
+        lineno, ln = head[1]
+        try:
+            if len(words[0]) != 2:
+                raise ValueError("expected 'vars n' with one integer n")
+            n = int(words[0][1])
+            lineno, ln = head[2]
+            c = [parse_rational(t) for t in words[1][1:]]
+            if len(c) != n:
+                raise ValueError(f"objective length != {n}")
+            values = {}  # token -> exact value, one entry per distinct token
+            lookup = values.__getitem__
+            rows = []
+            for lineno, ln in lines:
+                left, sep, right = ln.partition("<=")
+                if not sep:
+                    raise ValueError("row without '<='")
+                tokens = left.split()
+                if len(tokens) != n:
+                    raise ValueError(f"row length != {n}")
+                tokens.append(right)
+                try:
+                    row = tuple(map(lookup, tokens))
+                except KeyError:
+                    for t in tokens:
+                        if t not in values:
+                            values[t] = _token_value(t)
+                    row = tuple(map(lookup, tokens))
+                rows.append(row)
+        except UnicodeDecodeError:
+            raise  # the file, not a line, is at fault
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc} in {ln!r}") from None
     return normalize(rows, c, name=str(path))

@@ -1,4 +1,7 @@
+import gc
 import random
+import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -407,6 +410,71 @@ def test_instance_file_errors(tmp_path):
     bad.write_text("ILP v1\nvars 2 3\nobj 1 1\n1 2 <= 3\n")
     with pytest.raises(ValueError, match=r"bad\.ilp:2: expected 'vars n' .* in 'vars 2 3'$"):
         read_instance(bad)
+
+
+PLAIN_FILE = "ILP v1\n# two rows\nvars 2\nobj 1 1\n1 2 <= 3\n-1 0 <= 0\n"
+
+
+def _read_bytes(tmp_path, data, name="t.ilp"):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return read_instance(path)
+
+
+def test_reader_takes_vars_and_obj_by_their_first_word(tmp_path):
+    tabbed = PLAIN_FILE.replace("vars ", "vars\t").replace("obj ", "obj\t")
+    assert _read_bytes(tmp_path, tabbed.encode()) == _read_bytes(tmp_path, PLAIN_FILE.encode())
+    for header in ("vars\nobj 1 1\n", "vars 2\nobj\n", "vars2\nobj 1 1\n", "vars 2\nobjx 1 1\n"):
+        with pytest.raises(ValueError, match=r"t\.ilp: expected 'vars n' and 'obj c1 ... cn'"):
+            _read_bytes(tmp_path, f"ILP v1\n{header}1 2 <= 3\n".encode())
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        PLAIN_FILE.replace("\n", "\r\n"),
+        PLAIN_FILE.rstrip("\n"),
+        PLAIN_FILE.replace("\n", "\r\n").rstrip("\r\n"),
+        PLAIN_FILE.replace("1 2 <= 3\n", "1 2 <= 3\n\n# between rows\n   \n\t\n"),
+    ],
+    ids=["crlf", "no-final-newline", "crlf-no-final-newline", "comments-between-rows"],
+)
+def test_reader_reads_each_line_layout_as_the_plain_file(tmp_path, variant):
+    plain = _read_bytes(tmp_path, PLAIN_FILE.encode(), "plain.ilp")
+    assert _read_bytes(tmp_path, variant.encode()) == plain
+    # a bad row after those lines names its own 1-based line
+    bad = variant + ("\r\n" if "\r" in variant else "\n") + "1 2 3"
+    lineno = bad.count("\n") + 1
+    with pytest.raises(ValueError, match=rf"t\.ilp:{lineno}: row without '<=' in '1 2 3'$"):
+        _read_bytes(tmp_path, bad.encode())
+
+
+def test_reader_reports_an_undecodable_file_without_blaming_a_line(tmp_path):
+    # the bad byte, on line 2007, lies past the first read buffer, so it is
+    # met among the rows; a message may name only its line
+    rows = "".join(f"1 {k} <= {k}\n" for k in range(2000))
+    with pytest.raises(ValueError) as info:
+        _read_bytes(tmp_path, PLAIN_FILE.encode() + rows.encode() + b"\xff <= 2\n")
+    named = re.search(r"t\.ilp:(\d+): ", str(info.value))
+    assert named is None or named[1] == "2007"
+
+
+def test_reader_holds_one_copy_of_the_rows(tmp_path):
+    # streaming: the peak while reading is the instance plus a little, not
+    # the instance plus every line of the file
+    path = tmp_path / "wild5.ilp"
+    write_instance(gen_wild(5), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        inst = read_instance(path)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.m == 6832
+    assert peak - base <= 1.6 * (left - base)
 
 
 raw_rows = st.lists(

@@ -89,6 +89,19 @@ def test_only_ratlin_imports_lcm():
     assert found == []
 
 
+def test_src_reads_no_file_whole():
+    # the readers stream their files line by line; a whole-file read holds
+    # a second copy of every row while the rows are parsed
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("read", "readlines", "read_text", "read_bytes")
+    ]
+    assert found == []
+
+
 TIER_NAMES = {"FULL_SYMMETRIC", "ALTERNATING", "TRANSITIVE_ONLY", "NONE"}
 # the certificate names a tier, scan_plan turns it into what the scans may
 # do, and the scan gate asks only whether any tier was certified
